@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from mlmc_sde import calibrate, cli, estimators
 from mlmc_sde.cli import (
     ConfigError,
     main,
@@ -187,3 +190,81 @@ class TestCommands:
                          "--seed", "3", "--out", str(tmp_path / out)]) == 0
         assert (csv_body(tmp_path / "x" / "variance-decay.csv")
                 == csv_body(tmp_path / "y" / "variance-decay.csv"))
+
+
+def masked_digest(path):
+    """Hash of the data rows with the wall-clock ``seconds`` cells removed."""
+    lines = csv_body(path)
+    drop = lines[0].split(",").index("seconds")
+    body = "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop)
+                     for line in lines)
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+GOLDEN_RUNS = {
+    # calibrated gs rates and one v0 pilot
+    "gs-mlmc": (["--payoff", "u-squared", "--coupling", "gs", "--eps", "2^-4",
+                 "--eps", "2^-5", "--eps", "2^-6", "--pilot-m", "4000", "--seed", "9"],
+                "c621c9481b78c5da"),
+    # nv weak rate, gs variance rate and a v_last pilot per distinct last level
+    "gs-nv-mlmc": (["--coupling", "gs-nv", "--eps", "2^-4", "--eps", "2^-5",
+                    "--eps", "2^-6", "--pilot-m", "4000", "--seed", "9"],
+                   "3a6c1ce93a13bb2b"),
+    # weighted estimator sized from the crude payoff-variance pilot
+    "heston-ml2r": (["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
+                     "--estimator", "ml2r", "--eps", "2^-4", "--eps", "2^-5",
+                     "--pilot-m", "4000", "--seed", "17"],
+                    "12d995a4b844ea25"),
+    # no rate pilot at all
+    "fixed-rates": (["--coupling", "gs", "--alpha", "1", "--c1", "0.16", "--beta", "2",
+                     "--c2", "0.15", "--eps", "2^-5", "--eps", "2^-6",
+                     "--pilot-m", "2000", "--seed", "13"],
+                    "a340760b47302c0f"),
+}
+
+
+class TestGolden:
+    """Pin the run data rows: plans, costs and estimates are exact functions
+    of (configuration, seed), so any change of stream or plan shows here."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_run_rows(self, name, tmp_path):
+        args, digest = GOLDEN_RUNS[name]
+        assert main(["run", *args, "--out", str(tmp_path)]) == 0
+        assert masked_digest(tmp_path / "run.csv") == digest
+
+
+class TestDrawOnce:
+    """Every pilot quantity is drawn once and shared across the eps sweep."""
+
+    @pytest.mark.parametrize("args", [
+        ["--payoff", "u-squared", "--coupling", "gs"],
+        ["--coupling", "gs-nv"],
+        ["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
+         "--estimator", "ml2r"],
+    ], ids=["gs-mlmc", "gs-nv-mlmc", "heston-ml2r"])
+    def test_no_pilot_key_repeats(self, args, tmp_path, monkeypatch):
+        keys, running = [], []
+        draw = calibrate.sample_many
+        run = estimators.run_multilevel
+
+        def counted(sampler, level, m, seed, experiment=0, workers=1):
+            if not running:
+                keys.append((sampler.coupling, level, m, seed, experiment))
+            return draw(sampler, level, m, seed, experiment, workers)
+
+        def counted_run(*a, **kw):
+            running.append(True)
+            try:
+                return run(*a, **kw)
+            finally:
+                running.pop()
+
+        for module in (cli, calibrate, estimators):
+            monkeypatch.setattr(module, "sample_many", counted)
+        monkeypatch.setattr(estimators, "run_multilevel", counted_run)
+        assert main(["run", *args, "--eps", "2^-4", "--eps", "2^-5", "--eps", "2^-6",
+                     "--pilot-m", "2000", "--seed", "9", "--out", str(tmp_path)]) == 0
+        assert keys
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        assert not repeated, f"pilot draws repeated: {repeated}"
