@@ -24,6 +24,10 @@ class IllConditioned(ValueError):
     """Fewer than two usable points were supplied to a rate fit."""
 
 
+class NoUsableSamples(ValueError):
+    """Every sample of a level aborted or came out non-finite."""
+
+
 @dataclass(frozen=True)
 class LevelStats:
     """Per-level sample statistics of Z^l."""
@@ -53,7 +57,7 @@ def stats_from_values(level: int, values: np.ndarray, aborted: int = 0) -> Level
     n = finite.size
     aborted = aborted + (values.size - n)
     if n == 0:
-        raise ValueError(f"level {level}: no usable samples")
+        raise NoUsableSamples(f"level {level}: no usable samples")
     mean = float(finite.mean())
     # a single sample carries a mean but no variance information
     variance = float(finite.var(ddof=1)) if n >= 2 else 0.0

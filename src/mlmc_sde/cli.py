@@ -25,11 +25,8 @@ from . import estimators as est
 from .models import PAYOFF_LABELS, Payoff, build_model
 from .schemes import LevelSampler, coupling_errors, sample_many
 
-# experiment-id bases keep the streams of different phases independent
-EXP_RATES = 11
-EXP_V0 = 12
-EXP_VLAST = 13
-EXP_VARF = 14
+# experiment-id bases keep the streams of different phases independent; the
+# pilot phases of run and sweep take theirs from estimators
 EXP_STRONG = 21
 EXP_DECAY = 22
 EXP_ORACLE = 23
@@ -217,6 +214,11 @@ def _validate(cfg: ExperimentConfig, command: str):
         raise ConfigError("workers must be at least 1")
     if any(e <= 0 for e in cfg.eps):
         raise ConfigError("eps values must be positive")
+    if cfg.horizon <= 0:
+        raise ConfigError("horizon must be positive")
+    # every coupled sample and the splitting-scheme errors start at level 1
+    if cfg.levels is not None and cfg.levels[0] < 1:
+        raise ConfigError(f"{command} needs levels >= 1")
     if command in ("run", "sweep") and not cfg.eps:
         raise ConfigError(f"{command} needs at least one --eps")
     if command in ("run", "sweep"):
@@ -225,8 +227,6 @@ def _validate(cfg: ExperimentConfig, command: str):
     if command == "oracle-check":
         if cfg.model != "clark-cameron" or cfg.payoff != "u-squared":
             raise ConfigError("oracle-check is defined for clark-cameron with payoff u-squared")
-    if command == "strong-order" and cfg.levels and cfg.levels[0] < 1:
-        raise ConfigError("strong-order needs levels >= 1")
 
 
 def make_model(cfg: ExperimentConfig):
@@ -294,8 +294,7 @@ def _fit_slope(levels, values):
     return float(slope), logs
 
 
-def cmd_strong_order(cfg: ExperimentConfig) -> int:
-    model = make_model(cfg)
+def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     levels = list(_level_range(cfg, (2, 7)))
     self_mse, pair_mse = coupling_errors(
         model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
@@ -314,9 +313,7 @@ def cmd_strong_order(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_variance_decay(cfg: ExperimentConfig) -> int:
-    model = make_model(cfg)
-    payoff = make_payoff(cfg)
+def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     levels = list(_level_range(cfg, (2, 6)))
     couplings = cfg.coupling or ("gs-nv", "nv")
     rows, slopes = [], []
@@ -339,11 +336,9 @@ def cmd_variance_decay(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_oracle_check(cfg: ExperimentConfig) -> int:
+def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     from .oracle import znv_second_moment
 
-    model = make_model(cfg)
-    payoff = make_payoff(cfg)
     sampler = LevelSampler(model, payoff, "nv", cfg.horizon, cfg.degenerate_rng)
     rows, worst = [], 0.0
     for level in _level_range(cfg, (1, 6)):
@@ -362,23 +357,12 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> int:
     return 0 if passed else 4
 
 
-def _rate_pilot(cfg: ExperimentConfig, model, payoff, coupling: str,
-                levels=None) -> tuple[list[cal.LevelStats], cal.RateFit, cal.RateFit]:
-    sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
-    pilot_levels = levels if levels is not None else _level_range(cfg, (1, 4))
-    stats = cal.pilot_stats(sampler, pilot_levels, cfg.pilot_m, cfg.seed,
-                            EXP_RATES, cfg.workers)
-    return stats, cal.fit_weak_rate(stats), cal.fit_variance_rate(stats)
-
-
-def cmd_calibrate(cfg: ExperimentConfig) -> int:
-    model = make_model(cfg)
-    payoff = make_payoff(cfg)
+def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     coupling = (cfg.coupling or ("gs",))[0]
     warnings = []
     sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
-    stats = cal.pilot_stats(sampler, _level_range(cfg, (1, 4)), cfg.pilot_m,
-                            cfg.seed, EXP_RATES, cfg.workers)
+    stats = est.rate_pilot(sampler, _level_range(cfg, (1, 4)), cfg.pilot_m, cfg.seed,
+                           cfg.workers)
     rows = [(s.level, s.mean, s.sem, s.variance) for s in stats]
     try:
         weak = cal.fit_weak_rate(stats)
@@ -399,83 +383,16 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _calibration_for(cfg: ExperimentConfig, model, payoff, coupling: str):
-    """(alpha, c1) of the bias-driving scheme and (beta, c2, pilot stats) of
-    the variance-driving scheme for one estimator coupling."""
-    fixed = all(v is not None for v in (cfg.alpha, cfg.c1, cfg.beta, cfg.c2))
-    if fixed:
-        return cfg.alpha, cfg.c1, cfg.beta, cfg.c2, None
-    weak_coupling = "nv" if coupling in ("nv", "gs-nv") else "gs"
-    var_coupling = "gs" if coupling in ("gs", "gs-nv") else "nv"
-    _, weak, _ = _rate_pilot(cfg, model, payoff, weak_coupling)
-    var_stats, _, var = _rate_pilot(cfg, model, payoff, var_coupling)
-    alpha = cfg.alpha if cfg.alpha is not None else weak.order
-    c1 = cfg.c1 if cfg.c1 is not None else weak.constant
-    beta = cfg.beta if cfg.beta is not None else var.order
-    c2 = cfg.c2 if cfg.c2 is not None else var.constant
-    return alpha, c1, beta, c2, (var_stats, var)
-
-
-def _level0_tag(coupling: str, estimator: str, nv_level0: str) -> str:
-    if coupling in ("gs", "gs-nv"):
-        return "level0-gs"
-    if estimator == "ml2r" or nv_level0 == "single":
-        return "level0-nv-single"
-    return "level0-nv-averaged"
-
-
-def _build_plan(cfg: ExperimentConfig, model, payoff, coupling: str,
-                epsilon: float, calib):
-    alpha, c1, beta, c2, var_pilot = calib
-    nv_level0 = "single" if cfg.estimator == "ml2r" else cfg.nv_level0
-    base = LevelSampler(model, payoff, "gs", cfg.horizon, cfg.degenerate_rng)
-    if cfg.estimator == "ml2r":
-        varf_stats = est.crude_mc(model, payoff, scheme="nv", level=5, m=cfg.pilot_m,
-                                  seed=cfg.seed, experiment=EXP_VARF,
-                                  workers=cfg.workers, horizon=cfg.horizon,
-                                  degenerate=cfg.degenerate_rng)
-        return est.ml2r_plan(coupling, epsilon, alpha, beta, c2, varf_stats.variance,
-                             cfg.horizon, nv_level0)
-    last = est.mlmc_last_level(epsilon, c1, alpha)
-    level0 = base.with_coupling(_level0_tag(coupling, cfg.estimator, cfg.nv_level0))
-    v0 = cal.stats_from_sample(
-        sample_many(level0, 0, cfg.pilot_m, cfg.seed, EXP_V0, cfg.workers)
-    ).variance
-    v_last = None
-    if coupling == "gs-nv":
-        v_last = cal.stats_from_sample(
-            sample_many(base.with_coupling("gs-nv"), last, cfg.pilot_m, cfg.seed,
-                        EXP_VLAST + last, cfg.workers)
-        ).variance
-    table = None
-    if var_pilot is not None:
-        var_stats, var_fit = var_pilot
-        inflection = cal.detect_inflection(var_stats, var_fit)
-        if inflection is not None and last >= inflection:
-            # extrapolate past the break at the theoretical rate when the
-            # caller supplied one, else at the snapped pilot rate
-            table_beta = cfg.beta if cfg.beta is not None else var_fit.order
-            var_coupling = "gs" if coupling in ("gs", "gs-nv") else "nv"
-            table = cal.variance_table(
-                base.with_coupling(var_coupling), last, inflection, table_beta,
-                cfg.pilot_m, cfg.seed, EXP_VLAST + 64, cfg.workers,
-                level0_sampler=level0,
-            )
-            table[0] = v0
-            if v_last is not None:
-                table[last] = v_last
-    return est.mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
-                         cfg.nv_level0, variance_table=table)
-
-
-def _run_rows(cfg: ExperimentConfig, couplings) -> list[tuple]:
-    model = make_model(cfg)
-    payoff = make_payoff(cfg)
+def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff, couplings) -> list[tuple]:
     rows = []
     for coupling in couplings:
-        calib = _calibration_for(cfg, model, payoff, coupling)
-        for i, epsilon in enumerate(cfg.eps):
-            plan = _build_plan(cfg, model, payoff, coupling, epsilon, calib)
+        sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
+        plans = est.calibrated_plans(
+            sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
+            cfg.nv_level0, _level_range(cfg, (1, 4)),
+            cfg.alpha, cfg.c1, cfg.beta, cfg.c2,
+        )
+        for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
             result = est.run_multilevel(plan, model, payoff, cfg.seed,
                                         EXP_RUN + i, cfg.workers, cfg.horizon,
                                         cfg.degenerate_rng)
@@ -485,9 +402,9 @@ def _run_rows(cfg: ExperimentConfig, couplings) -> list[tuple]:
     return rows
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
+def cmd_run(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     couplings = cfg.coupling or ("gs-nv",)
-    rows = _run_rows(cfg, couplings)
+    rows = _run_rows(cfg, model, payoff, couplings)
     path = write_csv(cfg, "run",
                      ("epsilon", "kind", "coupling", "L", "total_m",
                       "cost_units", "seconds", "estimate"), rows)
@@ -498,9 +415,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
+def cmd_sweep(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     couplings = cfg.coupling or ("gs", "gs-nv")
-    rows = _run_rows(cfg, couplings)
+    rows = _run_rows(cfg, model, payoff, couplings)
     out_rows, slopes = [], {}
     for coupling in couplings:
         sub = [r for r in rows if r[2] == coupling]
@@ -536,15 +453,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        model, payoff = make_model(cfg), make_payoff(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](cfg, model, payoff)
     except est.SamplingError as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 3
-    except (cal.ZeroMean, cal.IllConditioned, est.ZeroWeakConstant,
+    except (cal.ZeroMean, cal.IllConditioned, cal.NoUsableSamples, est.ZeroWeakConstant,
             est.MissingLastLevelVariance, est.NonpositiveVariance) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 3

@@ -14,9 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import calibrate as cal
 from .calibrate import LevelStats, stats_from_sample
 from .models import Payoff, SdeModel
-from .schemes import LevelSampler, sample_many
+from .schemes import COUPLING_COSTS, LevelSampler, sample_many
+
+# experiment ids of the pilot streams, kept apart from every other phase's
+EXP_RATES = 11
+EXP_V0 = 12
+EXP_VLAST = 13  # plus the last level
+EXP_VARF = 14
+EXP_TABLE = EXP_VLAST + 64
 
 
 class ZeroWeakConstant(ValueError):
@@ -94,28 +102,24 @@ def mlmc_sample_sizes(epsilon: float, last_level: int, variances, lam) -> np.nda
 
 
 def default_lambdas(coupling: str, last_level: int, nv_level0: str = "averaged") -> np.ndarray:
-    """Per-level cost weights balancing the number of schemes per sample."""
-    lam = np.full(last_level + 1, 2.5)
-    lam[0] = 1.0
-    if coupling == "nv" and nv_level0 == "single":
-        lam[1:] = 5.0
-    elif coupling == "gs-nv":
-        lam[last_level] = 4.5
-    elif coupling not in ("gs", "nv"):
-        raise ValueError(f"unknown coupling {coupling!r}")
-    return lam
+    """Per-level cost weights: each level's path steps per sample (from
+    COUPLING_COSTS) over 2^l, relative to level 0."""
+    costs = np.array([COUPLING_COSTS[tag]
+                      for tag in _level_tags("mlmc", coupling, last_level, nv_level0)])
+    steps = costs[:, 0] + 0.5 * costs[:, 1]
+    return steps / steps[0]
 
 
 def _level_tags(kind: str, coupling: str, last_level: int, nv_level0: str) -> tuple[str, ...]:
     if coupling == "gs":
-        return ("level0-gs",) + ("gs",) * last_level
+        return ("crude-gs",) + ("gs",) * last_level
     if coupling == "nv":
-        first = "level0-nv-single" if nv_level0 == "single" else "level0-nv-averaged"
+        first = "crude-nv" if nv_level0 == "single" else "level0-nv-averaged"
         return (first,) + ("nv",) * last_level
     if coupling == "gs-nv":
         if kind == "ml2r":
             raise ValueError("the weighted estimator pairs with gs or nv couplings")
-        return ("level0-gs",) + ("gs",) * (last_level - 1) + ("gs-nv",)
+        return ("crude-gs",) + ("gs",) * (last_level - 1) + ("gs-nv",)
     raise ValueError(f"unknown coupling {coupling!r}")
 
 
@@ -292,3 +296,78 @@ def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5
     sampler = LevelSampler(model, payoff, f"crude-{scheme}", horizon=horizon,
                            degenerate=degenerate)
     return stats_from_sample(sample_many(sampler, level, m, seed, experiment, workers))
+
+
+def rate_pilot(sampler: LevelSampler, levels, m: int, seed: int,
+               workers: int = 1) -> list[LevelStats]:
+    """Pilot level statistics of ``sampler`` that rates are fitted to."""
+    return cal.pilot_stats(sampler, levels, m, seed, EXP_RATES, workers)
+
+
+def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
+                     seed: int, workers: int = 1, nv_level0: str = "averaged",
+                     pilot_levels=range(1, 5), alpha: float | None = None,
+                     c1: float | None = None, beta: float | None = None,
+                     c2: float | None = None) -> list[MultilevelPlan]:
+    """Calibrate from pilots, then plan one estimator of ``kind`` ("mlmc" or
+    "ml2r") on ``sampler.coupling`` per epsilon.
+
+    The weak rate comes from the bias-driving scheme (nv for the nv and
+    gs-nv couplings) and the variance rate from the variance-driving one;
+    rates passed in replace the fitted ones, and with all four passed no
+    rate pilot is drawn.  Each pilot is drawn once and shared across the
+    epsilons: one rate pilot per distinct scheme, v0, v_last per distinct
+    last level (gs-nv), varf (ml2r) and the direct part of the variance
+    table, which replaces the variance model where the rate pilot shows an
+    inflection at or below the last level.
+    """
+    coupling = sampler.coupling
+    weak_coupling = "nv" if coupling in ("nv", "gs-nv") else "gs"
+    var_coupling = "gs" if coupling in ("gs", "gs-nv") else "nv"
+    var_stats = var_fit = None
+    if None in (alpha, c1, beta, c2):
+        stats = {c: rate_pilot(sampler.with_coupling(c), pilot_levels, pilot_m, seed, workers)
+                 for c in dict.fromkeys((weak_coupling, var_coupling))}
+        weak = cal.fit_weak_rate(stats[weak_coupling])
+        var_stats, var_fit = stats[var_coupling], cal.fit_variance_rate(stats[var_coupling])
+        alpha = weak.order if alpha is None else alpha
+        c1 = weak.constant if c1 is None else c1
+        beta = var_fit.order if beta is None else beta
+        c2 = var_fit.constant if c2 is None else c2
+
+    if kind == "ml2r":
+        varf = crude_mc(sampler.model, sampler.payoff, scheme="nv", level=5, m=pilot_m,
+                        seed=seed, experiment=EXP_VARF, workers=workers,
+                        horizon=sampler.horizon, degenerate=sampler.degenerate).variance
+        return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, sampler.horizon)
+                for epsilon in epsilons]
+    if kind != "mlmc":
+        raise ValueError(f"unknown estimator kind {kind!r}")
+
+    lasts = [mlmc_last_level(epsilon, c1, alpha) for epsilon in epsilons]
+    top = max(lasts)
+    level0 = sampler.with_coupling(_level_tags(kind, coupling, top, nv_level0)[0])
+    v0 = stats_from_sample(sample_many(level0, 0, pilot_m, seed, EXP_V0, workers)).variance
+    v_last = {}
+    if coupling == "gs-nv":
+        v_last = {
+            last: stats_from_sample(
+                sample_many(sampler, last, pilot_m, seed, EXP_VLAST + last, workers)
+            ).variance
+            for last in sorted(set(lasts))
+        }
+    inflection = None if var_fit is None else cal.detect_inflection(var_stats, var_fit)
+    table = None
+    if inflection is not None and top >= inflection:
+        # extrapolates past the break at the caller's beta, else the snapped pilot rate
+        table = cal.variance_table(sampler.with_coupling(var_coupling), top, inflection,
+                                   beta, pilot_m, seed, EXP_TABLE, workers,
+                                   level0_sampler=level0)
+    plans = []
+    for epsilon, last in zip(epsilons, lasts):
+        variances = None
+        if table is not None and last >= inflection:
+            variances = np.concatenate(([v0], table[1:last + 1]))
+        plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0,
+                               v_last.get(last), nv_level0, variance_table=variances))
+    return plans

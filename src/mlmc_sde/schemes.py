@@ -37,8 +37,6 @@ COUPLING_COSTS = {
     "gs": (2, 1),
     "nv": (4, 2),
     "gs-nv": (4, 1),
-    "level0-gs": (1, 0),
-    "level0-nv-single": (1, 0),
     "level0-nv-averaged": (2, 0),
     "crude-gs": (1, 0),
     "crude-nv": (1, 0),
@@ -139,19 +137,15 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
       nv     -- 1/4 sum over {plain, swapped} x {eta, -eta} fine nv
                 - 1/2 (f(coarse nv, eta odd-subvector) + same with negated signs)
       gs-nv  -- the nv fine average minus f(coarse gs)
-    Level-0 variants evaluate f on the corresponding one-step scheme;
-    "level0-nv-averaged" averages the two composition orders on the same
-    increments.  "crude-*" run a single plain path at any level.
+    "crude-*" run a single plain path at any level, which at level 0 is the
+    one-step scheme of the level-0 estimator; "level0-nv-averaged" averages
+    the two composition orders on the same increments.
     """
     grid = LevelGrid(level, horizon)
     path = sample_level_path(stream, grid, model.d, m, degenerate)
     dw, eta = path.dw, path.eta
 
-    if coupling == "level0-gs":
-        values = payoff(simulate_path("gs", model, grid, dw))
-    elif coupling == "level0-nv-single":
-        values = payoff(simulate_path("nv", model, grid, dw, eta))
-    elif coupling == "level0-nv-averaged":
+    if coupling == "level0-nv-averaged":
         ones = np.ones_like(eta)
         values = 0.5 * (
             payoff(simulate_path("nv", model, grid, dw, ones))
@@ -213,14 +207,22 @@ class LevelSampler:
                             stream, self.horizon, self.degenerate)
 
 
-def _blocks(m: int):
-    start = 0
-    index = 0
-    while start < m:
-        count = min(BLOCK_SAMPLES, m - start)
-        yield index, count
-        start += count
-        index += 1
+def _map_blocks(fn, job, level: int, m: int, seed: int, experiment: int, workers: int):
+    """fn((job, level, count, stream)) over the fixed blocks of m samples.
+
+    Block boundaries and stream coordinates depend only on (seed,
+    experiment, level, block index), and results come back in block order,
+    so they are identical for any worker count.
+    """
+    tasks = [
+        (job, level, min(BLOCK_SAMPLES, m - start),
+         RngStream(seed, experiment, level, index))
+        for index, start in enumerate(range(0, m, BLOCK_SAMPLES))
+    ]
+    if workers <= 1 or len(tasks) == 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=4))
 
 
 def _sample_block(task):
@@ -230,28 +232,16 @@ def _sample_block(task):
 
 def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
                 experiment: int = 0, workers: int = 1) -> LevelSample:
-    """Draw m samples of Z^level in fixed blocks with per-block streams.
-
-    Block boundaries and stream coordinates depend only on (seed,
-    experiment, level, block index), and block results are concatenated in
-    block order, so the output is identical for any worker count.
-    """
-    tasks = [
-        (sampler, level, count, RngStream(seed, experiment, level, index))
-        for index, count in _blocks(m)
-    ]
-    if workers <= 1 or len(tasks) == 1:
-        arrays = [_sample_block(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            arrays = list(pool.map(_sample_block, tasks, chunksize=4))
+    """Draw m samples of Z^level in fixed blocks with per-block streams,
+    concatenated in block order (identical for any worker count)."""
+    arrays = _map_blocks(_sample_block, sampler, level, m, seed, experiment, workers)
     values = np.concatenate(arrays) if arrays else np.zeros(0)
     fine_evals, coarse_evals = COUPLING_COSTS[sampler.coupling]
     return LevelSample(values, level, sampler.coupling, fine_evals, coarse_evals)
 
 
 def _coupling_block(task):
-    model, level, count, stream, horizon, degenerate = task
+    (model, horizon, degenerate), level, count, stream = task
     grid = LevelGrid(level, horizon)
     coarse_grid = LevelGrid(level - 1, horizon)
     path = sample_level_path(stream, grid, model.d, count, degenerate)
@@ -278,16 +268,8 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
     for level in levels:
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
-        tasks = [
-            (model, level, count, RngStream(seed, experiment, level, index),
-             horizon, degenerate)
-            for index, count in _blocks(m)
-        ]
-        if workers <= 1 or len(tasks) == 1:
-            parts = [_coupling_block(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_coupling_block, tasks, chunksize=4))
+        parts = _map_blocks(_coupling_block, (model, horizon, degenerate), level, m,
+                            seed, experiment, workers)
         self_sum = sum(p[0] for p in parts)
         pair_sum = sum(p[1] for p in parts)
         self_mse.append(self_sum / m)

@@ -108,7 +108,7 @@ def test_criterion_06_end_to_end_rmse():
     weak = fit_weak_rate(pilot_stats(nv, range(1, 5), pilot_m, seed=101, experiment=11))
     var = fit_variance_rate(pilot_stats(gs, range(1, 5), pilot_m, seed=101, experiment=12))
     v0 = stats_from_sample(
-        sample_many(gs.with_coupling("level0-gs"), 0, pilot_m, 101, 13)
+        sample_many(gs.with_coupling("crude-gs"), 0, pilot_m, 101, 13)
     ).variance
     ratios, coverage = [], []
     for k in (4, 5, 6):
@@ -140,7 +140,7 @@ def test_criterion_07_complexity_slope():
     weak_nv = fit_weak_rate(pilot_stats(nv, range(1, 5), pilot_m, seed=401, experiment=11))
     var_gs = fit_variance_rate(pilot_stats(gs, range(1, 5), pilot_m, seed=401, experiment=12))
     v0 = stats_from_sample(
-        sample_many(gs.with_coupling("level0-gs"), 0, pilot_m, 401, 13)
+        sample_many(gs.with_coupling("crude-gs"), 0, pilot_m, 401, 13)
     ).variance
     log_eps, log_cost, per_coupling = [], [], {}
     for coupling, weak in (("gs", weak_gs), ("gs-nv", weak_nv)):

@@ -72,6 +72,25 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--eps", "0.1",
                      "--out", str(tmp_path)]) == 2
 
+    def test_invalid_model_parameters_exit_two(self, tmp_path):
+        # 2 kappa theta < sigma^2: the Heston model itself rejects them
+        assert main(["run", "--model", "heston", "--theta", "0.01", "--sigma", "1.0",
+                     "--eps", "2^-4", "--out", str(tmp_path)]) == 2
+
+    def test_nonpositive_horizon_exits_two(self, tmp_path):
+        assert main(["run", "--eps", "2^-3", "--horizon", "0", "--out", str(tmp_path)]) == 2
+
+    def test_level_zero_range_exits_two(self, tmp_path):
+        for command in ("variance-decay", "calibrate"):
+            assert main([command, "--levels", "0..2", "--out", str(tmp_path)]) == 2
+
+    def test_pilot_without_usable_samples_exits_three(self, tmp_path):
+        # every one of the two pilot samples aborts at level 1
+        assert main(["run", "--model", "heston", "--payoff", "heston-call",
+                     "--coupling", "gs", "--kappa", "2.0", "--theta", "0.02",
+                     "--sigma", "0.28", "--v0", "0.05", "--eps", "2^-4",
+                     "--pilot-m", "2", "--seed", "1", "--out", str(tmp_path)]) == 3
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--coupling", "euler", "--eps", "0.1", "--out", str(tmp_path)])

@@ -1,16 +1,20 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmc_sde import estimators
 from mlmc_sde.estimators import (
+    EXP_TABLE,
     MissingLastLevelVariance,
     MultilevelPlan,
     NonpositiveVariance,
     SamplingError,
     ZeroWeakConstant,
+    calibrated_plans,
     crude_mc,
     default_lambdas,
     ml2r_allocation,
@@ -25,7 +29,7 @@ from mlmc_sde.estimators import (
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
-from mlmc_sde.schemes import LevelSampler, sample_many
+from mlmc_sde.schemes import COUPLING_COSTS, LevelSample, LevelSampler, sample_many
 
 CC = ClarkCameronModel(mu=1.0)
 USQ = Payoff("u-squared")
@@ -101,7 +105,7 @@ class TestMlmcPlan:
 
     def test_gs_nv_level_tags(self):
         plan = mlmc_plan("gs-nv", 2.0**-8, 2.0, 0.1, 2.0, 0.3, v0=0.4, v_last=0.01)
-        assert plan.level_tags[0] == "level0-gs"
+        assert plan.level_tags[0] == "crude-gs"
         assert plan.level_tags[-1] == "gs-nv"
         assert set(plan.level_tags[1:-1]) <= {"gs"}
         assert plan.lam[-1] == 4.5
@@ -110,7 +114,7 @@ class TestMlmcPlan:
         plan = mlmc_plan("nv", 0.05, 2.0, 0.1, 2.0, 0.3, v0=0.4, nv_level0="averaged")
         assert plan.level_tags[0] == "level0-nv-averaged"
         plan = mlmc_plan("nv", 0.05, 2.0, 0.1, 2.0, 0.3, v0=0.4, nv_level0="single")
-        assert plan.level_tags[0] == "level0-nv-single"
+        assert plan.level_tags[0] == "crude-nv"
         assert plan.lam[1] == 5.0
 
     def test_direct_variance_table_override(self):
@@ -163,7 +167,7 @@ class TestMl2r:
     def test_plan_structure(self):
         plan = ml2r_plan("nv", 2.0**-5, 2.0, 2.0, 0.1, 0.8)
         assert plan.kind == "ml2r"
-        assert plan.level_tags[0] == "level0-nv-single"
+        assert plan.level_tags[0] == "crude-nv"
         np.testing.assert_array_equal(plan.lam, np.ones(plan.last_level + 1))
         assert plan.weights[0] == pytest.approx(1.0)
         assert (plan.sizes >= 1).all()
@@ -187,9 +191,9 @@ class TestRunner:
 
     def test_single_level_plan_is_plain_average(self):
         plan = MultilevelPlan("mlmc", "gs", 1.0, 0, np.array([5000]), np.ones(1),
-                              np.ones(1), ("level0-gs",))
+                              np.ones(1), ("crude-gs",))
         result = run_multilevel(plan, CC, USQ, seed=4, experiment=2)
-        sampler = LevelSampler(CC, USQ, "level0-gs")
+        sampler = LevelSampler(CC, USQ, "crude-gs")
         direct = sample_many(sampler, 0, 5000, seed=4, experiment=2)
         assert result.estimate == direct.values.mean()
 
@@ -222,7 +226,7 @@ class TestRunner:
         plan = MultilevelPlan("mlmc", "gs", 0.1, 2,
                               np.array([4000, 2000, 1000]), np.ones(3),
                               default_lambdas("gs", 2),
-                              ("level0-gs", "gs", "gs"))
+                              ("crude-gs", "gs", "gs"))
         estimates = np.array([
             run_multilevel(plan, CC, USQ, seed=100 + k, experiment=4).estimate
             for k in range(100)
@@ -237,7 +241,7 @@ class TestRunner:
         fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05)
         plan = MultilevelPlan("mlmc", "gs", 1.0, 1, np.array([4000, 2000]),
                               np.ones(2), default_lambdas("gs", 1),
-                              ("level0-gs", "gs"))
+                              ("crude-gs", "gs"))
         with pytest.raises(SamplingError):
             run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
 
@@ -246,7 +250,7 @@ class TestRunner:
                               negative_variance="reflect")
         plan = MultilevelPlan("mlmc", "gs", 1.0, 1, np.array([4000, 2000]),
                               np.ones(2), default_lambdas("gs", 1),
-                              ("level0-gs", "gs"))
+                              ("crude-gs", "gs"))
         result = run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
         assert np.isfinite(result.estimate)
         assert result.aborted == 0
@@ -272,3 +276,55 @@ class TestCrude:
     def test_bad_scheme_rejected(self):
         with pytest.raises(ValueError):
             crude_mc(CC, USQ, "euler", level=2, m=100, seed=1)
+
+
+@dataclass(frozen=True)
+class LadderSampler:
+    """Deterministic level samples: mean -2^-(l+1) and variance 4^-min(l, 3),
+    so the variance decay stalls after level 3 (half the samples sit one
+    standard deviation above the mean, half below)."""
+
+    coupling: str = "gs"
+
+    def with_coupling(self, coupling):
+        return replace(self, coupling=coupling)
+
+    def sample(self, level, m, stream):
+        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        values = -(2.0 ** -(level + 1)) + 2.0 ** -min(level, 3) * signs
+        return LevelSample(values, level, self.coupling, *COUPLING_COSTS[self.coupling])
+
+
+class TestCalibratedPlans:
+    def test_variance_table_past_the_inflection(self, monkeypatch):
+        m = 1000
+        keys = []
+        draw = estimators.sample_many
+
+        def counted(sampler, level, m, seed, experiment=0, workers=1):
+            keys.append((sampler.coupling, level, experiment))
+            return draw(sampler, level, m, seed, experiment, workers)
+
+        monkeypatch.setattr(estimators, "sample_many", counted)
+        monkeypatch.setattr(estimators.cal, "sample_many", counted)
+        epsilons = (2.0**-2, 2.0**-3, 2.0**-4)
+        plans = calibrated_plans(LadderSampler(), "mlmc", epsilons, m, seed=1)
+
+        # alpha = 1 and c1 = 1/2 from the means put the last levels at 2, 3, 4;
+        # the pilot variances leave their line at level 3 and snap beta to 3/2
+        assert [p.last_level for p in plans] == [2, 3, 4]
+        unbiased = m / (m - 1)
+        direct = unbiased * np.array([1.0, 2.0**-2, 2.0**-4, 2.0**-6])
+        table = np.append(direct, direct[3] * 2.0**-1.5)
+        for plan, last in zip(plans[1:], (3, 4)):
+            expected = mlmc_sample_sizes(plan.epsilon, last, table[:last + 1],
+                                         default_lambdas("gs", last))
+            np.testing.assert_array_equal(plan.sizes, expected)
+        # below the inflection the fitted variance model sizes the levels
+        model = unbiased * np.array([1.0, 0.5 * 2.0**-1.5, 0.5 * 2.0**-3])
+        np.testing.assert_array_equal(
+            plans[0].sizes,
+            mlmc_sample_sizes(2.0**-2, 2, model, default_lambdas("gs", 2)))
+
+        assert len(keys) == len(set(keys))
+        assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [0, 1, 2, 3]

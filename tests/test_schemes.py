@@ -115,7 +115,7 @@ class TestLevelSampleAlgebra:
 
     @pytest.mark.parametrize("coupling,level", [
         ("gs", 2), ("nv", 2), ("gs-nv", 2),
-        ("level0-gs", 0), ("level0-nv-single", 0), ("level0-nv-averaged", 0),
+        ("crude-gs", 0), ("crude-nv", 0), ("level0-nv-averaged", 0),
     ])
     def test_zero_noise_sample_vanishes(self, coupling, level):
         sample = sample_level(CC, USQ, coupling, level, 8, RngStream(1), degenerate=True)
