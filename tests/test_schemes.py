@@ -129,12 +129,18 @@ class TestLevelSampleAlgebra:
         with pytest.raises(ValueError):
             sample_level(CC, USQ, "qmc", 1, 4, RngStream(1))
 
+    # the crude samplers double as the level-0 samplers of gs and single-nv
+    # MLMC; the level0-* cases check them in that role, at level 0
+    LEVEL0_ROLES = {"level0-gs": "crude-gs", "level0-nv-single": "crude-nv"}
+
     @pytest.mark.parametrize(
-        "coupling,fine,coarse",
-        sorted((name, f, c) for name, (f, c) in COUPLING_COSTS.items()),
+        "tag,fine,coarse",
+        sorted([(name, f, c) for name, (f, c) in COUPLING_COSTS.items()]
+               + [(role, *COUPLING_COSTS[c]) for role, c in LEVEL0_ROLES.items()]),
     )
-    def test_cost_accounting(self, coupling, fine, coarse):
-        level = 0 if coupling.startswith("level0") else 3
+    def test_cost_accounting(self, tag, fine, coarse):
+        coupling = self.LEVEL0_ROLES.get(tag, tag)
+        level = 0 if tag.startswith("level0") else 3
         sample = sample_level(CC, COS, coupling, level, 5, RngStream(2), degenerate=True)
         assert (sample.fine_evals, sample.coarse_evals) == (fine, coarse)
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
