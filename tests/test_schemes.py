@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,23 @@ class TestSteps:
         dw = np.ones((2, 2))
         out = nv_step(CC, x, 1.0, dw, np.array([1, -1]))
         np.testing.assert_allclose(out, [[0.5, 2.0], [1.5, 2.0]])
+
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_nv_step_batch_equals_single_samples(self, model):
+        # each sample of a mixed-sign batch is stepped bit for bit as if alone;
+        # the zero increments cover Heston's w == 0 pass-through
+        rng = np.random.default_rng(43)
+        m, h = 12, 0.125
+        x = np.stack([rng.normal(size=m), rng.uniform(0.3, 2.5, size=m)], axis=-1)
+        dw = rng.normal(scale=np.sqrt(h), size=(m, 2))
+        dw[::3, 1] = 0.0
+        dw[1::4] = 0.0
+        eta = np.where(rng.random(m) < 0.5, -1, 1).astype(np.int8)
+        assert set(eta) == {-1, 1}
+        batch = nv_step(model, x, h, dw, eta)
+        for i in range(m):
+            alone = nv_step(model, x[i:i + 1], h, dw[i:i + 1], eta[i:i + 1])
+            np.testing.assert_array_equal(batch[i:i + 1], alone)
 
     def test_gs_step_hand_value(self):
         out = gs_step(CC, np.array([[0.0, 0.0]]), 1.0, np.array([[1.0, 1.0]]))
@@ -253,3 +272,43 @@ class TestCouplingErrors:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             coupling_errors(CC, [0], 16, seed=1)
+
+
+# (seed, experiment, samples): two blocks, the second one short
+GOLDEN_DRAW = (29, 7, 4096 + 64)
+
+GOLDEN_SAMPLES = {
+    # sha256 prefix of sample_many(...).values.tobytes(); crude-* and
+    # level0-* at level 0, the level couplings at level 3
+    ("clark-cameron", "crude-gs"): "95bfb440b1af4226",
+    ("clark-cameron", "crude-nv"): "9069a9429be1c131",
+    ("clark-cameron", "gs"): "8129cffec839bb9a",
+    ("clark-cameron", "gs-nv"): "cbcb143a1e2bb10b",
+    ("clark-cameron", "level0-nv-averaged"): "f920bfaae81710d4",
+    ("clark-cameron", "nv"): "2269db3f2eb28c15",
+    ("heston", "crude-gs"): "8e49243098605b33",
+    ("heston", "crude-nv"): "c56dbec1f3b41cf9",
+    ("heston", "gs"): "992d72ed504a53ea",
+    ("heston", "gs-nv"): "296199081968dea9",
+    ("heston", "level0-nv-averaged"): "31e6520061ed3f29",
+    ("heston", "nv"): "c557a368b21cd92b",
+}
+
+
+class TestGoldenSamples:
+    """Pin the sampled values bit for bit: a kernel rewrite must leave every
+    coupling's stream unchanged for the same (seed, experiment, level)."""
+
+    @pytest.mark.parametrize("model_name,coupling", sorted(GOLDEN_SAMPLES))
+    def test_sample_bytes(self, model_name, coupling):
+        model, payoff = {"clark-cameron": (CC, COS),
+                         "heston": (HESTON, Payoff("heston-call", rate=HESTON.rate))}[model_name]
+        level = 0 if coupling.startswith(("crude-", "level0-")) else 3
+        seed, experiment, m = GOLDEN_DRAW
+        sample = sample_many(LevelSampler(model, payoff, coupling), level, m, seed, experiment)
+        digest = hashlib.sha256(sample.values.tobytes()).hexdigest()[:16]
+        assert digest == GOLDEN_SAMPLES[model_name, coupling]
+
+    def test_covers_every_coupling(self):
+        for model_name in ("clark-cameron", "heston"):
+            assert {c for name, c in GOLDEN_SAMPLES if name == model_name} == set(COUPLING_COSTS)
