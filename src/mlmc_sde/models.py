@@ -3,8 +3,10 @@
 Each model exposes the Ito drift, the diffusion columns sigma^j, their
 pairwise Jacobian products (d sigma^j) sigma^m, the Stratonovich-corrected
 drift sigma^0 and exact flows of the drift / diffusion vector fields.
-States are arrays of shape (..., n), so a batch of Monte Carlo samples is
-just a leading axis.
+Coefficients take and return states as arrays of shape (..., n), so a batch
+of Monte Carlo samples is just a leading axis.  The flows, which the
+splitting scheme calls several times per step, take and return a tuple of
+n coordinate arrays instead, so no call builds a new stacked state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ class NegativeSqrtArgument(ValueError):
     """A square root was requested on a negative variance state.
 
     Raised by the Heston flows, where a negative variance signals a
-    corrupted state (unreachable while xi >= 0).
+    corrupted state (unreachable while xi >= 0, in either composition order
+    of the splitting step, so the check can stay batch-wide).
     """
 
 
@@ -80,12 +83,12 @@ class SdeModel:
         """sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j."""
         raise NotImplementedError
 
-    def drift_flow(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Exact solution of dx/dt = sigma^0(x) after time t."""
+    def drift_flow(self, c: tuple, t: float) -> tuple:
+        """Exact solution of dx/dt = sigma^0(x) after time t, on coordinates c."""
         raise NotImplementedError
 
-    def diffusion_flow(self, j: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Exact solution of dx/dw = sigma^j(x) after (per-sample) time w."""
+    def diffusion_flow(self, j: int, c: tuple, w: np.ndarray) -> tuple:
+        """Exact solution of dx/dw = sigma^j(x) after (per-sample) time w, on coordinates c."""
         raise NotImplementedError
 
 
@@ -125,16 +128,16 @@ class ClarkCameronModel(SdeModel):
         # sigma^1, sigma^2 have vanishing self-corrections here
         return self.drift(x)
 
-    def drift_flow(self, x, t):
-        u, s = x[..., 0], x[..., 1]
-        return np.stack([u, s + self.mu * t], axis=-1)
+    def drift_flow(self, c, t):
+        u, s = c
+        return u, s + self.mu * t
 
-    def diffusion_flow(self, j, x, w):
-        u, s = x[..., 0], x[..., 1]
+    def diffusion_flow(self, j, c, w):
+        u, s = c
         if j == 1:
-            return np.stack([u + s * w, s], axis=-1)
+            return u + s * w, s
         if j == 2:
-            return np.stack([u, s + w], axis=-1)
+            return u, s + w
         raise ValueError(f"diffusion index {j} out of range")
 
 
@@ -222,24 +225,24 @@ class HestonModel(SdeModel):
             axis=-1,
         )
 
-    def drift_flow(self, x, t):
-        u, v = x[..., 0], x[..., 1]
+    def drift_flow(self, c, t):
+        u, v = c
         decay = np.exp(-self.kappa * t)
         xi = self.xi
         # v*decay + xi*(1-decay) passes v through exactly at t = 0
         v_new = v * decay + xi * (1.0 - decay)
         u_new = u + (self.rate - 0.5 * xi) * t + (v - xi) * (decay - 1.0) / (2.0 * self.kappa)
-        return np.stack([u_new, v_new], axis=-1)
+        return u_new, v_new
 
-    def diffusion_flow(self, j, x, w):
-        u, v = x[..., 0], x[..., 1]
+    def diffusion_flow(self, j, c, w):
+        u, v = c
         if j == 1:
-            return np.stack([u + self._flow_sqrt(v) * w, v], axis=-1)
+            return u + self._flow_sqrt(v) * w, v
         if j == 2:
             # the squared form keeps the variance nonnegative bit for bit;
             # zero increments pass v through exactly
             root = self._flow_sqrt(v) + 0.5 * self.sigma * w
-            return np.stack([u, np.where(w == 0.0, v, root * root)], axis=-1)
+            return u, np.where(w == 0.0, v, root * root)
         raise ValueError(f"diffusion index {j} out of range")
 
 

@@ -22,6 +22,11 @@ def state(u, v):
     return np.array([[u, v]], dtype=float)
 
 
+def coords(u, v):
+    """The one-sample state (u, v) as the flows take it: a coordinate tuple."""
+    return tuple(state(u, v).T)
+
+
 def random_states(model, rng, count):
     if isinstance(model, HestonModel):
         u = rng.normal(size=count)
@@ -71,7 +76,7 @@ class TestStratonovichDrift:
 class TestFlows:
     def test_zero_time_is_identity(self):
         for model in (CC, HESTON):
-            x = state(0.3, 1.4)
+            x = coords(0.3, 1.4)
             np.testing.assert_array_equal(model.drift_flow(x, 0.0), x)
             for j in (1, 2):
                 np.testing.assert_array_equal(model.diffusion_flow(j, x, np.zeros(1)), x)
@@ -80,39 +85,41 @@ class TestFlows:
     @settings(max_examples=40, deadline=None)
     def test_drift_flow_semigroup(self, s, t, u, v):
         for model in (CC, HESTON):
-            x = state(u, v)
+            x = coords(u, v)
             two_hops = model.drift_flow(model.drift_flow(x, s), t)
             one_hop = model.drift_flow(x, s + t)
             np.testing.assert_allclose(two_hops, one_hop, atol=1e-10)
 
     def test_clark_cameron_flows(self):
-        np.testing.assert_allclose(CC.drift_flow(state(0, 0), 1.0), [[0.0, 1.0]])
-        np.testing.assert_allclose(CC.diffusion_flow(1, state(0, 2), np.array([0.5])), [[1.0, 2.0]])
-        np.testing.assert_allclose(CC.diffusion_flow(2, state(1, 0), np.array([0.25])), [[1.0, 0.25]])
+        np.testing.assert_allclose(CC.drift_flow(coords(0, 0), 1.0), [[0.0], [1.0]])
+        np.testing.assert_allclose(CC.diffusion_flow(1, coords(0, 2), np.array([0.5])),
+                                   [[1.0], [2.0]])
+        np.testing.assert_allclose(CC.diffusion_flow(2, coords(1, 0), np.array([0.25])),
+                                   [[1.0], [0.25]])
 
     def test_heston_drift_half_step(self):
         # (1 - xi) exp(-kappa/4) + xi with a unit step split in half
-        out = HESTON.drift_flow(state(0.0, 1.0), 0.5)
-        assert out[0, 1] == pytest.approx(0.9776035792859797, rel=1e-12)
+        out = HESTON.drift_flow(coords(0.0, 1.0), 0.5)
+        assert out[1][0] == pytest.approx(0.9776035792859797, rel=1e-12)
 
     def test_heston_diffusion_flows(self):
-        x = state(0.0, 1.0)
+        x = coords(0.0, 1.0)
         out = HESTON.diffusion_flow(2, x, np.zeros(1))
-        assert out[0, 1] == pytest.approx(1.0)
+        assert out[1][0] == pytest.approx(1.0)
         out = HESTON.diffusion_flow(1, x, np.array([0.3]))
-        assert out[0, 0] == pytest.approx(0.3)
-        assert out[0, 1] == pytest.approx(1.0)
+        assert out[0][0] == pytest.approx(0.3)
+        assert out[1][0] == pytest.approx(1.0)
 
     def test_heston_flow_rejects_negative_variance(self):
         for j in (1, 2):
             with pytest.raises(NegativeSqrtArgument):
-                HESTON.diffusion_flow(j, state(0.0, -0.1), np.array([0.1]))
+                HESTON.diffusion_flow(j, coords(0.0, -0.1), np.array([0.1]))
 
     @given(v=st.floats(0.0, 3.0), t=st.floats(0.0, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_heston_drift_flow_variance_floor(self, v, t):
-        out = HESTON.drift_flow(state(0.0, v), t)
-        assert out[0, 1] >= min(v, HESTON.xi) - 1e-12
+        out = HESTON.drift_flow(coords(0.0, v), t)
+        assert out[1][0] >= min(v, HESTON.xi) - 1e-12
 
     def test_flow_field_consistency(self):
         # (flow(x, eps) - x)/eps approaches the vector field at first order
@@ -122,8 +129,10 @@ class TestFlows:
             fields = [model.stratonovich_drift(x)] + [
                 model.diffusion(j, x) for j in range(1, model.d + 1)
             ]
-            flows = [lambda e, m=model: m.drift_flow(x, e)] + [
-                (lambda e, m=model, jj=j: m.diffusion_flow(jj, x, np.full(len(x), e)))
+            c = tuple(x.T)
+            flows = [lambda e, m=model: np.stack(m.drift_flow(c, e), axis=-1)] + [
+                (lambda e, m=model, jj=j:
+                 np.stack(m.diffusion_flow(jj, c, np.full(len(x), e)), axis=-1))
                 for j in range(1, model.d + 1)
             ]
             for field, flow in zip(fields, flows):
