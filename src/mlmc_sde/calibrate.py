@@ -146,21 +146,22 @@ def detect_inflection(stats: list[LevelStats], fit: RateFit,
 def variance_table(sampler: LevelSampler, last_level: int, inflection: int,
                    beta_theoretical: float, m: int, seed: int,
                    experiment: int = 0, workers: int = 1,
-                   level0_sampler: LevelSampler | None = None) -> np.ndarray:
+                   v0: float | None = None) -> np.ndarray:
     """Per-level variances: direct Monte Carlo up to the inflection level,
     decaying extrapolation V_hat(inflection) * 2^(-beta (l - inflection)) beyond.
+
+    A known level-0 variance ``v0`` takes the place of the level-0 draw.
     """
     if inflection > last_level:
         raise ValueError("inflection level beyond the last level")
     table = np.zeros(last_level + 1)
-    pivot = None
-    for level in range(0, min(inflection, last_level) + 1):
-        active = sampler
-        if level == 0 and level0_sampler is not None:
-            active = level0_sampler
-        sample = sample_many(active, level, m, seed, experiment, workers)
-        table[level] = stats_from_sample(sample).variance
-        pivot = table[level]
+    for level in range(0, inflection + 1):
+        if level == 0 and v0 is not None:
+            table[0] = v0
+        else:
+            sample = sample_many(sampler, level, m, seed, experiment, workers)
+            table[level] = stats_from_sample(sample).variance
+    pivot = table[inflection]
     for level in range(inflection + 1, last_level + 1):
         table[level] = pivot * 2.0 ** (-beta_theoretical * (level - inflection))
     return table

@@ -361,13 +361,12 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     if inflection is not None and top >= inflection:
         # extrapolates past the break at the caller's beta, else the snapped pilot rate
         table = cal.variance_table(sampler.with_coupling(var_coupling), top, inflection,
-                                   beta, pilot_m, seed, EXP_TABLE, workers,
-                                   level0_sampler=level0)
+                                   beta, pilot_m, seed, EXP_TABLE, workers, v0=v0)
     plans = []
     for epsilon, last in zip(epsilons, lasts):
         variances = None
         if table is not None and last >= inflection:
-            variances = np.concatenate(([v0], table[1:last + 1]))
+            variances = table[:last + 1]
         plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0,
                                v_last.get(last), nv_level0, variance_table=variances))
     return plans

@@ -25,6 +25,9 @@ class NegativeSqrtArgument(ValueError):
     """
 
 
+PAYOFF_LABELS = ("cos-u", "u-squared", "u-plus", "heston-call")
+
+
 @dataclass(frozen=True)
 class Payoff:
     """Terminal payoff f(X_T), selected by label.
@@ -38,6 +41,10 @@ class Payoff:
     rate: float = 0.0
     maturity: float = 1.0
 
+    def __post_init__(self):
+        if self.label not in PAYOFF_LABELS:
+            raise ValueError(f"unknown payoff label {self.label!r}")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         u = np.asarray(x)[..., 0]
         if self.label == "cos-u":
@@ -46,13 +53,8 @@ class Payoff:
             return u * u
         if self.label == "u-plus":
             return np.maximum(u, 0.0)
-        if self.label == "heston-call":
-            disc = np.exp(-self.rate * self.maturity)
-            return disc * np.maximum(np.exp(u) - 1.0, 0.0)
-        raise ValueError(f"unknown payoff label {self.label!r}")
-
-
-PAYOFF_LABELS = ("cos-u", "u-squared", "u-plus", "heston-call")
+        disc = np.exp(-self.rate * self.maturity)  # heston-call
+        return disc * np.maximum(np.exp(u) - 1.0, 0.0)
 
 
 class SdeModel:

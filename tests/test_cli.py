@@ -72,6 +72,12 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--eps", "0.1",
                      "--out", str(tmp_path)]) == 2
 
+    def test_unknown_config_payoff_exits_two(self, tmp_path):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("payoff = bogus\n")
+        assert main(["run", "--config", str(cfg), "--eps", "2^-4",
+                     "--out", str(tmp_path)]) == 2
+
     def test_invalid_model_parameters_exit_two(self, tmp_path):
         # 2 kappa theta < sigma^2: the Heston model itself rejects them
         assert main(["run", "--model", "heston", "--theta", "0.01", "--sigma", "1.0",

@@ -327,4 +327,4 @@ class TestCalibratedPlans:
             mlmc_sample_sizes(2.0**-2, 2, model, default_lambdas("gs", 2)))
 
         assert len(keys) == len(set(keys))
-        assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [0, 1, 2, 3]
+        assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [1, 2, 3]
