@@ -51,8 +51,7 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
     composition orders run on the whole batch and each sample keeps the one
     its sign picks, which is the same arithmetic as stepping it alone.
     """
-    y = model.drift_flow(tuple(x.T), 0.5 * h)
-    up = down = y
+    up = down = model.drift_flow(tuple(x.T), 0.5 * h)
     w = np.ascontiguousarray(dw.T)  # each column is read by both orders
     for j in range(1, model.d + 1):
         up = model.diffusion_flow(j, up, w[j - 1])
