@@ -1,63 +1,3 @@
 """Multilevel Monte Carlo for SDEs with antithetic splitting-scheme couplings."""
 
-from .calibrate import (
-    IllConditioned,
-    LevelStats,
-    RateFit,
-    ZeroMean,
-    detect_inflection,
-    fit_variance_rate,
-    fit_weak_rate,
-    pilot_stats,
-    variance_table,
-)
-from .estimators import (
-    EstimatorResult,
-    MissingLastLevelVariance,
-    MultilevelPlan,
-    NonpositiveVariance,
-    SamplingError,
-    ZeroWeakConstant,
-    crude_mc,
-    default_lambdas,
-    ml2r_allocation,
-    ml2r_last_level,
-    ml2r_plan,
-    ml2r_theta,
-    ml2r_weights,
-    mlmc_last_level,
-    mlmc_plan,
-    mlmc_sample_sizes,
-    run_multilevel,
-)
-from .models import (
-    ClarkCameronModel,
-    HestonModel,
-    NegativeSqrtArgument,
-    Payoff,
-    SdeModel,
-    build_model,
-)
-from .oracle import OracleValue, cc_exact_usq_mean, znv_second_moment
-from .paths import (
-    LevelGrid,
-    LevelPath,
-    OddStepCount,
-    RngStream,
-    antithetic_swap,
-    coarsen,
-    rademacher_coarse,
-    sample_level_path,
-)
-from .schemes import (
-    LevelSample,
-    LevelSampler,
-    coupling_errors,
-    gs_step,
-    nv_step,
-    sample_level,
-    sample_many,
-    simulate_path,
-)
-
 __version__ = "0.1.0"
