@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mlmc_sde import schemes
 from mlmc_sde.estimators import crude_mc
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.paths import LevelGrid, RngStream, antithetic_swap, coarsen, sample_level_path
@@ -157,10 +158,20 @@ class TestLevelSampleAlgebra:
         sorted([(name, f, c) for name, (f, c) in COUPLING_COSTS.items()]
                + [(role, *COUPLING_COSTS[c]) for role, c in LEVEL0_ROLES.items()]),
     )
-    def test_cost_accounting(self, tag, fine, coarse):
+    def test_cost_accounting(self, tag, fine, coarse, monkeypatch):
         coupling = self.LEVEL0_ROLES.get(tag, tag)
         level = 0 if tag.startswith("level0") else 3
+        grid_levels = []
+        simulate = schemes.simulate_path
+
+        def counted(kind, model, grid, dw, eta=None):
+            grid_levels.append(grid.level)
+            return simulate(kind, model, grid, dw, eta)
+
+        monkeypatch.setattr(schemes, "simulate_path", counted)
         sample = sample_level(CC, COS, coupling, level, 5, RngStream(2), degenerate=True)
+        # the paths actually simulated per sample, on the fine and the coarse grid
+        assert sorted(grid_levels, reverse=True) == [level] * fine + [level - 1] * coarse
         assert (sample.fine_evals, sample.coarse_evals) == (fine, coarse)
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
         assert sample.cost_units == expected
