@@ -15,14 +15,14 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import calibrate as cal
 from . import estimators as est
-from .models import PAYOFF_LABELS, Payoff, build_model
+from .models import MODELS, PAYOFF_LABELS, Payoff, build_model
 from .schemes import LevelSampler, coupling_errors, sample_many
 
 # experiment-id bases keep the streams of different phases independent; the
@@ -35,51 +35,6 @@ EXP_RUN = 31
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    model: str = "clark-cameron"
-    payoff: str = "cos-u"
-    coupling: tuple[str, ...] = ()
-    estimator: str = "mlmc"
-    eps: tuple[float, ...] = ()
-    seed: int = 12345
-    pilot_m: int = 10_000
-    levels: tuple[int, int] | None = None
-    out: str = "."
-    workers: int = 1
-    negative_variance: str = "error"
-    horizon: float = 1.0
-    mu: float = 1.0
-    u0: float = 0.0
-    s0: float = 0.0
-    rate: float = 0.05
-    kappa: float = 0.5
-    theta: float = 0.9
-    sigma: float = 0.05
-    v0: float = 1.0
-    nv_level0: str = "averaged"
-    degenerate_rng: bool = False
-    alpha: float | None = None
-    c1: float | None = None
-    beta: float | None = None
-    c2: float | None = None
-
-
-COMMAND_DEFAULTS = {
-    "strong-order": {"levels": (2, 7)},
-    "variance-decay": {"levels": (2, 6), "coupling": ("gs-nv", "nv")},
-    "oracle-check": {"levels": (1, 6), "payoff": "u-squared"},
-    "calibrate": {"levels": (1, 4), "coupling": ("gs",)},
-    "run": {"coupling": ("gs-nv",)},
-    "sweep": {"coupling": ("gs", "gs-nv")},
-}
-
-_LIST_KEYS = {"coupling", "eps"}
-_BOOL_KEYS = {"degenerate_rng"}
-_INT_KEYS = {"seed", "pilot_m", "workers"}
-_OPTFLOAT_KEYS = {"alpha", "c1", "beta", "c2"}
 
 
 def parse_eps(text: str) -> float:
@@ -101,26 +56,85 @@ def parse_levels(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _coerce(key: str, raw: str):
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key == "levels":
-        return parse_levels(raw)
-    if key == "eps":
-        return tuple(parse_eps(tok) for tok in raw.replace(",", " ").split())
-    if key == "coupling":
-        return tuple(raw.replace(",", " ").split())
-    if key in _OPTFLOAT_KEYS:
-        return float(raw)
-    if key in ("model", "payoff", "estimator", "negative_variance", "out", "nv_level0"):
-        return raw.strip()
-    return float(raw)
+def parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected true or false, got {text!r}")
+
+
+def _option(default, parse=str, choices=None, repeat=False, help=None):
+    """A config field that is also a --flag and a config-file key.
+
+    ``parse`` turns one text value into the field's type; ``repeat`` makes
+    the flag repeatable and the field a tuple; a bool field is a bare flag.
+    """
+    return field(default=default, metadata={
+        "parse": parse, "choices": choices, "repeat": repeat, "help": help})
+
+
+@dataclass
+class ExperimentConfig:
+    model: str = _option("clark-cameron", choices=tuple(MODELS))
+    payoff: str = _option("cos-u", choices=PAYOFF_LABELS)
+    coupling: tuple[str, ...] = _option((), choices=("gs", "nv", "gs-nv"), repeat=True,
+                                        help="level coupling; repeatable")
+    estimator: str = _option("mlmc", choices=("mlmc", "ml2r"))
+    eps: tuple[float, ...] = _option((), parse_eps, repeat=True,
+                                     help="target RMSE; repeatable; accepts 2^-6 form")
+    seed: int = _option(12345, int, help="root seed of every random stream")
+    pilot_m: int = _option(10_000, int,
+                           help="samples per level for pilots and experiment estimates")
+    levels: tuple[int, int] | None = _option(None, parse_levels, help="level range a..b")
+    out: str = _option(".", help="output directory")
+    workers: int = _option(1, int, help="sampling processes (results do not depend on it)")
+    negative_variance: str = _option("error", choices=("error", "reflect"),
+                                     help="Heston Milstein-type scheme: abort or reflect")
+    horizon: float = _option(1.0, float, help="time horizon T")
+    mu: float = _option(1.0, float, help="Clark-Cameron drift of S")
+    u0: float = _option(0.0, float, help="initial first coordinate")
+    s0: float = _option(0.0, float, help="Clark-Cameron initial S")
+    rate: float = _option(0.05, float, help="Heston interest rate")
+    kappa: float = _option(0.5, float, help="Heston mean-reversion speed")
+    theta: float = _option(0.9, float, help="Heston long-run variance")
+    sigma: float = _option(0.05, float, help="Heston volatility of variance")
+    v0: float = _option(1.0, float, help="Heston initial variance")
+    nv_level0: str = _option("averaged", choices=("averaged", "single"),
+                             help="level-0 splitting sample: both orders averaged or one")
+    degenerate_rng: bool = _option(False, parse_bool,
+                                   help="zero increments and all-plus signs (plumbing checks)")
+    alpha: float | None = _option(None, float, help="fixed weak order (skips the rate pilot)")
+    c1: float | None = _option(None, float, help="fixed weak constant")
+    beta: float | None = _option(None, float, help="fixed variance order")
+    c2: float | None = _option(None, float, help="fixed variance constant")
+
+
+COMMAND_DEFAULTS = {
+    "strong-order": {"levels": (2, 7)},
+    "variance-decay": {"levels": (2, 6), "coupling": ("gs-nv", "nv")},
+    "oracle-check": {"levels": (1, 6), "payoff": "u-squared"},
+    "calibrate": {"levels": (1, 4), "coupling": ("gs",)},
+    "run": {"levels": (1, 4), "coupling": ("gs-nv",)},
+    "sweep": {"levels": (1, 4), "coupling": ("gs", "gs-nv")},
+}
+
+
+def _parse_value(f, raw: str):
+    """One config-file value, parsed and checked like its flag."""
+    parse, choices = f.metadata["parse"], f.metadata["choices"]
+    tokens = raw.replace(",", " ").split() if f.metadata["repeat"] else [raw]
+    values = tuple(parse(tok) for tok in tokens)
+    for value in values:
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{value!r} is not one of {', '.join(choices)}")
+    return values if f.metadata["repeat"] else values[0]
 
 
 def read_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment; keys use flag spelling."""
+    options = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -129,10 +143,15 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in {f.name for f in fields(ExperimentConfig)}:
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        if not raw:
+            raise ConfigError(f"{path}:{lineno}: {key} has no value")
+        try:
+            values[key] = _parse_value(options[key], raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -142,64 +161,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multilevel Monte Carlo experiments for SDE splitting schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("strong-order", "per-level strong errors of the splitting scheme and its pairing"),
-        ("variance-decay", "per-level second moments of the coupled level samples"),
-        ("oracle-check", "Monte Carlo vs closed-form second moments (PASS gate)"),
-        ("calibrate", "pilot level statistics and fitted rates"),
-        ("run", "calibrate, plan and run the multilevel estimator per epsilon"),
-        ("sweep", "epsilon sweep of cost units for complexity slopes"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--model", choices=("clark-cameron", "heston"))
-        p.add_argument("--payoff", choices=PAYOFF_LABELS)
-        p.add_argument("--coupling", action="append", choices=("gs", "nv", "gs-nv"))
-        p.add_argument("--estimator", choices=("mlmc", "ml2r"))
-        p.add_argument("--eps", action="append", type=parse_eps,
-                       help="target RMSE; repeatable; accepts 2^-6 form")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--pilot-m", dest="pilot_m", type=int,
-                       help="samples per level for pilots and experiment estimates")
-        p.add_argument("--levels", type=parse_levels, help="level range a..b")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--negative-variance", dest="negative_variance",
-                       choices=("error", "reflect"))
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--u0", type=float)
-        p.add_argument("--s0", type=float)
-        p.add_argument("--rate", type=float)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--v0", type=float)
-        p.add_argument("--nv-level0", dest="nv_level0", choices=("averaged", "single"))
-        p.add_argument("--degenerate-rng", dest="degenerate_rng", action="store_const",
-                       const=True, help="zero increments and all-plus signs (plumbing checks)")
-        p.add_argument("--alpha", type=float, help="fixed weak order (skips the rate pilot)")
-        p.add_argument("--c1", type=float, help="fixed weak constant")
-        p.add_argument("--beta", type=float, help="fixed variance order")
-        p.add_argument("--c2", type=float, help="fixed variance constant")
+        for f in fields(ExperimentConfig):
+            flag, meta = "--" + f.name.replace("_", "-"), f.metadata
+            if meta["parse"] is parse_bool:
+                p.add_argument(flag, action="store_const", const=True, help=meta["help"])
+            else:
+                p.add_argument(flag, type=meta["parse"], choices=meta["choices"],
+                               action="append" if meta["repeat"] else "store",
+                               help=meta["help"])
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    layers = [COMMAND_DEFAULTS.get(args.command, {})]
+    layers = [COMMAND_DEFAULTS[args.command]]
     if args.config:
         layers.append(read_config_file(args.config))
-    explicit = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("command", "config") and value is not None
-    }
-    if "coupling" in explicit:
-        explicit["coupling"] = tuple(explicit["coupling"])
-    if "eps" in explicit:
-        explicit["eps"] = tuple(explicit["eps"])
-    layers.append(explicit)
+    layers.append({
+        f.name: tuple(value) if f.metadata["repeat"] else value
+        for f in fields(ExperimentConfig)
+        if (value := getattr(args, f.name)) is not None
+    })
     for layer in layers:
         for key, value in layer.items():
             setattr(cfg, key, value)
@@ -227,19 +212,6 @@ def _validate(cfg: ExperimentConfig, command: str):
     if command == "oracle-check":
         if cfg.model != "clark-cameron" or cfg.payoff != "u-squared":
             raise ConfigError("oracle-check is defined for clark-cameron with payoff u-squared")
-
-
-def make_model(cfg: ExperimentConfig):
-    return build_model(
-        cfg.model,
-        mu=cfg.mu, u0=cfg.u0, s0=cfg.s0,
-        rate=cfg.rate, kappa=cfg.kappa, theta=cfg.theta, sigma=cfg.sigma,
-        v0=cfg.v0, negative_variance=cfg.negative_variance,
-    )
-
-
-def make_payoff(cfg: ExperimentConfig) -> Payoff:
-    return Payoff(cfg.payoff, rate=cfg.rate, maturity=cfg.horizon)
 
 
 def config_echo(cfg: ExperimentConfig, command: str) -> list[str]:
@@ -277,8 +249,8 @@ def write_csv(cfg: ExperimentConfig, command: str, columns, rows,
     return path
 
 
-def _level_range(cfg: ExperimentConfig, default: tuple[int, int]) -> range:
-    lo, hi = cfg.levels if cfg.levels is not None else default
+def _level_range(cfg: ExperimentConfig) -> range:
+    lo, hi = cfg.levels
     return range(lo, hi + 1)
 
 
@@ -295,7 +267,8 @@ def _fit_slope(levels, values):
 
 
 def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
-    levels = list(_level_range(cfg, (2, 7)))
+    """per-level strong errors of the splitting scheme and its pairing"""
+    levels = list(_level_range(cfg))
     self_mse, pair_mse = coupling_errors(
         model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
         workers=cfg.workers, horizon=cfg.horizon, degenerate=cfg.degenerate_rng,
@@ -314,34 +287,34 @@ def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
 
 def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
-    levels = list(_level_range(cfg, (2, 6)))
-    couplings = cfg.coupling or ("gs-nv", "nv")
+    """per-level second moments of the coupled level samples"""
+    levels = list(_level_range(cfg))
     rows, slopes = [], []
-    for ci, coupling in enumerate(couplings):
+    for ci, coupling in enumerate(cfg.coupling):
         sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
         moments = []
         for level in levels:
             sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed,
                                  EXP_DECAY + ci, cfg.workers)
-            values = sample.values[np.isfinite(sample.values)]
-            moments.append(float(np.mean(values**2)))
+            moments.append(cal.stats_from_sample(sample).second_moment)
         slope, logs = _fit_slope(levels, moments)
         slopes.append(slope)
         rows.extend((coupling, l, logs[i]) for i, l in enumerate(levels))
-    for coupling, slope in zip(couplings, slopes):
+    for coupling, slope in zip(cfg.coupling, slopes):
         rows.append((coupling, "slope", slope))
     path = write_csv(cfg, "variance-decay", ("coupling", "l", "log2_second_moment"), rows)
-    summary = ", ".join(f"{c}: {s:.3f}" for c, s in zip(couplings, slopes))
+    summary = ", ".join(f"{c}: {s:.3f}" for c, s in zip(cfg.coupling, slopes))
     print(f"variance-decay slopes {summary} -> {path}")
     return 0
 
 
 def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
+    """Monte Carlo vs closed-form second moments (PASS gate)"""
     from .oracle import znv_second_moment
 
     sampler = LevelSampler(model, payoff, "nv", cfg.horizon, cfg.degenerate_rng)
     rows, worst = [], 0.0
-    for level in _level_range(cfg, (1, 6)):
+    for level in _level_range(cfg):
         sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed, EXP_ORACLE, cfg.workers)
         squares = sample.values**2
         mc = float(squares.mean())
@@ -358,11 +331,11 @@ def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
 
 def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
-    coupling = (cfg.coupling or ("gs",))[0]
+    """pilot level statistics and fitted rates"""
+    coupling = cfg.coupling[0]
     warnings = []
     sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
-    stats = est.rate_pilot(sampler, _level_range(cfg, (1, 4)), cfg.pilot_m, cfg.seed,
-                           cfg.workers)
+    stats = est.rate_pilot(sampler, _level_range(cfg), cfg.pilot_m, cfg.seed, cfg.workers)
     rows = [(s.level, s.mean, s.sem, s.variance) for s in stats]
     try:
         weak = cal.fit_weak_rate(stats)
@@ -383,13 +356,13 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     return 0
 
 
-def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff, couplings) -> list[tuple]:
+def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
     rows = []
-    for coupling in couplings:
+    for coupling in cfg.coupling:
         sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
         plans = est.calibrated_plans(
             sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
-            cfg.nv_level0, _level_range(cfg, (1, 4)),
+            cfg.nv_level0, _level_range(cfg),
             cfg.alpha, cfg.c1, cfg.beta, cfg.c2,
         )
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
@@ -403,8 +376,8 @@ def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff, couplings) -> list[t
 
 
 def cmd_run(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
-    couplings = cfg.coupling or ("gs-nv",)
-    rows = _run_rows(cfg, model, payoff, couplings)
+    """calibrate, plan and run the multilevel estimator per epsilon"""
+    rows = _run_rows(cfg, model, payoff)
     path = write_csv(cfg, "run",
                      ("epsilon", "kind", "coupling", "L", "total_m",
                       "cost_units", "seconds", "estimate"), rows)
@@ -416,10 +389,10 @@ def cmd_run(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
-    couplings = cfg.coupling or ("gs", "gs-nv")
-    rows = _run_rows(cfg, model, payoff, couplings)
+    """epsilon sweep of cost units for complexity slopes"""
+    rows = _run_rows(cfg, model, payoff)
     out_rows, slopes = [], {}
-    for coupling in couplings:
+    for coupling in cfg.coupling:
         sub = [r for r in rows if r[2] == coupling]
         log_eps = np.log2([r[0] for r in sub])
         log_cost = np.log2([r[5] for r in sub])
@@ -428,7 +401,7 @@ def cmd_sweep(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
         out_rows.extend((coupling, le, lc, r[7]) for le, lc, r in zip(log_eps, log_cost, sub))
     pooled = float(np.polyfit(np.log2([r[0] for r in rows]),
                               np.log2([r[5] for r in rows]), 1)[0])
-    for coupling in couplings:
+    for coupling in cfg.coupling:
         out_rows.append((coupling, "slope", slopes[coupling], ""))
     out_rows.append(("all", "slope", pooled, ""))
     path = write_csv(cfg, "sweep", ("coupling", "log2_eps", "log2_cost_units", "estimate"),
@@ -453,17 +426,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        model, payoff = make_model(cfg), make_payoff(cfg)
+        model = build_model(cfg.model, **vars(cfg))
+        payoff = Payoff(cfg.payoff, rate=cfg.rate, maturity=cfg.horizon)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         return COMMANDS[args.command](cfg, model, payoff)
-    except est.SamplingError as exc:
-        print(f"sampling failure: {exc}", file=sys.stderr)
-        return 3
-    except (cal.ZeroMean, cal.IllConditioned, cal.NoUsableSamples, est.ZeroWeakConstant,
-            est.MissingLastLevelVariance, est.NonpositiveVariance) as exc:
+    except (est.SamplingError, cal.ZeroMean, cal.IllConditioned, cal.NoUsableSamples,
+            est.ZeroWeakConstant, est.MissingLastLevelVariance,
+            est.NonpositiveVariance) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 3
 

@@ -11,7 +11,7 @@ n coordinate arrays instead, so no call builds a new stacked state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -248,22 +248,12 @@ class HestonModel(SdeModel):
         raise ValueError(f"diffusion index {j} out of range")
 
 
+MODELS = {"clark-cameron": ClarkCameronModel, "heston": HestonModel}
+
+
 def build_model(name: str, **kwargs) -> SdeModel:
-    """Construct a model by CLI name."""
-    if name == "clark-cameron":
-        return ClarkCameronModel(
-            mu=kwargs.get("mu", 1.0),
-            u0=kwargs.get("u0", 0.0),
-            s0=kwargs.get("s0", 0.0),
-        )
-    if name == "heston":
-        return HestonModel(
-            rate=kwargs.get("rate", 0.05),
-            kappa=kwargs.get("kappa", 0.5),
-            theta=kwargs.get("theta", 0.9),
-            sigma=kwargs.get("sigma", 0.05),
-            u0=kwargs.get("u0", 0.0),
-            v0=kwargs.get("v0", 1.0),
-            negative_variance=kwargs.get("negative_variance", "error"),
-        )
-    raise ValueError(f"unknown model {name!r}")
+    """Construct a model by CLI name from the keyword arguments it has fields for."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    cls = MODELS[name]
+    return cls(**{f.name: kwargs[f.name] for f in fields(cls) if f.name in kwargs})

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ import pytest
 from mlmc_sde import calibrate, cli, estimators
 from mlmc_sde.cli import (
     ConfigError,
+    ExperimentConfig,
+    build_parser,
     main,
     parse_eps,
     parse_levels,
     read_config_file,
+    resolve_config,
 )
 
 
@@ -78,6 +82,21 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--eps", "2^-4",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "estimator = bogus",
+        "coupling = bogus",
+        "nv-level0 = singel",
+        "negative-variance = bogus",
+        "degenerate-rng = maybe",
+        "coupling =",
+    ])
+    def test_bad_config_value_exits_two(self, line, tmp_path):
+        # config-file values are parsed and checked like the flags they mirror
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "--config", str(cfg), "--eps", "2^-3",
+                     "--out", str(tmp_path)]) == 2
+
     def test_invalid_model_parameters_exit_two(self, tmp_path):
         # 2 kappa theta < sigma^2: the Heston model itself rejects them
         assert main(["run", "--model", "heston", "--theta", "0.01", "--sigma", "1.0",
@@ -97,10 +116,54 @@ class TestExitCodes:
                      "--sigma", "0.28", "--v0", "0.05", "--eps", "2^-4",
                      "--pilot-m", "2", "--seed", "1", "--out", str(tmp_path)]) == 3
 
+    def test_variance_decay_without_usable_samples_exits_three(self, tmp_path):
+        # both samples abort at every level, so no second moment exists to report
+        assert main(["variance-decay", "--model", "heston", "--payoff", "heston-call",
+                     "--coupling", "gs", "--kappa", "2.0", "--theta", "0.02",
+                     "--sigma", "0.28", "--v0", "0.05", "--levels", "1..2",
+                     "--pilot-m", "2", "--seed", "1", "--out", str(tmp_path)]) == 3
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--coupling", "euler", "--eps", "0.1", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+# one value per ExperimentConfig field, each different from its calibrate default
+FIELD_SAMPLES = {
+    "model": "heston", "payoff": "u-plus", "coupling": "nv", "estimator": "ml2r",
+    "eps": "2^-5", "seed": "7", "pilot_m": "500", "levels": "2..3", "out": "elsewhere",
+    "workers": "2", "negative_variance": "reflect", "horizon": "0.5", "mu": "2.5",
+    "u0": "0.25", "s0": "-1", "rate": "0.01", "kappa": "1.5", "theta": "0.4",
+    "sigma": "0.3", "v0": "0.2", "nv_level0": "single", "degenerate_rng": "true",
+    "alpha": "1", "c1": "0.16", "beta": "2", "c2": "0.15",
+}
+
+
+class TestOptions:
+    def test_samples_cover_every_field(self):
+        assert set(FIELD_SAMPLES) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("name", sorted(FIELD_SAMPLES))
+    def test_flag_and_config_file_agree(self, name, tmp_path):
+        key, text = name.replace("_", "-"), FIELD_SAMPLES[name]
+        flag = [f"--{key}"] if name == "degenerate_rng" else [f"--{key}", text]
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        parser = build_parser()
+        from_flag = resolve_config(parser.parse_args(["calibrate", *flag]))
+        from_file = resolve_config(parser.parse_args(["calibrate", "--config", str(cfg_file)]))
+        assert from_flag == from_file
+        default = resolve_config(parser.parse_args(["calibrate"]))
+        assert getattr(from_flag, name) != getattr(default, name)
+
+    @pytest.mark.parametrize("command", ["strong-order", "variance-decay", "oracle-check",
+                                         "calibrate", "run", "sweep"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--pilot-m" in capsys.readouterr().out
 
 
 class TestCommands:
