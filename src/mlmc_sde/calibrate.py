@@ -70,14 +70,23 @@ def stats_from_sample(sample: LevelSample) -> LevelStats:
 
 
 def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
-                experiment: int = 0, workers: int = 1) -> list[LevelStats]:
-    """Estimate mean and variance of Z^l with independent streams per level."""
+                experiment: int = 0, workers: int = 1,
+                memo: dict | None = None) -> list[LevelStats]:
+    """Estimate mean and variance of Z^l with independent streams per level.
+
+    ``memo`` maps (sampler, level, m, seed, experiment) to the statistics
+    already drawn under that stream key; levels found there are not drawn
+    again, and new ones are added.
+    """
     if m < 2:
         raise ValueError("pilot size must be at least 2")
+    memo = {} if memo is None else memo
     out = []
     for level in levels:
-        sample = sample_many(sampler, level, m, seed, experiment, workers)
-        out.append(stats_from_sample(sample))
+        key = (sampler, level, m, seed, experiment)
+        if key not in memo:
+            memo[key] = stats_from_sample(sample_many(sampler, level, m, seed, experiment, workers))
+        out.append(memo[key])
     return out
 
 
@@ -146,21 +155,21 @@ def detect_inflection(stats: list[LevelStats], fit: RateFit,
 def variance_table(sampler: LevelSampler, last_level: int, inflection: int,
                    beta_theoretical: float, m: int, seed: int,
                    experiment: int = 0, workers: int = 1,
-                   v0: float | None = None) -> np.ndarray:
+                   v0: float | None = None, memo: dict | None = None) -> np.ndarray:
     """Per-level variances: direct Monte Carlo up to the inflection level,
     decaying extrapolation V_hat(inflection) * 2^(-beta (l - inflection)) beyond.
 
-    A known level-0 variance ``v0`` takes the place of the level-0 draw.
+    A known level-0 variance ``v0`` takes the place of the level-0 draw;
+    the direct draws go through ``pilot_stats`` and its ``memo``.
     """
     if inflection > last_level:
         raise ValueError("inflection level beyond the last level")
     table = np.zeros(last_level + 1)
-    for level in range(0, inflection + 1):
-        if level == 0 and v0 is not None:
-            table[0] = v0
-        else:
-            sample = sample_many(sampler, level, m, seed, experiment, workers)
-            table[level] = stats_from_sample(sample).variance
+    if v0 is not None:
+        table[0] = v0
+    direct = range(0 if v0 is None else 1, inflection + 1)
+    stats = pilot_stats(sampler, direct, m, seed, experiment, workers, memo)
+    table[direct.start:direct.stop] = [s.variance for s in stats]
     pivot = table[inflection]
     for level in range(inflection + 1, last_level + 1):
         table[level] = pivot * 2.0 ** (-beta_theoretical * (level - inflection))

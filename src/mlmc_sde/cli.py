@@ -23,7 +23,7 @@ import numpy as np
 from . import calibrate as cal
 from . import estimators as est
 from .models import MODELS, PAYOFF_LABELS, Payoff, build_model
-from .schemes import LevelSampler, coupling_errors, sample_many
+from .schemes import COUPLINGS, LevelSampler, coupling_errors, sample_many
 
 # experiment-id bases keep the streams of different phases independent; the
 # pilot phases of run and sweep take theirs from estimators
@@ -31,6 +31,10 @@ EXP_STRONG = 21
 EXP_DECAY = 22
 EXP_ORACLE = 23
 EXP_RUN = 31
+
+
+# the couplings with a coarse grid; the others only sample level 0 or a crude pilot
+LEVEL_COUPLINGS = tuple(tag for tag, (_, coarse) in COUPLINGS.items() if coarse)
 
 
 class ConfigError(ValueError):
@@ -79,7 +83,7 @@ def _option(default, parse=str, choices=None, repeat=False, help=None):
 class ExperimentConfig:
     model: str = _option("clark-cameron", choices=tuple(MODELS))
     payoff: str = _option("cos-u", choices=PAYOFF_LABELS)
-    coupling: tuple[str, ...] = _option((), choices=("gs", "nv", "gs-nv"), repeat=True,
+    coupling: tuple[str, ...] = _option((), choices=LEVEL_COUPLINGS, repeat=True,
                                         help="level coupling; repeatable")
     estimator: str = _option("mlmc", choices=("mlmc", "ml2r"))
     eps: tuple[float, ...] = _option((), parse_eps, repeat=True,
@@ -254,15 +258,17 @@ def _level_range(cfg: ExperimentConfig) -> range:
     return range(lo, hi + 1)
 
 
-def _fit_slope(levels, values):
-    """Slope of log2(values) vs level; NaN when degenerate."""
+def _fit_slope(xs, values):
+    """Slope of log2(values) vs xs; NaN when fewer than two distinct xs
+    carry a finite log."""
+    xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log2(values)
     keep = np.isfinite(logs)
-    if keep.sum() < 2:
+    if np.unique(xs[keep]).size < 2:
         return float("nan"), logs
-    slope = np.polyfit(np.asarray(levels, dtype=float)[keep], logs[keep], 1)[0]
+    slope = np.polyfit(xs[keep], logs[keep], 1)[0]
     return float(slope), logs
 
 
@@ -357,13 +363,13 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
 
 def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
-    rows = []
+    rows, pilots = [], {}  # pilots shared by every coupling
     for coupling in cfg.coupling:
         sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
         plans = est.calibrated_plans(
             sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
             cfg.nv_level0, _level_range(cfg),
-            cfg.alpha, cfg.c1, cfg.beta, cfg.c2,
+            cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
         )
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
             result = est.run_multilevel(plan, model, payoff, cfg.seed,
@@ -395,17 +401,17 @@ def cmd_sweep(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     for coupling in cfg.coupling:
         sub = [r for r in rows if r[2] == coupling]
         log_eps = np.log2([r[0] for r in sub])
-        log_cost = np.log2([r[5] for r in sub])
-        slope = float(np.polyfit(log_eps, log_cost, 1)[0]) if len(sub) > 1 else float("nan")
-        slopes[coupling] = slope
+        slopes[coupling], log_cost = _fit_slope(log_eps, [r[5] for r in sub])
         out_rows.extend((coupling, le, lc, r[7]) for le, lc, r in zip(log_eps, log_cost, sub))
-    pooled = float(np.polyfit(np.log2([r[0] for r in rows]),
-                              np.log2([r[5] for r in rows]), 1)[0])
+    pooled, _ = _fit_slope(np.log2([r[0] for r in rows]), [r[5] for r in rows])
     for coupling in cfg.coupling:
         out_rows.append((coupling, "slope", slopes[coupling], ""))
     out_rows.append(("all", "slope", pooled, ""))
+    warnings = []
+    if np.isnan([pooled, *slopes.values()]).any():
+        warnings.append("fewer than two distinct eps; complexity slope undefined")
     path = write_csv(cfg, "sweep", ("coupling", "log2_eps", "log2_cost_units", "estimate"),
-                     out_rows)
+                     out_rows, warnings)
     summary = ", ".join(f"{c}: {s:.3f}" for c, s in slopes.items())
     print(f"sweep complexity slopes {summary}; pooled {pooled:.3f} -> {path}")
     return 0

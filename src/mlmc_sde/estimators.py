@@ -289,84 +289,73 @@ def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5
              workers: int = 1, horizon: float = 1.0,
              degenerate: bool = False) -> LevelStats:
     """Plain Monte Carlo of f at one discretization level (payoff-variance pilot)."""
-    if m < 2:
-        raise ValueError("need at least 2 samples")
-    if scheme not in ("nv", "gs"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     sampler = LevelSampler(model, payoff, f"crude-{scheme}", horizon=horizon,
                            degenerate=degenerate)
-    return stats_from_sample(sample_many(sampler, level, m, seed, experiment, workers))
+    return cal.pilot_stats(sampler, [level], m, seed, experiment, workers)[0]
 
 
 def rate_pilot(sampler: LevelSampler, levels, m: int, seed: int,
-               workers: int = 1) -> list[LevelStats]:
+               workers: int = 1, memo: dict | None = None) -> list[LevelStats]:
     """Pilot level statistics of ``sampler`` that rates are fitted to."""
-    return cal.pilot_stats(sampler, levels, m, seed, EXP_RATES, workers)
+    return cal.pilot_stats(sampler, levels, m, seed, EXP_RATES, workers, memo)
 
 
 def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
                      seed: int, workers: int = 1, nv_level0: str = "averaged",
                      pilot_levels=range(1, 5), alpha: float | None = None,
                      c1: float | None = None, beta: float | None = None,
-                     c2: float | None = None) -> list[MultilevelPlan]:
+                     c2: float | None = None, pilots: dict | None = None) -> list[MultilevelPlan]:
     """Calibrate from pilots, then plan one estimator of ``kind`` ("mlmc" or
     "ml2r") on ``sampler.coupling`` per epsilon.
 
     The weak rate comes from the bias-driving scheme (nv for the nv and
     gs-nv couplings) and the variance rate from the variance-driving one;
     rates passed in replace the fitted ones, and with all four passed no
-    rate pilot is drawn.  Each pilot is drawn once and shared across the
-    epsilons: one rate pilot per distinct scheme, v0, v_last per distinct
+    rate pilot is drawn.  The pilots are the rate pilots, v0, v_last per
     last level (gs-nv), varf (ml2r) and the direct part of the variance
     table, which replaces the variance model where the rate pilot shows an
-    inflection at or below the last level.
+    inflection at or below the last level.  Every pilot level is drawn
+    through the memo ``pilots`` (see ``calibrate.pilot_stats``), so it is
+    drawn once across the epsilons, and across calls that share the memo.
     """
+    pilots = {} if pilots is None else pilots
+
+    def variance(s: LevelSampler, level: int, experiment: int) -> float:
+        return cal.pilot_stats(s, [level], pilot_m, seed, experiment, workers, pilots)[0].variance
+
     coupling = sampler.coupling
     weak_coupling = "nv" if coupling in ("nv", "gs-nv") else "gs"
     var_coupling = "gs" if coupling in ("gs", "gs-nv") else "nv"
     var_stats = var_fit = None
     if None in (alpha, c1, beta, c2):
-        stats = {c: rate_pilot(sampler.with_coupling(c), pilot_levels, pilot_m, seed, workers)
-                 for c in dict.fromkeys((weak_coupling, var_coupling))}
-        weak = cal.fit_weak_rate(stats[weak_coupling])
-        var_stats, var_fit = stats[var_coupling], cal.fit_variance_rate(stats[var_coupling])
+        weak = cal.fit_weak_rate(rate_pilot(sampler.with_coupling(weak_coupling), pilot_levels,
+                                            pilot_m, seed, workers, pilots))
+        var_stats = rate_pilot(sampler.with_coupling(var_coupling), pilot_levels,
+                               pilot_m, seed, workers, pilots)
+        var_fit = cal.fit_variance_rate(var_stats)
         alpha = weak.order if alpha is None else alpha
         c1 = weak.constant if c1 is None else c1
         beta = var_fit.order if beta is None else beta
         c2 = var_fit.constant if c2 is None else c2
 
     if kind == "ml2r":
-        varf = crude_mc(sampler.model, sampler.payoff, scheme="nv", level=5, m=pilot_m,
-                        seed=seed, experiment=EXP_VARF, workers=workers,
-                        horizon=sampler.horizon, degenerate=sampler.degenerate).variance
+        varf = variance(sampler.with_coupling("crude-nv"), 5, EXP_VARF)
         return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, sampler.horizon)
                 for epsilon in epsilons]
     if kind != "mlmc":
         raise ValueError(f"unknown estimator kind {kind!r}")
 
-    lasts = [mlmc_last_level(epsilon, c1, alpha) for epsilon in epsilons]
-    top = max(lasts)
-    level0 = sampler.with_coupling(_level_tags(kind, coupling, top, nv_level0)[0])
-    v0 = stats_from_sample(sample_many(level0, 0, pilot_m, seed, EXP_V0, workers)).variance
-    v_last = {}
-    if coupling == "gs-nv":
-        v_last = {
-            last: stats_from_sample(
-                sample_many(sampler, last, pilot_m, seed, EXP_VLAST + last, workers)
-            ).variance
-            for last in sorted(set(lasts))
-        }
+    v0 = variance(sampler.with_coupling(_level_tags(kind, coupling, 1, nv_level0)[0]), 0, EXP_V0)
     inflection = None if var_fit is None else cal.detect_inflection(var_stats, var_fit)
-    table = None
-    if inflection is not None and top >= inflection:
-        # extrapolates past the break at the caller's beta, else the snapped pilot rate
-        table = cal.variance_table(sampler.with_coupling(var_coupling), top, inflection,
-                                   beta, pilot_m, seed, EXP_TABLE, workers, v0=v0)
     plans = []
-    for epsilon, last in zip(epsilons, lasts):
-        variances = None
-        if table is not None and last >= inflection:
-            variances = table[:last + 1]
-        plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0,
-                               v_last.get(last), nv_level0, variance_table=variances))
+    for epsilon in epsilons:
+        last = mlmc_last_level(epsilon, c1, alpha)
+        v_last = variance(sampler, last, EXP_VLAST + last) if coupling == "gs-nv" else None
+        table = None
+        if inflection is not None and last >= inflection:
+            # extrapolates past the break at the caller's beta, else the snapped pilot rate
+            table = cal.variance_table(sampler.with_coupling(var_coupling), last, inflection,
+                                       beta, pilot_m, seed, EXP_TABLE, workers, v0, pilots)
+        plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last, nv_level0,
+                               variance_table=table))
     return plans

@@ -7,13 +7,15 @@ sign is +1, descending when it is -1), and the drift flow again.  The
 antithetic Milstein-type scheme ("gs") is the Milstein update with every
 Levy-area term deleted.
 
-A level sample Z^l couples the fine-grid scheme, its antithetic twin on
-pair-swapped increments, and the coarse-grid scheme on pairwise-summed
-increments; the variants differ in which scheme sits on which grid.
+A level sample Z^l is the mean payoff over a set of fine-grid paths minus
+the mean over a set of coarse-grid paths on pairwise-summed increments;
+each coupling in ``COUPLINGS`` declares the two sets (Giles & Szpruch,
+Ann. Appl. Probab. 2014, for the antithetic construction).
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -32,15 +34,22 @@ from .paths import (
 # samples per RNG block; fixed so results never depend on the worker count
 BLOCK_SAMPLES = 4096
 
-# (fine paths, coarse paths) simulated per sample of each coupling
-COUPLING_COSTS = {
-    "gs": (2, 1),
-    "nv": (4, 2),
-    "gs-nv": (4, 1),
-    "level0-nv-averaged": (2, 0),
-    "crude-gs": (1, 0),
-    "crude-nv": (1, 0),
+# one path of a level sample: (scheme, swap increments, negate signs)
+_NV_FINE = (("nv", False, False), ("nv", True, False), ("nv", False, True), ("nv", True, True))
+
+# (fine paths, coarse paths) per sample of each coupling; the ones with coarse
+# paths are the level couplings, the others run on one grid at any level
+COUPLINGS = {
+    "gs": ((("gs", False, False), ("gs", True, False)), (("gs", False, False),)),
+    "nv": (_NV_FINE, (("nv", False, False), ("nv", False, True))),
+    "gs-nv": (_NV_FINE, (("gs", False, False),)),
+    "level0-nv-averaged": ((("nv", False, False), ("nv", False, True)), ()),
+    "crude-gs": ((("gs", False, False),), ()),
+    "crude-nv": ((("nv", False, False),), ()),
 }
+
+# (fine paths, coarse paths) simulated per sample of each coupling
+COUPLING_COSTS = {tag: (len(fine), len(coarse)) for tag, (fine, coarse) in COUPLINGS.items()}
 
 
 def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
@@ -124,66 +133,41 @@ class LevelSample:
         return float(per * np.size(self.values))
 
 
+def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid,
+                 dw: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of the payoffs of ``paths`` over their count."""
+    swapped = antithetic_swap(dw) if any(swap for _, swap, _ in paths) else None
+    total = None
+    for scheme, swap, negate in paths:
+        x = simulate_path(scheme, model, grid, swapped if swap else dw, -eta if negate else eta)
+        total = payoff(x) if total is None else total + payoff(x)
+    return total / len(paths)
+
+
 def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
                  m: int, stream: RngStream, horizon: float = 1.0,
                  degenerate: bool = False) -> LevelSample:
     """Simulate m coupled samples of Z^level for the requested coupling.
 
-    Level couplings (level >= 1):
-      gs     -- 1/2 (f(fine gs) + f(swapped fine gs)) - f(coarse gs)
-      nv     -- 1/4 sum over {plain, swapped} x {eta, -eta} fine nv
-                - 1/2 (f(coarse nv, eta odd-subvector) + same with negated signs)
-      gs-nv  -- the nv fine average minus f(coarse gs)
-    "crude-*" run a single plain path at any level, which at level 0 is the
-    one-step scheme of the level-0 estimator; "level0-nv-averaged" averages
-    the two composition orders on the same increments.
+    Z^l is the mean payoff of the coupling's fine paths on the level's
+    increments and signs, minus the mean of its coarse paths on the
+    pairwise-summed increments and odd-step signs (``COUPLINGS``).  A
+    coupling with coarse paths needs level >= 1; one without runs at any
+    level, which at level 0 is the one-step scheme of the level-0 estimator.
     """
+    if coupling not in COUPLINGS:
+        raise ValueError(f"unknown coupling {coupling!r}")
+    fine, coarse = COUPLINGS[coupling]
+    if coarse and level < 1:
+        raise ValueError(f"coupling {coupling!r} needs level >= 1")
     grid = LevelGrid(level, horizon)
     path = sample_level_path(stream, grid, model.d, m, degenerate)
-    dw, eta = path.dw, path.eta
-
-    if coupling == "level0-nv-averaged":
-        ones = np.ones_like(eta)
-        values = 0.5 * (
-            payoff(simulate_path("nv", model, grid, dw, ones))
-            + payoff(simulate_path("nv", model, grid, dw, -ones))
-        )
-    elif coupling == "crude-gs":
-        values = payoff(simulate_path("gs", model, grid, dw))
-    elif coupling == "crude-nv":
-        values = payoff(simulate_path("nv", model, grid, dw, eta))
-    elif coupling in ("gs", "nv", "gs-nv"):
-        if level < 1:
-            raise ValueError(f"coupling {coupling!r} needs level >= 1")
-        coarse_grid = LevelGrid(level - 1, horizon)
-        dw_c = coarsen(dw)
-        if coupling == "gs":
-            fine = payoff(simulate_path("gs", model, grid, dw))
-            anti = payoff(simulate_path("gs", model, grid, antithetic_swap(dw)))
-            values = 0.5 * (fine + anti) - payoff(simulate_path("gs", model, coarse_grid, dw_c))
-        else:
-            dw_s = antithetic_swap(dw)
-            fine = 0.25 * (
-                payoff(simulate_path("nv", model, grid, dw, eta))
-                + payoff(simulate_path("nv", model, grid, dw_s, eta))
-                + payoff(simulate_path("nv", model, grid, dw, -eta))
-                + payoff(simulate_path("nv", model, grid, dw_s, -eta))
-            )
-            if coupling == "nv":
-                eta_c = rademacher_coarse(eta)
-                coarse = 0.5 * (
-                    payoff(simulate_path("nv", model, coarse_grid, dw_c, eta_c))
-                    + payoff(simulate_path("nv", model, coarse_grid, dw_c, -eta_c))
-                )
-            else:
-                coarse = payoff(simulate_path("gs", model, coarse_grid, dw_c))
-            values = fine - coarse
-    else:
-        raise ValueError(f"unknown coupling {coupling!r}")
-
-    fine_evals, coarse_evals = COUPLING_COSTS[coupling]
+    values = _mean_payoff(model, payoff, fine, grid, path.dw, path.eta)
+    if coarse:
+        values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),
+                                       coarsen(path.dw), rademacher_coarse(path.eta))
     return LevelSample(np.asarray(values, dtype=float), level, coupling,
-                       fine_evals, coarse_evals)
+                       len(fine), len(coarse))
 
 
 @dataclass(frozen=True)
@@ -218,8 +202,13 @@ def _map_blocks(fn, job, level: int, m: int, seed: int, experiment: int, workers
     ]
     if workers <= 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=4))
+    return list(_pool(workers).map(fn, tasks, chunksize=4))
+
+
+@functools.cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """One executor per worker count, kept for the life of the process."""
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _sample_block(task):

@@ -259,6 +259,15 @@ class TestCommands:
         assert body[0] == "coupling,log2_eps,log2_cost_units,estimate"
         assert any(line.startswith("all,slope") for line in body)
 
+    def test_sweep_one_eps_has_no_slope(self, tmp_path):
+        # one point fixes no line: every slope is undefined and flagged
+        assert main(["sweep", "--eps", "2^-5", "--coupling", "gs", "--pilot-m", "2000",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "sweep.csv").read_text()
+        assert "# warning: fewer than two distinct eps" in text
+        body = csv_body(tmp_path / "sweep.csv")
+        assert "gs,slope,nan," in body and "all,slope,nan," in body
+
     def test_heston_run(self, tmp_path):
         assert main(["run", "--model", "heston", "--payoff", "heston-call",
                      "--coupling", "nv", "--eps", "2^-4", "--pilot-m", "4000",
@@ -322,37 +331,77 @@ class TestGolden:
         assert masked_digest(tmp_path / "run.csv") == digest
 
 
+def record_draws(monkeypatch):
+    """Log the key of every sample_many call with the epsilon of the run it
+    belongs to (None for pilot draws, made outside run_multilevel)."""
+    log, running = [], []
+    draw = calibrate.sample_many
+    run = estimators.run_multilevel
+
+    def counted(sampler, level, m, seed, experiment=0, workers=1):
+        epsilon = running[-1] if running else None
+        log.append((epsilon, (sampler.coupling, level, m, seed, experiment)))
+        return draw(sampler, level, m, seed, experiment, workers)
+
+    def counted_run(plan, *a, **kw):
+        running.append(plan.epsilon)
+        try:
+            return run(plan, *a, **kw)
+        finally:
+            running.pop()
+
+    for module in (cli, calibrate, estimators):
+        monkeypatch.setattr(module, "sample_many", counted)
+    monkeypatch.setattr(estimators, "run_multilevel", counted_run)
+    return log
+
+
+THREE_EPS = ["--eps", "2^-4", "--eps", "2^-5", "--eps", "2^-6", "--pilot-m", "2000",
+             "--seed", "9"]
+TWO_EPS = ["--eps", "2^-4", "--eps", "2^-5", "--pilot-m", "2000", "--seed", "3"]
+
+
 class TestDrawOnce:
-    """Every pilot quantity is drawn once and shared across the eps sweep."""
+    """Every pilot quantity is drawn once and shared across the eps sweep
+    and across the couplings of a sweep."""
 
-    @pytest.mark.parametrize("args", [
-        ["--payoff", "u-squared", "--coupling", "gs"],
-        ["--coupling", "gs-nv"],
-        ["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
-         "--estimator", "ml2r"],
-    ], ids=["gs-mlmc", "gs-nv-mlmc", "heston-ml2r"])
-    def test_no_pilot_key_repeats(self, args, tmp_path, monkeypatch):
-        keys, running = [], []
-        draw = calibrate.sample_many
-        run = estimators.run_multilevel
-
-        def counted(sampler, level, m, seed, experiment=0, workers=1):
-            if not running:
-                keys.append((sampler.coupling, level, m, seed, experiment))
-            return draw(sampler, level, m, seed, experiment, workers)
-
-        def counted_run(*a, **kw):
-            running.append(True)
-            try:
-                return run(*a, **kw)
-            finally:
-                running.pop()
-
-        for module in (cli, calibrate, estimators):
-            monkeypatch.setattr(module, "sample_many", counted)
-        monkeypatch.setattr(estimators, "run_multilevel", counted_run)
-        assert main(["run", *args, "--eps", "2^-4", "--eps", "2^-5", "--eps", "2^-6",
-                     "--pilot-m", "2000", "--seed", "9", "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["run", "--payoff", "u-squared", "--coupling", "gs", *THREE_EPS],
+        ["run", "--coupling", "gs-nv", *THREE_EPS],
+        ["run", "--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
+         "--estimator", "ml2r", *THREE_EPS],
+        # gs and gs-nv share the gs rate pilot and the crude-gs v0
+        ["sweep", *TWO_EPS],
+        # gs and nv share the crude-nv payoff-variance pilot
+        ["sweep", "--estimator", "ml2r", "--coupling", "gs", "--coupling", "nv", *TWO_EPS],
+    ], ids=["gs-mlmc", "gs-nv-mlmc", "heston-ml2r", "sweep-mlmc", "sweep-ml2r"])
+    def test_no_pilot_key_repeats(self, argv, tmp_path, monkeypatch):
+        log = record_draws(monkeypatch)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        keys = [key for epsilon, key in log if epsilon is None]
         assert keys
         repeated = sorted({k for k in keys if keys.count(k) > 1})
         assert not repeated, f"pilot draws repeated: {repeated}"
+
+
+class TestStreamKeys:
+    """Pilot and run draws never share an (experiment, level) stream, and
+    each epsilon's run draws its own streams."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--coupling", "gs-nv", *THREE_EPS],
+        ["sweep", *TWO_EPS],
+    ], ids=["run-gs-nv", "sweep"])
+    def test_phases_and_eps_use_distinct_streams(self, argv, tmp_path, monkeypatch):
+        log = record_draws(monkeypatch)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        streams = {}
+        for epsilon, (_, level, _, _, experiment) in log:
+            streams.setdefault(epsilon, set()).add((experiment, level))
+        pilot = streams.pop(None)
+        assert pilot and len(streams) == argv.count("--eps")
+        for epsilon, run in streams.items():
+            assert not pilot & run, f"eps {epsilon}: pilot streams reused by the run"
+            for other, other_run in streams.items():
+                assert other == epsilon or not run & other_run, \
+                    f"eps {epsilon} and {other} share run streams"
