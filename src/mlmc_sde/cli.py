@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -23,6 +24,7 @@ import numpy as np
 from . import calibrate as cal
 from . import estimators as est
 from .models import MODELS, PAYOFF_LABELS, Payoff, build_model
+from .paths import MAX_LEVEL
 from .schemes import COUPLINGS, LevelSampler, coupling_errors, sample_many
 
 # experiment-id bases keep the streams of different phases independent; the
@@ -60,20 +62,11 @@ def parse_levels(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def parse_bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected true or false, got {text!r}")
-
-
 def _option(default, parse=str, choices=None, repeat=False, help=None):
     """A config field that is also a --flag and a config-file key.
 
     ``parse`` turns one text value into the field's type; ``repeat`` makes
-    the flag repeatable and the field a tuple; a bool field is a bare flag.
+    the flag repeatable and the field a tuple.
     """
     return field(default=default, metadata={
         "parse": parse, "choices": choices, "repeat": repeat, "help": help})
@@ -107,8 +100,6 @@ class ExperimentConfig:
     v0: float = _option(1.0, float, help="Heston initial variance")
     nv_level0: str = _option("averaged", choices=("averaged", "single"),
                              help="level-0 splitting sample: both orders averaged or one")
-    degenerate_rng: bool = _option(False, parse_bool,
-                                   help="zero increments and all-plus signs (plumbing checks)")
     alpha: float | None = _option(None, float, help="fixed weak order (skips the rate pilot)")
     c1: float | None = _option(None, float, help="fixed weak constant")
     beta: float | None = _option(None, float, help="fixed variance order")
@@ -169,13 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="flat key = value config file")
         for f in fields(ExperimentConfig):
-            flag, meta = "--" + f.name.replace("_", "-"), f.metadata
-            if meta["parse"] is parse_bool:
-                p.add_argument(flag, action="store_const", const=True, help=meta["help"])
-            else:
-                p.add_argument(flag, type=meta["parse"], choices=meta["choices"],
-                               action="append" if meta["repeat"] else "store",
-                               help=meta["help"])
+            meta = f.metadata
+            p.add_argument("--" + f.name.replace("_", "-"), type=meta["parse"],
+                           choices=meta["choices"],
+                           action="append" if meta["repeat"] else "store", help=meta["help"])
     return parser
 
 
@@ -201,13 +189,21 @@ def _validate(cfg: ExperimentConfig, command: str):
         raise ConfigError("pilot-m must be at least 2")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
-    if any(e <= 0 for e in cfg.eps):
-        raise ConfigError("eps values must be positive")
+    if not all(0 < e < math.inf for e in cfg.eps):
+        raise ConfigError("eps values must be positive and finite")
+    for name in ("alpha", "beta", "c2"):
+        value = getattr(cfg, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite")
+    if cfg.c1 is not None and not math.isfinite(cfg.c1):
+        raise ConfigError("c1 must be finite")
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
     # every coupled sample and the splitting-scheme errors start at level 1
     if cfg.levels is not None and cfg.levels[0] < 1:
         raise ConfigError(f"{command} needs levels >= 1")
+    if cfg.levels is not None and cfg.levels[1] > MAX_LEVEL:
+        raise ConfigError(f"levels above {MAX_LEVEL} are not supported")
     if command in ("run", "sweep") and not cfg.eps:
         raise ConfigError(f"{command} needs at least one --eps")
     if command in ("run", "sweep"):
@@ -275,10 +271,8 @@ def _fit_slope(xs, values):
 def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level strong errors of the splitting scheme and its pairing"""
     levels = list(_level_range(cfg))
-    self_mse, pair_mse = coupling_errors(
-        model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
-        workers=cfg.workers, horizon=cfg.horizon, degenerate=cfg.degenerate_rng,
-    )
+    self_mse, pair_mse = coupling_errors(model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
+                                         cfg.workers, cfg.horizon)
     self_slope, self_log = _fit_slope(levels, self_mse)
     pair_slope, pair_log = _fit_slope(levels, pair_mse)
     rows = [(l, self_log[i], pair_log[i]) for i, l in enumerate(levels)]
@@ -297,13 +291,10 @@ def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     levels = list(_level_range(cfg))
     rows, slopes = [], []
     for ci, coupling in enumerate(cfg.coupling):
-        sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
-        moments = []
-        for level in levels:
-            sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed,
-                                 EXP_DECAY + ci, cfg.workers)
-            moments.append(cal.stats_from_sample(sample).second_moment)
-        slope, logs = _fit_slope(levels, moments)
+        sampler = LevelSampler(model, payoff, coupling, cfg.horizon)
+        stats = cal.pilot_stats(sampler, levels, cfg.pilot_m, cfg.seed, EXP_DECAY + ci,
+                                cfg.workers)
+        slope, logs = _fit_slope(levels, [s.second_moment for s in stats])
         slopes.append(slope)
         rows.extend((coupling, l, logs[i]) for i, l in enumerate(levels))
     for coupling, slope in zip(cfg.coupling, slopes):
@@ -318,7 +309,7 @@ def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """Monte Carlo vs closed-form second moments (PASS gate)"""
     from .oracle import znv_second_moment
 
-    sampler = LevelSampler(model, payoff, "nv", cfg.horizon, cfg.degenerate_rng)
+    sampler = LevelSampler(model, payoff, "nv", cfg.horizon)
     rows, worst = [], 0.0
     for level in _level_range(cfg):
         sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed, EXP_ORACLE, cfg.workers)
@@ -340,7 +331,7 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """pilot level statistics and fitted rates"""
     coupling = cfg.coupling[0]
     warnings = []
-    sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
+    sampler = LevelSampler(model, payoff, coupling, cfg.horizon)
     stats = est.rate_pilot(sampler, _level_range(cfg), cfg.pilot_m, cfg.seed, cfg.workers)
     rows = [(s.level, s.mean, s.sem, s.variance) for s in stats]
     try:
@@ -365,7 +356,7 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
     rows, pilots = [], {}  # pilots shared by every coupling
     for coupling in cfg.coupling:
-        sampler = LevelSampler(model, payoff, coupling, cfg.horizon, cfg.degenerate_rng)
+        sampler = LevelSampler(model, payoff, coupling, cfg.horizon)
         plans = est.calibrated_plans(
             sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
             cfg.nv_level0, _level_range(cfg),
@@ -373,8 +364,7 @@ def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
         )
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
             result = est.run_multilevel(plan, model, payoff, cfg.seed,
-                                        EXP_RUN + i, cfg.workers, cfg.horizon,
-                                        cfg.degenerate_rng)
+                                        EXP_RUN + i, cfg.workers, cfg.horizon)
             rows.append((epsilon, plan.kind, coupling, plan.last_level,
                          plan.total_samples, result.cost_units, result.seconds,
                          result.estimate))
@@ -441,7 +431,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, model, payoff)
     except (est.SamplingError, cal.ZeroMean, cal.IllConditioned, cal.NoUsableSamples,
             est.ZeroWeakConstant, est.MissingLastLevelVariance,
-            est.NonpositiveVariance) as exc:
+            est.NonpositiveVariance, est.LevelTooDeep) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 3
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import calibrate as cal
 from .calibrate import LevelStats, stats_from_sample
 from .models import Payoff, SdeModel
+from .paths import MAX_LEVEL
 from .schemes import COUPLING_COSTS, LevelSampler, sample_many
 
 # experiment ids of the pilot streams, kept apart from every other phase's
@@ -25,6 +26,9 @@ EXP_V0 = 12
 EXP_VLAST = 13  # plus the last level
 EXP_VARF = 14
 EXP_TABLE = EXP_VLAST + 64
+
+# largest fraction of aborted samples a level of a run may have
+ABORT_TOLERANCE = 0.01
 
 
 class ZeroWeakConstant(ValueError):
@@ -37,6 +41,10 @@ class MissingLastLevelVariance(ValueError):
 
 class NonpositiveVariance(ValueError):
     """A variance that must be positive was zero or negative."""
+
+
+class LevelTooDeep(ValueError):
+    """The planned last level lies beyond paths.MAX_LEVEL."""
 
 
 class SamplingError(RuntimeError):
@@ -76,13 +84,15 @@ class EstimatorResult:
 
 
 def mlmc_last_level(epsilon: float, c1: float, alpha: float) -> int:
-    """ceil(log2(sqrt(2) |c1| / eps) / alpha), floored at 1."""
+    """ceil(log2(sqrt(2) |c1| / eps) / alpha), floored at 1; LevelTooDeep past MAX_LEVEL."""
     if epsilon <= 0.0 or alpha <= 0.0:
         raise ValueError("need epsilon > 0 and alpha > 0")
     if c1 == 0.0:
         raise ZeroWeakConstant("c1 = 0: supply a floor or a fixed last level")
-    raw = math.log2(math.sqrt(2.0) * abs(c1) / epsilon) / alpha
-    return max(1, math.ceil(raw - 1e-9))
+    raw = math.log2(math.sqrt(2.0) * abs(c1) / epsilon) / alpha - 1e-9
+    if raw > MAX_LEVEL:
+        raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
+    return max(1, math.ceil(raw))
 
 
 def mlmc_sample_sizes(epsilon: float, last_level: int, variances, lam) -> np.ndarray:
@@ -186,13 +196,15 @@ def ml2r_weights(last_level: int, alpha: float):
 
 
 def ml2r_last_level(epsilon: float, alpha: float, horizon: float = 1.0) -> int:
-    """floor of the explicit depth formula, floored at 1."""
+    """floor of the explicit depth formula, floored at 1; LevelTooDeep past MAX_LEVEL."""
     if epsilon <= 0.0 or alpha <= 0.0:
         raise ValueError("need epsilon > 0 and alpha > 0")
     half_log_t = 0.5 + math.log2(horizon)
     inner = half_log_t**2 + 2.0 / alpha * math.log2(math.sqrt(1.0 + 4.0 * alpha) / epsilon)
-    raw = math.sqrt(inner) + math.log2(horizon) - 0.5
-    return max(1, math.floor(raw + 1e-9))
+    raw = math.sqrt(inner) + math.log2(horizon) - 0.5 + 1e-9
+    if raw >= MAX_LEVEL + 1:
+        raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
+    return max(1, math.floor(raw))
 
 
 def ml2r_theta(beta: float, c2: float, varf: float, horizon: float = 1.0) -> float:
@@ -216,12 +228,12 @@ def ml2r_allocation(last_level: int, alpha: float, beta: float, theta: float) ->
 
 
 def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
-              c2: float, varf: float, horizon: float = 1.0,
-              nv_level0: str = "single") -> MultilevelPlan:
+              c2: float, varf: float, horizon: float = 1.0) -> MultilevelPlan:
     """Weighted multilevel plan with fully explicit allocation.
 
     ``varf`` is the payoff variance V(f(X_T)) estimated by a crude run.
-    Cost accounting carries unit lambda weights.
+    Cost accounting carries unit lambda weights, and level 0 is the
+    single-order crude sampler.
     """
     last = ml2r_last_level(epsilon, alpha, horizon)
     _, suffix = ml2r_weights(last, alpha)
@@ -249,30 +261,29 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
         sizes=sizes,
         weights=suffix,
         lam=np.ones(last + 1),
-        level_tags=_level_tags("ml2r", coupling, last, nv_level0),
+        level_tags=_level_tags("ml2r", coupling, last, "single"),
     )
 
 
 def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
                    seed: int, experiment: int = 0, workers: int = 1,
-                   horizon: float = 1.0, degenerate: bool = False,
-                   abort_tolerance: float = 0.01) -> EstimatorResult:
+                   horizon: float = 1.0) -> EstimatorResult:
     """Run the estimator: sum over levels of weight_l * mean(Z^l samples).
 
     Streams are independent across (level, block), so the estimate is a
     pure function of (seed, plan) whatever the worker count.  A level
-    whose aborted-sample fraction exceeds ``abort_tolerance`` fails the
+    whose aborted-sample fraction exceeds ``ABORT_TOLERANCE`` fails the
     run.
     """
     start = time.perf_counter()
-    base = LevelSampler(model, payoff, "gs", horizon=horizon, degenerate=degenerate)
+    base = LevelSampler(model, payoff, "gs", horizon=horizon)
     estimate = 0.0
     stats: list[LevelStats] = []
     aborted = 0
     for level in range(plan.last_level + 1):
         sampler = base.with_coupling(plan.level_tags[level])
         sample = sample_many(sampler, level, int(plan.sizes[level]), seed, experiment, workers)
-        if sample.aborted > abort_tolerance * sample.values.size:
+        if sample.aborted > ABORT_TOLERANCE * sample.values.size:
             raise SamplingError(
                 f"level {level}: {sample.aborted}/{sample.values.size} samples aborted"
             )
@@ -286,11 +297,9 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
 
 def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5,
              m: int = 10_000, seed: int = 0, experiment: int = 0,
-             workers: int = 1, horizon: float = 1.0,
-             degenerate: bool = False) -> LevelStats:
+             workers: int = 1, horizon: float = 1.0) -> LevelStats:
     """Plain Monte Carlo of f at one discretization level (payoff-variance pilot)."""
-    sampler = LevelSampler(model, payoff, f"crude-{scheme}", horizon=horizon,
-                           degenerate=degenerate)
+    sampler = LevelSampler(model, payoff, f"crude-{scheme}", horizon=horizon)
     return cal.pilot_stats(sampler, [level], m, seed, experiment, workers)[0]
 
 
@@ -339,17 +348,19 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
         c2 = var_fit.constant if c2 is None else c2
 
     if kind == "ml2r":
+        for epsilon in epsilons:  # a level past the cap fails before the varf draw
+            ml2r_last_level(epsilon, alpha, sampler.horizon)
         varf = variance(sampler.with_coupling("crude-nv"), 5, EXP_VARF)
         return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, sampler.horizon)
                 for epsilon in epsilons]
     if kind != "mlmc":
         raise ValueError(f"unknown estimator kind {kind!r}")
 
+    lasts = [mlmc_last_level(epsilon, c1, alpha) for epsilon in epsilons]
     v0 = variance(sampler.with_coupling(_level_tags(kind, coupling, 1, nv_level0)[0]), 0, EXP_V0)
     inflection = None if var_fit is None else cal.detect_inflection(var_stats, var_fit)
     plans = []
-    for epsilon in epsilons:
-        last = mlmc_last_level(epsilon, c1, alpha)
+    for epsilon, last in zip(epsilons, lasts):
         v_last = variance(sampler, last, EXP_VLAST + last) if coupling == "gs-nv" else None
         table = None
         if inflection is not None and last >= inflection:

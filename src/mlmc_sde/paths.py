@@ -15,6 +15,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# deepest level any command samples: at d = 2 one block of 4096 samples holds
+# 256 MiB of increments at level 12, and each further level doubles that
+MAX_LEVEL = 12
+
 
 class OddStepCount(ValueError):
     """Pairwise coarsening was requested on an odd number of steps."""
@@ -72,16 +76,9 @@ class LevelPath:
     eta: np.ndarray
 
 
-def sample_level_path(stream: RngStream, grid: LevelGrid, d: int, m: int = 1,
-                      degenerate: bool = False) -> LevelPath:
-    """Draw fresh N(0, h_l) increments and +-1 signs for m coupled samples.
-
-    ``degenerate`` returns zero increments and all-plus signs; it exists so
-    deterministic plumbing checks can run the full pipeline with no noise.
-    """
+def sample_level_path(stream: RngStream, grid: LevelGrid, d: int, m: int = 1) -> LevelPath:
+    """Draw fresh N(0, h_l) increments and +-1 signs for m coupled samples."""
     steps = grid.steps
-    if degenerate:
-        return LevelPath(np.zeros((m, d, steps)), np.ones((m, steps), dtype=np.int8))
     gen = stream.generator()
     dw = gen.standard_normal((m, d, steps)) * math.sqrt(grid.step)
     eta = (2 * gen.integers(0, 2, size=(m, steps), dtype=np.int8) - 1).astype(np.int8)

@@ -16,6 +16,7 @@ Ann. Appl. Probab. 2014, for the antithetic construction).
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -108,18 +109,15 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
 
 @dataclass(frozen=True)
 class LevelSample:
-    """Realizations of Z^l for one coupling, with path-count bookkeeping.
+    """Realizations of Z^l for one coupling.
 
     ``values`` holds one realization per entry; non-finite entries mark
-    samples aborted by a scheme-domain error.  fine/coarse path counts are
-    per sample and fixed by the coupling.
+    samples aborted by a scheme-domain error.
     """
 
     values: np.ndarray
     level: int
     coupling: str
-    fine_evals: int
-    coarse_evals: int
 
     @property
     def aborted(self) -> int:
@@ -127,9 +125,12 @@ class LevelSample:
 
     @property
     def cost_units(self) -> float:
-        per = self.fine_evals * 2**self.level
-        if self.coarse_evals:
-            per += self.coarse_evals * 2 ** (self.level - 1)
+        """Path steps simulated: each path of the coupling (COUPLING_COSTS)
+        times the steps of its grid, over all samples."""
+        fine, coarse = COUPLING_COSTS[self.coupling]
+        per = fine * 2**self.level
+        if coarse:
+            per += coarse * 2 ** (self.level - 1)
         return float(per * np.size(self.values))
 
 
@@ -145,8 +146,7 @@ def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid,
 
 
 def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
-                 m: int, stream: RngStream, horizon: float = 1.0,
-                 degenerate: bool = False) -> LevelSample:
+                 m: int, stream: RngStream, horizon: float = 1.0) -> LevelSample:
     """Simulate m coupled samples of Z^level for the requested coupling.
 
     Z^l is the mean payoff of the coupling's fine paths on the level's
@@ -161,13 +161,12 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     if coarse and level < 1:
         raise ValueError(f"coupling {coupling!r} needs level >= 1")
     grid = LevelGrid(level, horizon)
-    path = sample_level_path(stream, grid, model.d, m, degenerate)
+    path = sample_level_path(stream, grid, model.d, m)
     values = _mean_payoff(model, payoff, fine, grid, path.dw, path.eta)
     if coarse:
         values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),
                                        coarsen(path.dw), rademacher_coarse(path.eta))
-    return LevelSample(np.asarray(values, dtype=float), level, coupling,
-                       len(fine), len(coarse))
+    return LevelSample(np.asarray(values, dtype=float), level, coupling)
 
 
 @dataclass(frozen=True)
@@ -178,14 +177,13 @@ class LevelSampler:
     payoff: Payoff
     coupling: str
     horizon: float = 1.0
-    degenerate: bool = False
 
     def with_coupling(self, coupling: str) -> "LevelSampler":
         return replace(self, coupling=coupling)
 
     def sample(self, level: int, m: int, stream: RngStream) -> LevelSample:
         return sample_level(self.model, self.payoff, self.coupling, level, m,
-                            stream, self.horizon, self.degenerate)
+                            stream, self.horizon)
 
 
 def _map_blocks(fn, job, level: int, m: int, seed: int, experiment: int, workers: int):
@@ -193,13 +191,15 @@ def _map_blocks(fn, job, level: int, m: int, seed: int, experiment: int, workers
 
     Block boundaries and stream coordinates depend only on (seed,
     experiment, level, block index), and results come back in block order,
-    so they are identical for any worker count.
+    so they are identical for any worker count.  The pool never has more
+    processes than the machine has cores.
     """
     tasks = [
         (job, level, min(BLOCK_SAMPLES, m - start),
          RngStream(seed, experiment, level, index))
         for index, start in enumerate(range(0, m, BLOCK_SAMPLES))
     ]
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
     return list(_pool(workers).map(fn, tasks, chunksize=4))
@@ -222,15 +222,14 @@ def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
     concatenated in block order (identical for any worker count)."""
     arrays = _map_blocks(_sample_block, sampler, level, m, seed, experiment, workers)
     values = np.concatenate(arrays) if arrays else np.zeros(0)
-    fine_evals, coarse_evals = COUPLING_COSTS[sampler.coupling]
-    return LevelSample(values, level, sampler.coupling, fine_evals, coarse_evals)
+    return LevelSample(values, level, sampler.coupling)
 
 
 def _coupling_block(task):
-    (model, horizon, degenerate), level, count, stream = task
+    (model, horizon), level, count, stream = task
     grid = LevelGrid(level, horizon)
     coarse_grid = LevelGrid(level - 1, horizon)
-    path = sample_level_path(stream, grid, model.d, count, degenerate)
+    path = sample_level_path(stream, grid, model.d, count)
     dw, eta = path.dw, path.eta
     x_fine = simulate_path("nv", model, grid, dw, eta)
     x_neg = simulate_path("nv", model, grid, dw, -eta)
@@ -242,8 +241,7 @@ def _coupling_block(task):
 
 
 def coupling_errors(model: SdeModel, levels, m: int, seed: int,
-                    experiment: int = 0, workers: int = 1, horizon: float = 1.0,
-                    degenerate: bool = False):
+                    experiment: int = 0, workers: int = 1, horizon: float = 1.0):
     """Mean squared terminal gaps per level, for the two coupling checks.
 
     Returns (self_mse, pair_mse): E||X_fine - X_coarse||^2 for the
@@ -254,7 +252,7 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
     for level in levels:
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
-        parts = _map_blocks(_coupling_block, (model, horizon, degenerate), level, m,
+        parts = _map_blocks(_coupling_block, (model, horizon), level, m,
                             seed, experiment, workers)
         self_sum = sum(p[0] for p in parts)
         pair_sum = sum(p[1] for p in parts)

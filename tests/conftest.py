@@ -1,0 +1,19 @@
+import numpy as np
+import pytest
+
+from mlmc_sde import schemes
+from mlmc_sde.paths import LevelPath
+
+
+@pytest.fixture
+def zero_noise(monkeypatch):
+    """Zero increments and all-plus signs for every draw of this process.
+
+    Both ``sample_level`` and the coupling-error blocks draw through
+    ``schemes.sample_level_path``.  Pool workers do not see the patch, so
+    tests that use it sample with one worker.
+    """
+    def draw(stream, grid, d, m=1):
+        return LevelPath(np.zeros((m, d, grid.steps)), np.ones((m, grid.steps), dtype=np.int8))
+
+    monkeypatch.setattr(schemes, "sample_level_path", draw)

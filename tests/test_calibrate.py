@@ -40,7 +40,7 @@ class FakeSampler:
             values = gen.normal(0.0, np.sqrt(self.value), size=m)
         else:
             raise ValueError(self.kind)
-        return LevelSample(values, level, "gs", 2, 1)
+        return LevelSample(values, level, "gs")
 
 
 def stats_for(levels, means=None, variances=None, m=1000):

@@ -1,10 +1,11 @@
 import hashlib
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlmc_sde import calibrate, cli, estimators
+from mlmc_sde import calibrate, cli, estimators, schemes
 from mlmc_sde.cli import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from mlmc_sde.cli import (
     read_config_file,
     resolve_config,
 )
+from mlmc_sde.paths import MAX_LEVEL
 
 
 def csv_body(path):
@@ -43,20 +45,29 @@ class TestParsing:
             "pilot-m = 5000\n"
             "eps = 2^-4 2^-5\n"
             "coupling = gs nv\n"
-            "degenerate-rng = true\n"
         )
         values = read_config_file(str(cfg))
         assert values["model"] == "heston"
         assert values["pilot_m"] == 5000
         assert values["eps"] == (2.0**-4, 2.0**-5)
         assert values["coupling"] == ("gs", "nv")
-        assert values["degenerate_rng"] is True
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("strike = 1.0\n")
         with pytest.raises(ConfigError):
             read_config_file(str(cfg))
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any draw, so a test that expects none allocates no path."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing should be drawn")
+
+    monkeypatch.setattr(schemes, "sample_level_path", refuse)
+    for module in (cli, calibrate, estimators):
+        monkeypatch.setattr(module, "sample_many", refuse)
 
 
 class TestExitCodes:
@@ -87,7 +98,6 @@ class TestExitCodes:
         "coupling = bogus",
         "nv-level0 = singel",
         "negative-variance = bogus",
-        "degenerate-rng = maybe",
         "coupling =",
     ])
     def test_bad_config_value_exits_two(self, line, tmp_path):
@@ -123,6 +133,28 @@ class TestExitCodes:
                      "--sigma", "0.28", "--v0", "0.05", "--levels", "1..2",
                      "--pilot-m", "2", "--seed", "1", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "nan"), ("--eps", "inf"), ("--alpha", "0"), ("--alpha", "-1"),
+        ("--beta", "-3"), ("--c2", "-0.3"), ("--c1", "nan"),
+    ])
+    def test_bad_number_exits_two(self, flag, value, tmp_path, no_draws):
+        # the bad value follows the fixed rates, so it replaces a rate or adds an eps
+        assert main(["run", "--eps", "2^-4", "--alpha", "1", "--c1", "0.16", "--beta", "2",
+                     "--c2", "0.15", flag, value, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["strong-order", "calibrate"])
+    def test_configured_level_past_cap_exits_two(self, command, tmp_path, no_draws):
+        assert main([command, "--levels", f"1..{MAX_LEVEL + 1}",
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("estimator,coupling", [("mlmc", "gs"), ("ml2r", "nv")])
+    def test_planned_level_past_cap_exits_three(self, estimator, coupling, tmp_path,
+                                                no_draws):
+        # eps 1e-30 plans last level 101 (mlmc) or 13 (ml2r)
+        assert main(["run", "--estimator", estimator, "--coupling", coupling,
+                     "--eps", "1e-30", "--alpha", "1", "--c1", "1", "--beta", "2",
+                     "--c2", "1", "--out", str(tmp_path)]) == 3
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--coupling", "euler", "--eps", "0.1", "--out", str(tmp_path)])
@@ -135,7 +167,7 @@ FIELD_SAMPLES = {
     "eps": "2^-5", "seed": "7", "pilot_m": "500", "levels": "2..3", "out": "elsewhere",
     "workers": "2", "negative_variance": "reflect", "horizon": "0.5", "mu": "2.5",
     "u0": "0.25", "s0": "-1", "rate": "0.01", "kappa": "1.5", "theta": "0.4",
-    "sigma": "0.3", "v0": "0.2", "nv_level0": "single", "degenerate_rng": "true",
+    "sigma": "0.3", "v0": "0.2", "nv_level0": "single",
     "alpha": "1", "c1": "0.16", "beta": "2", "c2": "0.15",
 }
 
@@ -147,11 +179,10 @@ class TestOptions:
     @pytest.mark.parametrize("name", sorted(FIELD_SAMPLES))
     def test_flag_and_config_file_agree(self, name, tmp_path):
         key, text = name.replace("_", "-"), FIELD_SAMPLES[name]
-        flag = [f"--{key}"] if name == "degenerate_rng" else [f"--{key}", text]
         cfg_file = tmp_path / "one.cfg"
         cfg_file.write_text(f"{key} = {text}\n")
         parser = build_parser()
-        from_flag = resolve_config(parser.parse_args(["calibrate", *flag]))
+        from_flag = resolve_config(parser.parse_args(["calibrate", f"--{key}", text]))
         from_file = resolve_config(parser.parse_args(["calibrate", "--config", str(cfg_file)]))
         assert from_flag == from_file
         default = resolve_config(parser.parse_args(["calibrate"]))
@@ -166,6 +197,30 @@ class TestOptions:
         assert "--pilot-m" in capsys.readouterr().out
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# the commands each experiment config in scripts/ is run with
+SCRIPT_COMMANDS = {
+    "clark_cameron_benchmark.cfg": ("sweep",),
+    "heston_call.cfg": ("calibrate", "run"),
+    "strong_order.cfg": ("strong-order",),
+    "variance_decay.cfg": ("variance-decay",),
+}
+
+
+class TestScriptConfigs:
+    def test_every_config_is_listed(self):
+        assert {p.name for p in SCRIPTS.glob("*.cfg")} == set(SCRIPT_COMMANDS)
+
+    @pytest.mark.parametrize("name,command", [
+        (name, command) for name, commands in sorted(SCRIPT_COMMANDS.items())
+        for command in commands])
+    def test_config_resolves(self, name, command):
+        path = str(SCRIPTS / name)
+        assert read_config_file(path)
+        resolve_config(build_parser().parse_args([command, "--config", path]))
+
+
 class TestCommands:
     def test_strong_order_smoke(self, tmp_path):
         assert main(["strong-order", "--levels", "2..4", "--pilot-m", "4000",
@@ -175,9 +230,9 @@ class TestCommands:
         assert len(body) == 5  # three levels plus header and slope footer
         assert body[-1].startswith("slope,")
 
-    def test_strong_order_degenerate_warns_and_passes(self, tmp_path):
+    def test_strong_order_degenerate_warns_and_passes(self, tmp_path, zero_noise):
         assert main(["strong-order", "--levels", "2..3", "--pilot-m", "128",
-                     "--degenerate-rng", "--out", str(tmp_path)]) == 0
+                     "--out", str(tmp_path)]) == 0
         text = (tmp_path / "strong-order.csv").read_text()
         assert "# warning: zero strong error" in text
         assert "slope,nan,nan" in text
@@ -202,8 +257,8 @@ class TestCommands:
         assert body[0] == "level,mean,sem,variance"
         assert any(line.startswith("fit,") for line in body)
 
-    def test_calibrate_degenerate_reports_nan(self, tmp_path):
-        assert main(["calibrate", "--degenerate-rng", "--pilot-m", "64",
+    def test_calibrate_degenerate_reports_nan(self, tmp_path, zero_noise):
+        assert main(["calibrate", "--pilot-m", "64",
                      "--out", str(tmp_path)]) == 0
         text = (tmp_path / "calibrate.csv").read_text()
         assert "fit,nan,nan" in text
@@ -387,6 +442,10 @@ class TestDrawOnce:
 class TestStreamKeys:
     """Pilot and run draws never share an (experiment, level) stream, and
     each epsilon's run draws its own streams."""
+
+    def test_last_level_pilots_stop_short_of_the_run_streams(self):
+        # the gs-nv v_last pilot of last level L draws at EXP_VLAST + L
+        assert estimators.EXP_VLAST + MAX_LEVEL < cli.EXP_RUN
 
     @pytest.mark.parametrize("argv", [
         ["run", "--coupling", "gs-nv", *THREE_EPS],

@@ -29,7 +29,7 @@ from mlmc_sde.estimators import (
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
-from mlmc_sde.schemes import COUPLING_COSTS, LevelSample, LevelSampler, sample_many
+from mlmc_sde.schemes import LevelSample, LevelSampler, sample_many
 
 CC = ClarkCameronModel(mu=1.0)
 USQ = Payoff("u-squared")
@@ -50,6 +50,13 @@ class TestLastLevel:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             mlmc_last_level(0.0, 1.0, 1.0)
+
+    def test_level_cap(self):
+        assert mlmc_last_level(math.sqrt(2.0) * 2.0**-12, 1.0, 1.0) == 12
+        with pytest.raises(estimators.LevelTooDeep):
+            mlmc_last_level(math.sqrt(2.0) * 2.0**-13, 1.0, 1.0)
+        with pytest.raises(estimators.LevelTooDeep):
+            ml2r_last_level(1e-30, 1.0)
 
 
 class TestSampleSizes:
@@ -184,8 +191,8 @@ def small_plan(coupling="gs-nv", epsilon=2.0**-4):
 
 
 class TestRunner:
-    def test_degenerate_run_is_zero(self):
-        result = run_multilevel(small_plan(), CC, USQ, seed=3, degenerate=True)
+    def test_degenerate_run_is_zero(self, zero_noise):
+        result = run_multilevel(small_plan(), CC, USQ, seed=3)
         assert result.estimate == 0.0
         assert result.aborted == 0
 
@@ -257,8 +264,8 @@ class TestRunner:
 
 
 class TestCrude:
-    def test_constant_payoff_zero_variance(self):
-        stats = crude_mc(CC, Payoff("cos-u"), "gs", level=2, m=100, seed=1, degenerate=True)
+    def test_constant_payoff_zero_variance(self, zero_noise):
+        stats = crude_mc(CC, Payoff("cos-u"), "gs", level=2, m=100, seed=1)
         assert stats.variance == 0.0
 
     def test_level_eight_mean_near_exact(self):
@@ -292,7 +299,7 @@ class LadderSampler:
     def sample(self, level, m, stream):
         signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         values = -(2.0 ** -(level + 1)) + 2.0 ** -min(level, 3) * signs
-        return LevelSample(values, level, self.coupling, *COUPLING_COSTS[self.coupling])
+        return LevelSample(values, level, self.coupling)
 
 
 class TestCalibratedPlans:

@@ -49,11 +49,6 @@ class TestStreams:
         assert path.eta.shape == (7, 16)
         assert set(np.unique(path.eta)) <= {-1, 1}
 
-    def test_degenerate(self):
-        path = sample_level_path(RngStream(1), LevelGrid(2), 2, m=3, degenerate=True)
-        assert not path.dw.any()
-        assert (path.eta == 1).all()
-
     def test_increment_variance(self):
         # 10^6 draws at level 3, horizon 1: each increment ~ N(0, 1/8)
         path = sample_level_path(RngStream(77, 0, 3, 0), LevelGrid(3), 2, m=62_500)

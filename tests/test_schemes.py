@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -137,8 +139,8 @@ class TestLevelSampleAlgebra:
         ("gs", 2), ("nv", 2), ("gs-nv", 2),
         ("crude-gs", 0), ("crude-nv", 0), ("level0-nv-averaged", 0),
     ])
-    def test_zero_noise_sample_vanishes(self, coupling, level):
-        sample = sample_level(CC, USQ, coupling, level, 8, RngStream(1), degenerate=True)
+    def test_zero_noise_sample_vanishes(self, coupling, level, zero_noise):
+        sample = sample_level(CC, USQ, coupling, level, 8, RngStream(1))
         np.testing.assert_allclose(sample.values, 0.0, atol=1e-14)
 
     def test_level_couplings_require_level_one(self):
@@ -158,7 +160,7 @@ class TestLevelSampleAlgebra:
         sorted([(name, f, c) for name, (f, c) in COUPLING_COSTS.items()]
                + [(role, *COUPLING_COSTS[c]) for role, c in LEVEL0_ROLES.items()]),
     )
-    def test_cost_accounting(self, tag, fine, coarse, monkeypatch):
+    def test_cost_accounting(self, tag, fine, coarse, monkeypatch, zero_noise):
         coupling = self.LEVEL0_ROLES.get(tag, tag)
         level = 0 if tag.startswith("level0") else 3
         grid_levels = []
@@ -169,10 +171,9 @@ class TestLevelSampleAlgebra:
             return simulate(kind, model, grid, dw, eta)
 
         monkeypatch.setattr(schemes, "simulate_path", counted)
-        sample = sample_level(CC, COS, coupling, level, 5, RngStream(2), degenerate=True)
+        sample = sample_level(CC, COS, coupling, level, 5, RngStream(2))
         # the paths actually simulated per sample, on the fine and the coarse grid
         assert sorted(grid_levels, reverse=True) == [level] * fine + [level - 1] * coarse
-        assert (sample.fine_evals, sample.coarse_evals) == (fine, coarse)
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
         assert sample.cost_units == expected
 
@@ -181,7 +182,7 @@ class TestLevelSampleAlgebra:
         assert sample.aborted == 0
         poisoned = sample.values.copy()
         poisoned[1] = np.nan
-        assert type(sample)(poisoned, 1, "gs", 2, 1).aborted == 1
+        assert type(sample)(poisoned, 1, "gs").aborted == 1
 
 
 class TestCouplingStatistics:
@@ -257,6 +258,30 @@ class TestSampleMany:
         duo = sample_many(sampler, 2, 10_000, seed=6, experiment=9, workers=2)
         np.testing.assert_array_equal(solo.values, duo.values)
 
+    @pytest.mark.parametrize("cores,pools", [(2, [2]), (None, [])])
+    def test_pool_bounded_by_cores(self, cores, pools, monkeypatch):
+        # --workers 8 on a machine with `cores` cores; the fake pool maps in
+        # this process, so no worker process starts
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(schemes, "ProcessPoolExecutor", FakePool)
+        # a fresh cache, so neither a pool cached by another test is reused
+        # nor the fake one left behind
+        monkeypatch.setattr(schemes, "_pool", functools.cache(schemes._pool.__wrapped__))
+        sampler = LevelSampler(CC, USQ, "nv")
+        pooled = sample_many(sampler, 1, 3 * schemes.BLOCK_SAMPLES, seed=6, workers=8)
+        assert started == pools
+        serial = sample_many(sampler, 1, 3 * schemes.BLOCK_SAMPLES, seed=6, workers=1)
+        np.testing.assert_array_equal(pooled.values, serial.values)
+
     def test_prefix_stability_across_total_size(self):
         sampler = LevelSampler(CC, COS, "gs")
         small = sample_many(sampler, 1, 2000, seed=7, experiment=9)
@@ -265,8 +290,8 @@ class TestSampleMany:
 
 
 class TestCouplingErrors:
-    def test_zero_noise_errors_vanish(self):
-        self_mse, pair_mse = coupling_errors(CC, [2, 3], 64, seed=1, degenerate=True)
+    def test_zero_noise_errors_vanish(self, zero_noise):
+        self_mse, pair_mse = coupling_errors(CC, [2, 3], 64, seed=1)
         np.testing.assert_allclose(self_mse, 0.0, atol=1e-28)
         np.testing.assert_allclose(pair_mse, 0.0, atol=1e-28)
 
