@@ -53,7 +53,8 @@ class RateFit:
 
 
 def stats_from_values(level: int, values: np.ndarray, aborted: int = 0) -> LevelStats:
-    finite = values[np.isfinite(values)]
+    mask = np.isfinite(values)
+    finite = values if mask.all() else values[mask]  # no copy when all are usable
     n = finite.size
     aborted = aborted + (values.size - n)
     if n == 0:

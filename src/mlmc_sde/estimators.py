@@ -201,6 +201,7 @@ def ml2r_last_level(epsilon: float, alpha: float, horizon: float = 1.0) -> int:
         raise ValueError("need epsilon > 0 and alpha > 0")
     half_log_t = 0.5 + math.log2(horizon)
     inner = half_log_t**2 + 2.0 / alpha * math.log2(math.sqrt(1.0 + 4.0 * alpha) / epsilon)
+    inner = max(inner, 0.0)  # negative for large epsilon: the floor level applies
     raw = math.sqrt(inner) + math.log2(horizon) - 0.5 + 1e-9
     if raw >= MAX_LEVEL + 1:
         raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")

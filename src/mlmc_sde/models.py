@@ -4,9 +4,9 @@ Each model exposes the Ito drift, the diffusion columns sigma^j, their
 pairwise Jacobian products (d sigma^j) sigma^m, the Stratonovich-corrected
 drift sigma^0 and exact flows of the drift / diffusion vector fields.
 Coefficients take and return states as arrays of shape (..., n), so a batch
-of Monte Carlo samples is just a leading axis.  The flows, which the
-splitting scheme calls several times per step, take and return a tuple of
-n coordinate arrays instead, so no call builds a new stacked state.
+of Monte Carlo samples is just a leading axis.  The flows and the Milstein
+terms, which the schemes call once or more per step, take and return a
+tuple of n coordinate arrays instead, so no call builds a new stacked state.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ class SdeModel:
         """sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j."""
         raise NotImplementedError
 
+    def milstein_terms(self, c: tuple) -> tuple:
+        """(b, {j: sigma^j}, {(j, m): (d sigma^j) sigma^m}) on coordinates c.
+
+        Each term is a tuple of n coordinates (arrays or scalars), None where
+        the coordinate is a structural zero; Jacobian pairs that vanish
+        entirely are left out.  Keys ascend, j before m.
+        """
+        raise NotImplementedError
+
     def drift_flow(self, c: tuple, t: float) -> tuple:
         """Exact solution of dx/dt = sigma^0(x) after time t, on coordinates c."""
         raise NotImplementedError
@@ -129,6 +138,10 @@ class ClarkCameronModel(SdeModel):
     def stratonovich_drift(self, x):
         # sigma^1, sigma^2 have vanishing self-corrections here
         return self.drift(x)
+
+    def milstein_terms(self, c):
+        u, s = c
+        return (None, self.mu), {1: (s, None), 2: (None, 1.0)}, {(1, 2): (1.0, None)}
 
     def drift_flow(self, c, t):
         u, s = c
@@ -226,6 +239,13 @@ class HestonModel(SdeModel):
             [self.rate - 0.5 * v, self.kappa * (self.theta - v) - 0.25 * self.sigma**2],
             axis=-1,
         )
+
+    def milstein_terms(self, c):
+        u, v = c
+        vol = self._vol(v)
+        return ((self.rate - 0.5 * v, self.kappa * (self.theta - v)),
+                {1: (vol, None), 2: (None, self.sigma * vol)},
+                {(1, 2): (0.5 * self.sigma, None), (2, 2): (None, 0.5 * self.sigma**2)})
 
     def drift_flow(self, c, t):
         u, v = c

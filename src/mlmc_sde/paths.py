@@ -76,11 +76,18 @@ class LevelPath:
     eta: np.ndarray
 
 
-def sample_level_path(stream: RngStream, grid: LevelGrid, d: int, m: int = 1) -> LevelPath:
-    """Draw fresh N(0, h_l) increments and +-1 signs for m coupled samples."""
+def sample_level_path(stream: RngStream, grid: LevelGrid, d: int, m: int = 1,
+                      signs: bool = True) -> LevelPath:
+    """Draw fresh N(0, h_l) increments and +-1 signs for m coupled samples.
+
+    The signs are drawn after the increments, so ``signs=False`` (eta of
+    shape (m, 0)) leaves the increments bit for bit as they are.
+    """
     steps = grid.steps
     gen = stream.generator()
     dw = gen.standard_normal((m, d, steps)) * math.sqrt(grid.step)
+    if not signs:
+        return LevelPath(dw, np.zeros((m, 0), dtype=np.int8))
     eta = (2 * gen.integers(0, 2, size=(m, steps), dtype=np.int8) - 1).astype(np.int8)
     return LevelPath(dw, eta)
 

@@ -73,17 +73,25 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
 
 
 def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndarray:
-    """One Milstein-without-Levy-areas step from a batch of states x (m, n)."""
-    out = x + model.drift(x) * h
-    for j in range(1, model.d + 1):
-        out = out + model.diffusion(j, x) * dw[..., j - 1, None]
-    for j in range(1, model.d + 1):
-        for k in range(1, model.d + 1):
-            corr = dw[..., j - 1] * dw[..., k - 1]
-            if j == k:
-                corr = corr - h
-            out = out + 0.5 * model.jacobian_product(j, k, x) * corr[..., None]
-    return out
+    """One Milstein-without-Levy-areas step from a batch of states x (m, n).
+
+    Each coordinate gets b h, then sigma^j dw^j in ascending j, then
+    (1/2) (d sigma^j) sigma^k (dw^j dw^k - [j = k] h) in (j, k) order; the
+    structural zeros (None) of ``model.milstein_terms`` are skipped.
+    """
+    drift, sigma, jac = model.milstein_terms(tuple(x.T))
+    w = np.ascontiguousarray(dw.T)  # the columns are read by several terms
+    terms = [(drift, h)] + [(col, w[j - 1]) for j, col in sigma.items()]
+    for (j, k), col in jac.items():
+        corr = w[j - 1] * w[k - 1]
+        terms.append((tuple(None if a is None else 0.5 * a for a in col),
+                       corr - h if j == k else corr))
+    out = list(x.T)
+    for col, dz in terms:
+        for i, a in enumerate(col):
+            if a is not None:
+                out[i] = out[i] + a * dz
+    return np.stack(out, axis=-1)
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
@@ -161,7 +169,8 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     if coarse and level < 1:
         raise ValueError(f"coupling {coupling!r} needs level >= 1")
     grid = LevelGrid(level, horizon)
-    path = sample_level_path(stream, grid, model.d, m)
+    signs = any(scheme == "nv" for scheme, _, _ in fine + coarse)
+    path = sample_level_path(stream, grid, model.d, m, signs)
     values = _mean_payoff(model, payoff, fine, grid, path.dw, path.eta)
     if coarse:
         values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),

@@ -13,7 +13,8 @@ def zero_noise(monkeypatch):
     ``schemes.sample_level_path``.  Pool workers do not see the patch, so
     tests that use it sample with one worker.
     """
-    def draw(stream, grid, d, m=1):
-        return LevelPath(np.zeros((m, d, grid.steps)), np.ones((m, grid.steps), dtype=np.int8))
+    def draw(stream, grid, d, m=1, signs=True):
+        steps = grid.steps if signs else 0
+        return LevelPath(np.zeros((m, d, grid.steps)), np.ones((m, steps), dtype=np.int8))
 
     monkeypatch.setattr(schemes, "sample_level_path", draw)

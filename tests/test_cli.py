@@ -301,6 +301,11 @@ class TestCommands:
         body = csv_body(tmp_path / "run.csv")
         assert body[1].split(",")[1] == "ml2r"
 
+    def test_run_ml2r_large_eps_plans_floor_level(self, tmp_path):
+        assert main(["run", "--estimator", "ml2r", "--coupling", "nv", "--eps", "100",
+                     "--alpha", "1", "--c1", "1", "--beta", "2", "--c2", "1",
+                     "--pilot-m", "2", "--out", str(tmp_path)]) == 0
+
     def test_run_with_fixed_rates_skips_pilot(self, tmp_path):
         assert main(["run", "--eps", "2^-5", "--coupling", "gs",
                      "--alpha", "1", "--c1", "0.16", "--beta", "2", "--c2", "0.15",

@@ -153,6 +153,11 @@ class TestMl2r:
     def test_last_level_clamps(self):
         assert ml2r_last_level(0.9, 2.0, 1.0) == 1
 
+    @pytest.mark.parametrize("epsilon", [10.0, 100.0, 1e12])
+    def test_last_level_large_eps_is_floor(self, epsilon):
+        # the term under the root goes negative here; the floor level applies
+        assert ml2r_last_level(epsilon, 1.0) == 1
+
     def test_theta(self):
         assert ml2r_theta(2.0, 0.3, 0.3, 1.0) == pytest.approx(1.0)
         assert ml2r_theta(2.0, 0.3, 1.2, 1.0) == pytest.approx(0.5)

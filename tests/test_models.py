@@ -159,6 +159,37 @@ class TestJacobianProducts:
                     np.testing.assert_allclose(fd, jp, rtol=1e-6, atol=1e-6)
 
 
+def stacked(terms, like):
+    """A coordinate tuple of milstein_terms as the stacked (m, n) array, zeros for None."""
+    return np.stack([np.zeros_like(like) if t is None else np.broadcast_to(t, like.shape)
+                     for t in terms], axis=-1)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMilsteinTerms:
+    @pytest.mark.parametrize("model", [
+        CC, HESTON, HestonModel(negative_variance="reflect")])
+    def test_matches_stacked_coefficients(self, model):
+        # the coordinate form is bit for bit the stacked closed forms, with
+        # v < 0 states so a NaN (error policy) lands where the stacked form has it
+        rng = np.random.default_rng(29)
+        x = random_states(model, rng, 64)
+        x[::4, 1] = -rng.uniform(0.1, 1.0, size=16)
+        drift, sigma, jac = model.milstein_terms(tuple(x.T))
+        assert_same_bits(stacked(drift, x[:, 0]), model.drift(x))
+        assert list(sigma) == list(range(1, model.d + 1))
+        for j, col in sigma.items():
+            assert_same_bits(stacked(col, x[:, 0]), model.diffusion(j, x))
+        assert list(jac) == sorted(jac)
+        for j in range(1, model.d + 1):
+            for k in range(1, model.d + 1):
+                col = jac.get((j, k), (None,) * model.n)
+                assert_same_bits(stacked(col, x[:, 0]), model.jacobian_product(j, k, x))
+
+
 class TestHestonValidation:
     def test_benchmark_xi(self):
         assert HESTON.xi == pytest.approx(0.89875, abs=0.0)

@@ -49,6 +49,14 @@ class TestStreams:
         assert path.eta.shape == (7, 16)
         assert set(np.unique(path.eta)) <= {-1, 1}
 
+    def test_sign_free_draw_keeps_increments(self):
+        # the signs are drawn last, so skipping them leaves the increments as they are
+        full = sample_level_path(RngStream(5, 2, 3, 1), LevelGrid(3), 2, m=9)
+        bare = sample_level_path(RngStream(5, 2, 3, 1), LevelGrid(3), 2, m=9, signs=False)
+        assert bare.dw.tobytes() == full.dw.tobytes()
+        assert bare.eta.shape == (9, 0) and bare.eta.dtype == np.int8
+        assert rademacher_coarse(bare.eta).shape == (9, 0)
+
     def test_increment_variance(self):
         # 10^6 draws at level 3, horizon 1: each increment ~ N(0, 1/8)
         path = sample_level_path(RngStream(77, 0, 3, 0), LevelGrid(3), 2, m=62_500)

@@ -57,6 +57,22 @@ class TestSteps:
             alone = nv_step(model, x[i:i + 1], h, dw[i:i + 1], eta[i:i + 1])
             np.testing.assert_array_equal(batch[i:i + 1], alone)
 
+    @pytest.mark.parametrize("model", [CC, HESTON, HestonModel(negative_variance="reflect")])
+    def test_gs_step_batch_equals_single_samples(self, model):
+        # each sample of a mixed batch is stepped bit for bit as if alone;
+        # the zero increments and v < 0 states cover skipped and NaN terms
+        rng = np.random.default_rng(47)
+        m, h = 12, 0.125
+        x = np.stack([rng.normal(size=m), rng.uniform(0.3, 2.5, size=m)], axis=-1)
+        x[::5, 1] = -0.5
+        dw = rng.normal(scale=np.sqrt(h), size=(m, 2))
+        dw[::3, 1] = 0.0
+        dw[1::4] = 0.0
+        batch = gs_step(model, x, h, dw)
+        for i in range(m):
+            alone = gs_step(model, x[i:i + 1], h, dw[i:i + 1])
+            np.testing.assert_array_equal(batch[i:i + 1], alone)
+
     def test_gs_step_hand_value(self):
         out = gs_step(CC, np.array([[0.0, 0.0]]), 1.0, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(out, [[0.5, 2.0]])
