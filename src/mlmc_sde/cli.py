@@ -310,19 +310,27 @@ def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     from .oracle import znv_second_moment
 
     sampler = LevelSampler(model, payoff, "nv", cfg.horizon)
-    rows, worst = [], 0.0
+    rows, warnings, worst = [], [], 0.0
     for level in _level_range(cfg):
         sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed, EXP_ORACLE, cfg.workers)
-        squares = sample.values**2
-        mc = float(squares.mean())
-        se = float(squares.std(ddof=1) / np.sqrt(squares.size))
         reference = znv_second_moment(level, cfg.mu, cfg.horizon).value
-        z = (mc - reference) / se
-        worst = max(worst, abs(z))
+        # an overflow leaves a statistic that is not finite, which fails the gate
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            squares = sample.values**2
+            mc = float(squares.mean())
+            se = float(squares.std(ddof=1) / np.sqrt(squares.size))
+            z = float(np.float64(mc - reference) / se)
+        if all(map(math.isfinite, (mc, se, z, reference))):
+            worst = max(worst, abs(z))
+        else:
+            worst = math.inf
+            warnings.append(f"level {level}: a statistic is not finite (estimate {mc:.6g}, "
+                            f"standard error {se:.6g}, oracle {reference:.6g}, z {z:.6g})")
         rows.append((level, mc, reference, z))
     passed = worst <= 4.0
     rows.append(("gate", "PASS" if passed else "FAIL", "", worst))
-    path = write_csv(cfg, "oracle-check", ("l", "mc_estimate", "oracle", "z_score"), rows)
+    path = write_csv(cfg, "oracle-check", ("l", "mc_estimate", "oracle", "z_score"), rows,
+                     warnings)
     print(f"oracle-check {'PASS' if passed else 'FAIL'} (max |z| = {worst:.2f}) -> {path}")
     return 0 if passed else 4
 

@@ -69,6 +69,7 @@ class SdeModel:
     d: int
 
     def initial_state(self, m: int) -> np.ndarray:
+        """m copies of the start point as an (m, n) batch stored coordinate-major."""
         raise NotImplementedError
 
     def drift(self, x: np.ndarray) -> np.ndarray:
@@ -115,7 +116,7 @@ class ClarkCameronModel(SdeModel):
     d = 2
 
     def initial_state(self, m):
-        return np.tile(np.array([self.u0, self.s0], dtype=float), (m, 1))
+        return np.repeat([[float(self.u0)], [float(self.s0)]], m, axis=1).T
 
     def drift(self, x):
         u = x[..., 0]
@@ -197,7 +198,7 @@ class HestonModel(SdeModel):
         return self.theta - self.sigma**2 / (4.0 * self.kappa)
 
     def initial_state(self, m):
-        return np.tile(np.array([self.u0, self.v0], dtype=float), (m, 1))
+        return np.repeat([[float(self.u0)], [float(self.v0)]], m, axis=1).T
 
     def _vol(self, v):
         # scheme-coefficient square root under the negative-variance policy

@@ -7,6 +7,7 @@ f(u, s) = u^2, and the exact E[U_T^2] of the SDE itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,15 @@ class OracleValue:
     provenance: str
 
 
+def _rounded(total: Fraction) -> float:
+    """Round a nonnegative exact value to a float once; past the float range
+    that is inf."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
 def znv_second_moment(level: int, mu: float = 1.0, horizon: float = 1.0) -> OracleValue:
     """Exact E[(Z^l)^2] for the nv coupling on Clark-Cameron with f = u^2.
 
@@ -35,9 +45,9 @@ def znv_second_moment(level: int, mu: float = 1.0, horizon: float = 1.0) -> Orac
     independent block terms, since the common S-propagation cancels) and
     cross-checked against exhaustive symbolic expectation of the coupled
     schemes at levels 1 and 2.  It is evaluated in exact rational
-    arithmetic and rounded once at the end: these coefficients are the
-    acceptance truth the sampling machinery is tested against, so no
-    floating-point reformulation is allowed.
+    arithmetic and rounded once at the end (to inf past the float range):
+    these coefficients are the acceptance truth the sampling machinery is
+    tested against, so no floating-point reformulation is allowed.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -50,7 +60,7 @@ def znv_second_moment(level: int, mu: float = 1.0, horizon: float = 1.0) -> Orac
         + quarter**3 * (_C3_MU2 * mu2 * t5 + _C3_1 * t4)
         + quarter**2 * (_C2_1 * t4)
     )
-    return OracleValue(float(total), "appendix-closed-form")
+    return OracleValue(_rounded(total), "appendix-closed-form")
 
 
 def cc_exact_usq_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) -> OracleValue:
@@ -62,4 +72,4 @@ def cc_exact_usq_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) ->
     t = Fraction(horizon)
     mu_f, s0_f = Fraction(mu), Fraction(s0)
     total = s0_f**2 * t + s0_f * mu_f * t**2 + mu_f**2 * t**3 / 3 + t**2 / 2
-    return OracleValue(float(total), "ito-isometry")
+    return OracleValue(_rounded(total), "ito-isometry")

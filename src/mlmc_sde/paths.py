@@ -3,7 +3,11 @@
 A level-l sample needs fine-grid Brownian increments, their coarse-grid
 aggregation, the antithetic pair swap and a Rademacher sign sequence with
 its coarse-grid subsampling.  Increment arrays have shape (m, d, steps)
-for a batch of m samples; sign arrays have shape (m, steps).
+for a batch of m samples; sign arrays have shape (m, steps).  Both are
+stored step-major (Fortran order: memory (steps, d, m) and (steps, m)),
+so the (m, d) increments and (m,) signs of one step, and each coordinate's
+row of them, are contiguous; ``coarsen``, ``antithetic_swap`` and
+``rademacher_coarse`` keep that order.
 """
 
 from __future__ import annotations
@@ -81,14 +85,18 @@ def sample_level_path(stream: RngStream, grid: LevelGrid, d: int, m: int = 1,
     """Draw fresh N(0, h_l) increments and +-1 signs for m coupled samples.
 
     The signs are drawn after the increments, so ``signs=False`` (eta of
-    shape (m, 0)) leaves the increments bit for bit as they are.
+    shape (m, 0)) leaves the increments bit for bit as they are.  Both are
+    drawn in C order and stored in Fortran order (see the module docstring);
+    the scaling runs in place on the Fortran copy, so at most two
+    block-sized arrays exist at once.
     """
     steps = grid.steps
     gen = stream.generator()
-    dw = gen.standard_normal((m, d, steps)) * math.sqrt(grid.step)
+    dw = np.asfortranarray(gen.standard_normal((m, d, steps)))
+    dw *= math.sqrt(grid.step)
     if not signs:
         return LevelPath(dw, np.zeros((m, 0), dtype=np.int8))
-    eta = (2 * gen.integers(0, 2, size=(m, steps), dtype=np.int8) - 1).astype(np.int8)
+    eta = np.asfortranarray(2 * gen.integers(0, 2, size=(m, steps), dtype=np.int8) - 1)
     return LevelPath(dw, eta)
 
 
@@ -115,4 +123,4 @@ def antithetic_swap(dw: np.ndarray) -> np.ndarray:
 def rademacher_coarse(eta: np.ndarray) -> np.ndarray:
     """Odd-position subvector (1st, 3rd, ...) driving the coarse-grid scheme."""
     _require_even(eta.shape[-1])
-    return np.ascontiguousarray(eta[..., 0::2])
+    return np.asfortranarray(eta[..., 0::2])

@@ -7,6 +7,11 @@ sign is +1, descending when it is -1), and the drift flow again.  The
 antithetic Milstein-type scheme ("gs") is the Milstein update with every
 Levy-area term deleted.
 
+States are (m, n) batches stored coordinate-major (``x.T`` is
+C-contiguous), so each coordinate a step reads is a contiguous row; the
+step slices of the increments and signs are contiguous in the
+step-major order of ``paths``.
+
 A level sample Z^l is the mean payoff over a set of fine-grid paths minus
 the mean over a set of coarse-grid paths on pairwise-summed increments;
 each coupling in ``COUPLINGS`` declares the two sets (Giles & Szpruch,
@@ -59,17 +64,19 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
 
     dw holds the step's increments (m, d); eta the +-1 signs (m,).  Both
     composition orders run on the whole batch and each sample keeps the one
-    its sign picks, which is the same arithmetic as stepping it alone.
+    its sign picks, which is the same arithmetic as stepping it alone.  The
+    new state is coordinate-major: an (m, n) view of an (n, m) array.
     """
     up = down = model.drift_flow(tuple(x.T), 0.5 * h)
-    w = np.ascontiguousarray(dw.T)  # each column is read by both orders
+    # rows read by both orders; no copy for a step slice of paths' increments
+    w = np.ascontiguousarray(dw.T)
     for j in range(1, model.d + 1):
         up = model.diffusion_flow(j, up, w[j - 1])
     for j in range(model.d, 0, -1):
         down = model.diffusion_flow(j, down, w[j - 1])
     plus = eta > 0
     y = tuple(np.where(plus, a, b) for a, b in zip(up, down))
-    return np.stack(model.drift_flow(y, 0.5 * h), axis=-1)
+    return np.stack(model.drift_flow(y, 0.5 * h)).T
 
 
 def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndarray:
@@ -77,10 +84,12 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
 
     Each coordinate gets b h, then sigma^j dw^j in ascending j, then
     (1/2) (d sigma^j) sigma^k (dw^j dw^k - [j = k] h) in (j, k) order; the
-    structural zeros (None) of ``model.milstein_terms`` are skipped.
+    structural zeros (None) of ``model.milstein_terms`` are skipped.  The
+    new state is coordinate-major, as in ``nv_step``.
     """
     drift, sigma, jac = model.milstein_terms(tuple(x.T))
-    w = np.ascontiguousarray(dw.T)  # the columns are read by several terms
+    # rows read by several terms; no copy for a step slice of paths' increments
+    w = np.ascontiguousarray(dw.T)
     terms = [(drift, h)] + [(col, w[j - 1]) for j, col in sigma.items()]
     for (j, k), col in jac.items():
         corr = w[j - 1] * w[k - 1]
@@ -91,7 +100,7 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
         for i, a in enumerate(col):
             if a is not None:
                 out[i] = out[i] + a * dz
-    return np.stack(out, axis=-1)
+    return np.stack(out).T
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,

@@ -250,6 +250,17 @@ class TestCommands:
         body = csv_body(tmp_path / "oracle-check.csv")
         assert body[-1].startswith("gate,PASS")
 
+    @pytest.mark.parametrize("mu", ["1e70", "1e100"])
+    def test_oracle_check_fails_on_a_non_finite_statistic(self, mu, tmp_path):
+        # at 1e70 the standard error overflows, which would read as z = 0; at
+        # 1e100 the squares and the closed form overflow too
+        assert main(["oracle-check", "--mu", mu, "--levels", "1..2", "--pilot-m", "100",
+                     "--out", str(tmp_path)]) == 4
+        path = tmp_path / "oracle-check.csv"
+        assert "# warning: level 1: a statistic is not finite" in path.read_text()
+        assert "# warning: level 2: a statistic is not finite" in path.read_text()
+        assert csv_body(path)[-1] == "gate,FAIL,,inf"
+
     def test_calibrate_smoke(self, tmp_path):
         assert main(["calibrate", "--coupling", "gs", "--pilot-m", "4000",
                      "--seed", "7", "--out", str(tmp_path)]) == 0

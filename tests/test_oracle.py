@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ class TestZnvSecondMoment:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             znv_second_moment(0)
+
+    def test_overflow_rounds_to_inf(self):
+        assert znv_second_moment(1, 1e100, 1.0).value == math.inf
 
     @given(mu=st.floats(0.0, 4.0), horizon=st.floats(0.25, 2.0))
     @settings(max_examples=30, deadline=None)
@@ -66,3 +71,6 @@ class TestExactSquareMean:
 
     def test_provenance(self):
         assert cc_exact_usq_mean().provenance == "ito-isometry"
+
+    def test_overflow_rounds_to_inf(self):
+        assert cc_exact_usq_mean(1e200, 1.0, 0.0).value == math.inf

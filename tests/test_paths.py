@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,34 @@ class TestStreams:
         path = sample_level_path(RngStream(78, 0, 3, 0), LevelGrid(3), 2, m=62_500)
         signs = path.eta.ravel().astype(float)
         assert abs(signs.mean()) < 3.0 / np.sqrt(signs.size)
+
+
+class TestLayout:
+    """Increments and signs are stored step-major (Fortran order), so the
+    slices a kernel reads per step are contiguous."""
+
+    def test_draws_equal_the_c_order_stream_in_fortran_order(self):
+        stream, grid, d, m = RngStream(9, 1, 3, 2), LevelGrid(3), 2, 16
+        path = sample_level_path(stream, grid, d, m)
+        gen = stream.generator()
+        dw = gen.standard_normal((m, d, grid.steps)) * math.sqrt(grid.step)
+        eta = 2 * gen.integers(0, 2, size=(m, grid.steps), dtype=np.int8) - 1
+        assert path.dw.flags.f_contiguous and not path.dw.flags.c_contiguous
+        assert path.eta.flags.f_contiguous and not path.eta.flags.c_contiguous
+        assert path.dw.tobytes() == dw.tobytes()
+        assert path.eta.dtype == np.int8 and path.eta.tobytes() == eta.tobytes()
+
+    def test_step_slices_are_contiguous(self):
+        path = sample_level_path(RngStream(4), LevelGrid(3), 2, m=5)
+        for k in range(8):
+            assert path.dw[:, :, k].T.flags.c_contiguous
+            assert path.eta[:, k].flags.c_contiguous
+
+    def test_derived_arrays_keep_the_order(self):
+        path = sample_level_path(RngStream(4), LevelGrid(3), 2, m=5)
+        for derived in (coarsen(path.dw), antithetic_swap(path.dw),
+                        rademacher_coarse(path.eta), -path.eta):
+            assert derived.flags.f_contiguous and not derived.flags.c_contiguous
 
 
 class TestCoarsen:

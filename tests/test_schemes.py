@@ -126,6 +126,29 @@ class TestSteps:
             simulate_path("euler", CC, grid, np.zeros((1, 2, 4)))
 
 
+class TestLayout:
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_states_are_coordinate_major(self, model):
+        path = sample_level_path(RngStream(6), LevelGrid(1), model.d, m=32)
+        x = model.initial_state(32)
+        steps = (nv_step(model, x, 0.5, path.dw[:, :, 0], path.eta[:, 0]),
+                 gs_step(model, x, 0.5, path.dw[:, :, 0]))
+        for state in (x, *steps):
+            assert state.shape == (32, model.n) and state.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("level", [1, 6])
+    @pytest.mark.parametrize("kind", ["nv", "gs"])
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_c_order_inputs_give_the_same_path(self, model, kind, level):
+        # a direct caller passing C-order arrays gets the sampling path's result
+        grid = LevelGrid(level)
+        path = sample_level_path(RngStream(11, 0, level, 0), grid, model.d, m=64)
+        dw, eta = np.ascontiguousarray(path.dw), np.ascontiguousarray(path.eta)
+        assert not dw.flags.f_contiguous and not eta.flags.f_contiguous
+        expected = simulate_path(kind, model, grid, path.dw, path.eta)
+        assert simulate_path(kind, model, grid, dw, eta).tobytes() == expected.tobytes()
+
+
 class TestLevelSampleAlgebra:
     def test_gs_level_one_linear_payoff_identity(self):
         # coupling the two-step scheme, its swap and the one-step scheme leaves
