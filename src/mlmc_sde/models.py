@@ -208,7 +208,7 @@ class HestonModel(SdeModel):
             return np.sqrt(v)
 
     def _flow_sqrt(self, v):
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise NegativeSqrtArgument("negative variance reached a flow square root")
         return np.sqrt(v)
 

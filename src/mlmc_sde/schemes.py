@@ -58,14 +58,29 @@ COUPLINGS = {
 COUPLING_COSTS = {tag: (len(fine), len(coarse)) for tag, (fine, coarse) in COUPLINGS.items()}
 
 
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b where the uint64 mask is all ones, a where it is zero.
+
+    The bits of each float are moved, never compared, so NaN payloads,
+    infinities and signed zeros come through as they were; unlike
+    ``np.where`` on a random boolean mask, no per-element branch is taken.
+    """
+    a = a.view(np.uint64)
+    out = a ^ b.view(np.uint64)
+    out &= mask
+    out ^= a
+    return out.view(np.float64)
+
+
 def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
             eta: np.ndarray) -> np.ndarray:
     """One splitting step from a batch of states x (m, n).
 
     dw holds the step's increments (m, d); eta the +-1 signs (m,).  Both
     composition orders run on the whole batch and each sample keeps the one
-    its sign picks, which is the same arithmetic as stepping it alone.  The
-    new state is coordinate-major: an (m, n) view of an (n, m) array.
+    its sign picks (ascending where eta > 0, descending elsewhere), which is
+    the same arithmetic as stepping it alone.  The new state is
+    coordinate-major: an (m, n) view of an (n, m) array.
     """
     up = down = model.drift_flow(tuple(x.T), 0.5 * h)
     # rows read by both orders; no copy for a step slice of paths' increments
@@ -74,8 +89,10 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
         up = model.diffusion_flow(j, up, w[j - 1])
     for j in range(model.d, 0, -1):
         down = model.diffusion_flow(j, down, w[j - 1])
-    plus = eta > 0
-    y = tuple(np.where(plus, a, b) for a, b in zip(up, down))
+    # all ones where eta > 0 is false: 1 - 1 = 0, and 0 - 1 wraps to 2^64 - 1
+    descending = (eta > 0).astype(np.uint64)
+    descending -= 1
+    y = tuple(_select(descending, a, b) for a, b in zip(up, down))
     return np.stack(model.drift_flow(y, 0.5 * h)).T
 
 
@@ -171,6 +188,9 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     pairwise-summed increments and odd-step signs (``COUPLINGS``).  A
     coupling with coarse paths needs level >= 1; one without runs at any
     level, which at level 0 is the one-step scheme of the level-0 estimator.
+    Overflow in the paths or payoffs, and the invalid operations that follow
+    it, are not warned about: the non-finite values they leave count as
+    aborted samples (``LevelSample.aborted``).
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r}")
@@ -180,10 +200,11 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     grid = LevelGrid(level, horizon)
     signs = any(scheme == "nv" for scheme, _, _ in fine + coarse)
     path = sample_level_path(stream, grid, model.d, m, signs)
-    values = _mean_payoff(model, payoff, fine, grid, path.dw, path.eta)
-    if coarse:
-        values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),
-                                       coarsen(path.dw), rademacher_coarse(path.eta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _mean_payoff(model, payoff, fine, grid, path.dw, path.eta)
+        if coarse:
+            values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),
+                                           coarsen(path.dw), rademacher_coarse(path.eta))
     return LevelSample(np.asarray(values, dtype=float), level, coupling)
 
 

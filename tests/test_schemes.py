@@ -57,6 +57,45 @@ class TestSteps:
             alone = nv_step(model, x[i:i + 1], h, dw[i:i + 1], eta[i:i + 1])
             np.testing.assert_array_equal(batch[i:i + 1], alone)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_nv_step_order_choice_matches_where_bit_for_bit(self, model, dtype):
+        # the composition order is picked as np.where(eta > 0, up, down) would
+        # pick it, bit for bit: NaN payloads, infinities and signed zeros pass
+        # through, and a zero sign takes the descending order
+        def where_step(x, h, dw, eta):
+            up = down = model.drift_flow(tuple(x.T), 0.5 * h)
+            for j in range(1, model.d + 1):
+                up = model.diffusion_flow(j, up, dw[:, j - 1])
+            for j in range(model.d, 0, -1):
+                down = model.diffusion_flow(j, down, dw[:, j - 1])
+            y = tuple(np.where(eta > 0, a, b) for a, b in zip(up, down))
+            return np.stack(model.drift_flow(y, 0.5 * h), axis=-1)
+
+        rng = np.random.default_rng(53)
+        h = 0.125
+        nan = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
+        # no -inf variance: Heston's flows reject a negative variance
+        special = [(nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (-0.0, 1.0), (0.0, 1.0),
+                   (0.3, nan), (0.3, np.inf), (0.3, -0.0), (0.3, 0.0)]
+        rows = [[u, v] for u, v in special] + [[u, v] for u, v in zip(
+            rng.normal(size=8), rng.uniform(0.3, 2.5, size=8))]
+        # every row once under each sign
+        x = np.repeat(np.array(rows), 3, axis=0)
+        eta = np.tile(np.array([1, -1, 0], dtype=dtype), len(rows))
+        dw = rng.normal(scale=np.sqrt(h), size=(len(x), 2))
+        dw[-6:-3] = -0.0
+        with np.errstate(all="ignore"):
+            out = nv_step(model, x, h, dw, eta)
+            np.testing.assert_array_equal(out.view(np.uint64),
+                                          where_step(x, h, dw, eta).view(np.uint64))
+            zero = eta == 0
+            descending = nv_step(model, x[zero], h, dw[zero], -np.ones(zero.sum(), dtype=dtype))
+            ascending = nv_step(model, x[zero], h, dw[zero], np.ones(zero.sum(), dtype=dtype))
+        np.testing.assert_array_equal(out[zero].view(np.uint64), descending.view(np.uint64))
+        # the two orders differ, so the choice is exercised
+        assert not np.array_equal(descending, ascending, equal_nan=True)
+
     @pytest.mark.parametrize("model", [CC, HESTON, HestonModel(negative_variance="reflect")])
     def test_gs_step_batch_equals_single_samples(self, model):
         # each sample of a mixed batch is stepped bit for bit as if alone;
