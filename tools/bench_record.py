@@ -62,10 +62,7 @@ def _bench(root: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def _summary(values: list[float], unit: str) -> dict:
-    if len(values) > 1:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        q1 = q3 = values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"unit": unit, "median": statistics.median(values), "iqr": q3 - q1,
             "values": values}
 
