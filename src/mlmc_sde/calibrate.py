@@ -16,15 +16,19 @@ import numpy as np
 from .schemes import LevelSample, LevelSampler, sample_many
 
 
-class ZeroMean(ValueError):
+class SamplingFailure(Exception):
+    """Base of every failure of the sampling or the fits drawn from it (exit 3)."""
+
+
+class ZeroMean(SamplingFailure, ValueError):
     """All usable level means vanish; log-scale regression is impossible."""
 
 
-class IllConditioned(ValueError):
+class IllConditioned(SamplingFailure, ValueError):
     """Fewer than two usable points were supplied to a rate fit."""
 
 
-class NoUsableSamples(ValueError):
+class NoUsableSamples(SamplingFailure, ValueError):
     """Every sample of a level aborted or came out non-finite."""
 
 
@@ -52,11 +56,11 @@ class RateFit:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def stats_from_values(level: int, values: np.ndarray, aborted: int = 0) -> LevelStats:
+def stats_from_values(level: int, values: np.ndarray) -> LevelStats:
     mask = np.isfinite(values)
     finite = values if mask.all() else values[mask]  # no copy when all are usable
     n = finite.size
-    aborted = aborted + (values.size - n)
+    aborted = values.size - n
     if n == 0:
         raise NoUsableSamples(f"level {level}: no usable samples")
     mean = float(finite.mean())

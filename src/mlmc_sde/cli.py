@@ -43,13 +43,19 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag is a configuration error like any other
+        self.exit(2, f"{self.format_usage()}configuration error: {message}\n")
+
+
 def parse_eps(text: str) -> float:
-    """Accept plain floats and power forms like 2^-6."""
+    """Accept plain floats and power forms like 2^-6 that give a real float."""
     text = text.strip()
-    if "^" in text:
-        base, expo = text.split("^", 1)
-        return float(base) ** float(expo)
-    return float(text)
+    base, power, expo = text.partition("^")
+    try:
+        return math.pow(float(base), float(expo)) if power else float(text)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{text!r} is not a real number") from None
 
 
 def parse_levels(text: str) -> tuple[int, int]:
@@ -62,14 +68,24 @@ def parse_levels(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _option(default, parse=str, choices=None, repeat=False, help=None):
+# the checks an option can declare: (test of one value, what the test requires)
+POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+FINITE = (math.isfinite, "finite")
+AT_LEAST_1 = (lambda n: n >= 1, "at least 1")
+AT_LEAST_2 = (lambda n: n >= 2, "at least 2")
+# every coupled sample and the splitting-scheme errors start at level 1
+LEVEL_RANGE = (lambda r: 1 <= r[0] and r[1] <= MAX_LEVEL, f"a range inside 1..{MAX_LEVEL}")
+
+
+def _option(default, parse=str, choices=None, repeat=False, check=None, help=None):
     """A config field that is also a --flag and a config-file key.
 
     ``parse`` turns one text value into the field's type; ``repeat`` makes
-    the flag repeatable and the field a tuple.
+    the flag repeatable and the field a tuple; ``check`` is the rule every
+    value other than None must meet.
     """
     return field(default=default, metadata={
-        "parse": parse, "choices": choices, "repeat": repeat, "help": help})
+        "parse": parse, "choices": choices, "repeat": repeat, "check": check, "help": help})
 
 
 @dataclass
@@ -79,17 +95,19 @@ class ExperimentConfig:
     coupling: tuple[str, ...] = _option((), choices=LEVEL_COUPLINGS, repeat=True,
                                         help="level coupling; repeatable")
     estimator: str = _option("mlmc", choices=("mlmc", "ml2r"))
-    eps: tuple[float, ...] = _option((), parse_eps, repeat=True,
+    eps: tuple[float, ...] = _option((), parse_eps, repeat=True, check=POSITIVE,
                                      help="target RMSE; repeatable; accepts 2^-6 form")
     seed: int = _option(12345, int, help="root seed of every random stream")
-    pilot_m: int = _option(10_000, int,
+    pilot_m: int = _option(10_000, int, check=AT_LEAST_2,
                            help="samples per level for pilots and experiment estimates")
-    levels: tuple[int, int] | None = _option(None, parse_levels, help="level range a..b")
+    levels: tuple[int, int] | None = _option(None, parse_levels, check=LEVEL_RANGE,
+                                             help="level range a..b")
     out: str = _option(".", help="output directory")
-    workers: int = _option(1, int, help="sampling processes (results do not depend on it)")
+    workers: int = _option(1, int, check=AT_LEAST_1,
+                           help="sampling processes (results do not depend on it)")
     negative_variance: str = _option("error", choices=("error", "reflect"),
                                      help="Heston Milstein-type scheme: abort or reflect")
-    horizon: float = _option(1.0, float, help="time horizon T")
+    horizon: float = _option(1.0, float, check=POSITIVE, help="time horizon T")
     mu: float = _option(1.0, float, help="Clark-Cameron drift of S")
     u0: float = _option(0.0, float, help="initial first coordinate")
     s0: float = _option(0.0, float, help="Clark-Cameron initial S")
@@ -100,10 +118,11 @@ class ExperimentConfig:
     v0: float = _option(1.0, float, help="Heston initial variance")
     nv_level0: str = _option("averaged", choices=("averaged", "single"),
                              help="level-0 splitting sample: both orders averaged or one")
-    alpha: float | None = _option(None, float, help="fixed weak order (skips the rate pilot)")
-    c1: float | None = _option(None, float, help="fixed weak constant")
-    beta: float | None = _option(None, float, help="fixed variance order")
-    c2: float | None = _option(None, float, help="fixed variance constant")
+    alpha: float | None = _option(None, float, check=POSITIVE,
+                                  help="fixed weak order (skips the rate pilot)")
+    c1: float | None = _option(None, float, check=FINITE, help="fixed weak constant")
+    beta: float | None = _option(None, float, check=POSITIVE, help="fixed variance order")
+    c2: float | None = _option(None, float, check=POSITIVE, help="fixed variance constant")
 
 
 COMMAND_DEFAULTS = {
@@ -151,7 +170,7 @@ def read_config_file(path: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlmc-sde",
         description="Multilevel Monte Carlo experiments for SDE splitting schemes.",
     )
@@ -168,47 +187,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    layers = [COMMAND_DEFAULTS[args.command]]
+    values = dict(COMMAND_DEFAULTS[args.command])
     if args.config:
-        layers.append(read_config_file(args.config))
-    layers.append({
+        values.update(read_config_file(args.config))
+    values.update({
         f.name: tuple(value) if f.metadata["repeat"] else value
         for f in fields(ExperimentConfig)
         if (value := getattr(args, f.name)) is not None
     })
-    for layer in layers:
-        for key, value in layer.items():
-            setattr(cfg, key, value)
+    cfg = ExperimentConfig(**values)
     _validate(cfg, args.command)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig, command: str):
-    if cfg.pilot_m < 2:
-        raise ConfigError("pilot-m must be at least 2")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if not all(0 < e < math.inf for e in cfg.eps):
-        raise ConfigError("eps values must be positive and finite")
-    for name in ("alpha", "beta", "c2"):
-        value = getattr(cfg, name)
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite")
-    if cfg.c1 is not None and not math.isfinite(cfg.c1):
-        raise ConfigError("c1 must be finite")
-    if cfg.horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    # every coupled sample and the splitting-scheme errors start at level 1
-    if cfg.levels is not None and cfg.levels[0] < 1:
-        raise ConfigError(f"{command} needs levels >= 1")
-    if cfg.levels is not None and cfg.levels[1] > MAX_LEVEL:
-        raise ConfigError(f"levels above {MAX_LEVEL} are not supported")
+    for f in fields(ExperimentConfig):
+        value, check = getattr(cfg, f.name), f.metadata["check"]
+        values = value if f.metadata["repeat"] else (value,)
+        if check is not None and not all(v is None or check[0](v) for v in values):
+            raise ConfigError(f"{f.name.replace('_', '-')} must be {check[1]}")
     if command in ("run", "sweep") and not cfg.eps:
         raise ConfigError(f"{command} needs at least one --eps")
-    if command in ("run", "sweep"):
-        if cfg.estimator == "ml2r" and any(c == "gs-nv" for c in cfg.coupling):
-            raise ConfigError("the ml2r estimator pairs with gs or nv couplings only")
+    if command in ("run", "sweep") and cfg.estimator == "ml2r" and "gs-nv" in cfg.coupling:
+        raise ConfigError("the ml2r estimator pairs with gs or nv couplings only")
     if command == "oracle-check":
         if cfg.model != "clark-cameron" or cfg.payoff != "u-squared":
             raise ConfigError("oracle-check is defined for clark-cameron with payoff u-squared")
@@ -234,9 +235,7 @@ def _fmt(x) -> str:
 
 def write_csv(cfg: ExperimentConfig, command: str, columns, rows,
               warnings=()) -> Path:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{command}.csv"
+    path = Path(cfg.out) / f"{command}.csv"
     echo = config_echo(cfg, command)
     provenance = hashlib.sha1("\n".join(echo).encode()).hexdigest()[:12]
     lines = [f"# {line}" for line in echo]
@@ -432,14 +431,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         model = build_model(cfg.model, **vars(cfg))
         payoff = Payoff(cfg.payoff, rate=cfg.rate, maturity=cfg.horizon)
-    except (ConfigError, ValueError, OSError) as exc:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         return COMMANDS[args.command](cfg, model, payoff)
-    except (est.SamplingError, cal.ZeroMean, cal.IllConditioned, cal.NoUsableSamples,
-            est.ZeroWeakConstant, est.MissingLastLevelVariance,
-            est.NonpositiveVariance, est.LevelTooDeep) as exc:
+    except cal.SamplingFailure as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 3
 

@@ -31,23 +31,23 @@ EXP_TABLE = EXP_VLAST + 64
 ABORT_TOLERANCE = 0.01
 
 
-class ZeroWeakConstant(ValueError):
+class ZeroWeakConstant(cal.SamplingFailure, ValueError):
     """The weak-error constant is zero; the last level cannot be sized."""
 
 
-class MissingLastLevelVariance(ValueError):
+class MissingLastLevelVariance(cal.SamplingFailure, ValueError):
     """The gs-nv plan needs a pilot variance for its final level."""
 
 
-class NonpositiveVariance(ValueError):
+class NonpositiveVariance(cal.SamplingFailure, ValueError):
     """A variance that must be positive was zero or negative."""
 
 
-class LevelTooDeep(ValueError):
+class LevelTooDeep(cal.SamplingFailure, ValueError):
     """The planned last level lies beyond paths.MAX_LEVEL."""
 
 
-class SamplingError(RuntimeError):
+class SamplingError(cal.SamplingFailure, RuntimeError):
     """Too many samples aborted at some level of a run."""
 
 

@@ -28,6 +28,13 @@ class NegativeSqrtArgument(ValueError):
 PAYOFF_LABELS = ("cos-u", "u-squared", "u-plus", "heston-call")
 
 
+def _require_finite(params) -> None:
+    """Reject a float field of the dataclass instance ``params`` that is not finite."""
+    for f in fields(params):
+        if f.type == "float" and not np.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(params, f.name)}")
+
+
 @dataclass(frozen=True)
 class Payoff:
     """Terminal payoff f(X_T), selected by label.
@@ -44,6 +51,7 @@ class Payoff:
     def __post_init__(self):
         if self.label not in PAYOFF_LABELS:
             raise ValueError(f"unknown payoff label {self.label!r}")
+        _require_finite(self)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         u = np.asarray(x)[..., 0]
@@ -67,6 +75,9 @@ class SdeModel:
 
     n: int
     d: int
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def initial_state(self, m: int) -> np.ndarray:
         """m copies of the start point as an (m, n) batch stored coordinate-major."""
@@ -182,6 +193,7 @@ class HestonModel(SdeModel):
     d = 2
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
         if 2.0 * self.kappa * self.theta < self.sigma**2:

@@ -1,10 +1,13 @@
 import hashlib
+import importlib
+import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlmc_sde
 from mlmc_sde import calibrate, cli, estimators, schemes
 from mlmc_sde.cli import (
     ConfigError,
@@ -16,7 +19,8 @@ from mlmc_sde.cli import (
     read_config_file,
     resolve_config,
 )
-from mlmc_sde.paths import MAX_LEVEL
+from mlmc_sde.models import MODELS, NegativeSqrtArgument
+from mlmc_sde.paths import MAX_LEVEL, OddStepCount
 
 
 def csv_body(path):
@@ -480,3 +484,102 @@ class TestStreamKeys:
             for other, other_run in streams.items():
                 assert other == epsilon or not run & other_run, \
                     f"eps {epsilon} and {other} share run streams"
+
+
+def exit_code(argv) -> int:
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+FIXED_RATES = ["--alpha", "1", "--c1", "0.16", "--beta", "2", "--c2", "0.15"]
+
+# every float-valued option, whatever its check or the model that reads it
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if "float" in f.type]
+
+
+def model_reading(name: str) -> str:
+    """The model with a parameter of this name, else the default model."""
+    return next((label for label, cls in MODELS.items()
+                 if name in {f.name for f in fields(cls)}), "clark-cameron")
+
+
+class TestNonFiniteValues:
+    """Every failure is an exit code and a `configuration error:` line, not a
+    traceback, and it comes before any draw."""
+
+    def test_float_fields_are_found(self):
+        assert {"eps", "horizon", "mu", "kappa", "alpha", "c1"} <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_exits_two(self, name, value, tmp_path, no_draws, capsys):
+        flag = "--" + name.replace("_", "-")
+        argv = ["run", "--model", model_reading(name), "--eps", "2^-4", *FIXED_RATES,
+                f"{flag}={value}", "--out", str(tmp_path)]
+        assert exit_code(argv) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0^-1", "10^400", "-2^0.5"])
+    def test_eps_power_without_a_real_value(self, text, tmp_path, no_draws, capsys):
+        with pytest.raises(ValueError):
+            parse_eps(text)
+        assert exit_code(["run", f"--eps={text}", "--out", str(tmp_path)]) == 2
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(f"eps = {text}\n")
+        assert exit_code(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 2 and "Traceback" not in err
+
+    def test_out_below_a_regular_file_exits_two(self, tmp_path, no_draws, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert exit_code(["run", "--eps", "2^-4", "--out", str(blocker / "sub")]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--mu", "nan"],
+        ["oracle-check", "--horizon", "inf"],
+        ["strong-order", "--horizon", "nan"],
+        ["run", "--model", "heston", "--kappa", "nan", "--eps", "2^-4"],
+    ], ids=["oracle-mu", "oracle-horizon", "strong-horizon", "heston-kappa"])
+    def test_bad_problem_exits_two_before_any_draw(self, argv, tmp_path, no_draws, capsys):
+        assert exit_code([*argv, "--out", str(tmp_path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+
+def exception_classes():
+    """Every exception class defined in a mlmc_sde module."""
+    found = set()
+    for info in pkgutil.iter_modules(mlmc_sde.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"mlmc_sde.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+class TestExceptionContract:
+    def test_every_exception_has_an_exit_code(self):
+        # OddStepCount and NegativeSqrtArgument guard internal invariants that
+        # no configuration reaches
+        mapped = (ConfigError, calibrate.SamplingFailure, OddStepCount, NegativeSqrtArgument)
+        classes = exception_classes()
+        assert calibrate.SamplingFailure in classes
+        unmapped = [cls.__qualname__ for cls in classes if not issubclass(cls, mapped)]
+        assert not unmapped
+
+    @pytest.mark.parametrize("cls", [cls for cls in exception_classes()
+                                     if issubclass(cls, calibrate.SamplingFailure)],
+                             ids=lambda cls: cls.__qualname__)
+    def test_sampling_failures_exit_three(self, cls, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise cls("injected")
+
+        monkeypatch.setitem(cli.COMMANDS, "calibrate", fail)
+        assert main(["calibrate", "--out", str(tmp_path)]) == 3
+        assert "sampling failure: injected" in capsys.readouterr().err

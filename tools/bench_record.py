@@ -8,11 +8,13 @@ Usage (from anywhere):
 ``record`` runs ``perfbench/run.py`` of the checkout (default: this one) for
 every workload at seeds 1-3, once with ``--trace 0`` (end-to-end metrics)
 and once with ``--trace 1`` (per-layer metrics), and writes
-``bench/BENCH_<short rev>.json`` in this repository.  The file holds the git
-rev, the machine (nproc, CPU model, Python and numpy versions), the median
-and interquartile range over the seeds of each metric with its per-seed
-values, and the failed-check counts.  ``compare`` prints each median of NEW
-beside OLD's, with the ratio and OLD's relative spread.
+``bench/BENCH_<short rev>.json`` in this repository.  It also runs the Tier-1
+suite of the checkout once.  The file holds the git rev, the machine (nproc,
+CPU model, Python and numpy versions), the median and interquartile range
+over the seeds of each metric with its per-seed values, the failed-check
+counts, and the Tier-1 wall time with its pass/fail counts.  ``compare``
+prints the Tier-1 results of both files, then each median of NEW beside
+OLD's, with the ratio and OLD's relative spread.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,9 @@ HERE = Path(__file__).resolve().parent
 OUT = HERE.parent / "bench"
 SEEDS = (1, 2, 3)
 SECONDS = 5.0  # perfbench --seconds per invocation; it runs at least 2 children
+# the Tier-1 command of ROADMAP.md, run from the checkout's root with its src/ on PYTHONPATH
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_OUTCOMES = ("passed", "failed", "error", "skipped", "xfailed", "xpassed")
 NOTE = ("Recorded on a shared 2-core virtual machine whose CPU speed drifts by up to "
         "+-15% over minutes: a ratio between two files inside that band is noise unless "
         "alternating pairs of runs confirm it, and pool speedup cannot exceed 2.")
@@ -61,6 +68,33 @@ def _bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _tier1(root: Path) -> dict:
+    """Wall time, exit code and outcome counts of one Tier-1 run in the checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"),
+                                                      env.get("PYTHONPATH"))))
+    print(f"bench_record: PYTHONPATH=src python {' '.join(TIER1)}", file=sys.stderr)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    summary = lines[-1].strip("= ") if lines else ""
+    # "1 error" and "2 errors" both count as error
+    counts = {word: int(n) for n, word in
+              re.findall(rf"(\d+) ({'|'.join(TIER1_OUTCOMES)})", summary)}
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "wall_s": wall,
+            "exit_code": done.returncode, "summary": summary,
+            **{k: counts.get(k, 0) for k in TIER1_OUTCOMES}}
+
+
+def _tier1_line(run: dict | None) -> str:
+    if run is None:
+        return "not recorded"
+    return (f"{run['passed']} passed, {run['failed']} failed, {run['error']} errors "
+            f"in {run['wall_s']:.1f} s (exit {run['exit_code']})")
+
+
 def _summary(values: list[float], unit: str) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"unit": unit, "median": statistics.median(values), "iqr": q3 - q1,
@@ -86,6 +120,7 @@ def record(root: Path) -> Path:
         "seeds": SEEDS,
         "seconds": SECONDS,
         "workloads": {},
+        "tier1": _tier1(root),
     }
     for workload in (w["name"] for w in workloads):
         plain, traced = [], []
@@ -107,7 +142,9 @@ def record(root: Path) -> Path:
 
 def compare(old_path: Path, new_path: Path) -> None:
     old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
-    print(f"# {old['rev'][:7]} -> {new['rev'][:7]}: medians, new / old, (old IQR / old median)")
+    print(f"# {old['rev'][:7]} -> {new['rev'][:7]}")
+    print(f"tier-1: {_tier1_line(old.get('tier1'))} -> {_tier1_line(new.get('tier1'))}")
+    print("# medians, new / old, (old IQR / old median)")
     for workload, a in old["workloads"].items():
         b = new["workloads"].get(workload)
         if b is None:
