@@ -43,11 +43,6 @@ class ConfigError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a bad flag is a configuration error like any other
-        self.exit(2, f"{self.format_usage()}configuration error: {message}\n")
-
-
 def parse_eps(text: str) -> float:
     """Accept plain floats and power forms like 2^-6 that give a real float."""
     text = text.strip()
@@ -135,10 +130,10 @@ COMMAND_DEFAULTS = {
 }
 
 
-def _parse_value(f, raw: str):
-    """One config-file value, parsed and checked like its flag."""
+def _parse_value(f, tokens: list[str]):
+    """The text values of one option, from a flag or a config-file line,
+    parsed and checked against its choices."""
     parse, choices = f.metadata["parse"], f.metadata["choices"]
-    tokens = raw.replace(",", " ").split() if f.metadata["repeat"] else [raw]
     values = tuple(parse(tok) for tok in tokens)
     for value in values:
         if choices is not None and value not in choices:
@@ -162,15 +157,16 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not raw:
             raise ConfigError(f"{path}:{lineno}: {key} has no value")
+        tokens = raw.replace(",", " ").split() if options[key].metadata["repeat"] else [raw]
         try:
-            values[key] = _parse_value(options[key], raw)
+            values[key] = _parse_value(options[key], tokens)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="mlmc-sde",
         description="Multilevel Monte Carlo experiments for SDE splitting schemes.",
     )
@@ -180,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         for f in fields(ExperimentConfig):
             meta = f.metadata
-            p.add_argument("--" + f.name.replace("_", "-"), type=meta["parse"],
-                           choices=meta["choices"],
+            # values stay text here and are parsed like config-file values
+            p.add_argument("--" + f.name.replace("_", "-"), choices=meta["choices"],
                            action="append" if meta["repeat"] else "store", help=meta["help"])
     return parser
 
@@ -190,11 +186,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     values = dict(COMMAND_DEFAULTS[args.command])
     if args.config:
         values.update(read_config_file(args.config))
-    values.update({
-        f.name: tuple(value) if f.metadata["repeat"] else value
-        for f in fields(ExperimentConfig)
-        if (value := getattr(args, f.name)) is not None
-    })
+    for f in fields(ExperimentConfig):
+        if (raw := getattr(args, f.name)) is not None:
+            try:
+                values[f.name] = _parse_value(f, raw if f.metadata["repeat"] else [raw])
+            except ValueError as exc:
+                raise ConfigError(f"--{f.name.replace('_', '-')}: {exc}") from None
     cfg = ExperimentConfig(**values)
     _validate(cfg, args.command)
     return cfg
