@@ -103,14 +103,14 @@ class ExperimentConfig:
     negative_variance: str = _option("error", choices=("error", "reflect"),
                                      help="Heston Milstein-type scheme: abort or reflect")
     horizon: float = _option(1.0, float, check=POSITIVE, help="time horizon T")
-    mu: float = _option(1.0, float, help="Clark-Cameron drift of S")
-    u0: float = _option(0.0, float, help="initial first coordinate")
-    s0: float = _option(0.0, float, help="Clark-Cameron initial S")
-    rate: float = _option(0.05, float, help="Heston interest rate")
-    kappa: float = _option(0.5, float, help="Heston mean-reversion speed")
-    theta: float = _option(0.9, float, help="Heston long-run variance")
-    sigma: float = _option(0.05, float, help="Heston volatility of variance")
-    v0: float = _option(1.0, float, help="Heston initial variance")
+    mu: float = _option(1.0, float, check=FINITE, help="Clark-Cameron drift of S")
+    u0: float = _option(0.0, float, check=FINITE, help="initial first coordinate")
+    s0: float = _option(0.0, float, check=FINITE, help="Clark-Cameron initial S")
+    rate: float = _option(0.05, float, check=FINITE, help="Heston interest rate")
+    kappa: float = _option(0.5, float, check=FINITE, help="Heston mean-reversion speed")
+    theta: float = _option(0.9, float, check=FINITE, help="Heston long-run variance")
+    sigma: float = _option(0.05, float, check=FINITE, help="Heston volatility of variance")
+    v0: float = _option(1.0, float, check=FINITE, help="Heston initial variance")
     nv_level0: str = _option("averaged", choices=("averaged", "single"),
                              help="level-0 splitting sample: both orders averaged or one")
     alpha: float | None = _option(None, float, check=POSITIVE,

@@ -7,7 +7,8 @@ for a batch of m samples; sign arrays have shape (m, steps).  Both are
 stored step-major (Fortran order: memory (steps, d, m) and (steps, m)),
 so the (m, d) increments and (m,) signs of one step, and each coordinate's
 row of them, are contiguous; ``coarsen``, ``antithetic_swap`` and
-``rademacher_coarse`` keep that order.
+``rademacher_coarse`` keep that order.  The sampling path reads their
+values per step instead of building them (``schemes.simulate_path``).
 """
 
 from __future__ import annotations
@@ -80,23 +81,31 @@ class LevelPath:
     eta: np.ndarray
 
 
-def sample_level_path(stream: RngStream, grid: LevelGrid, d: int, m: int = 1,
-                      signs: bool = True) -> LevelPath:
-    """Draw fresh N(0, h_l) increments and +-1 signs for m coupled samples.
+def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) -> LevelPath:
+    """Draw fresh N(0, h_l) increments and +-1 signs for a batch of blocks.
 
-    The signs are drawn after the increments, so ``signs=False`` (eta of
-    shape (m, 0)) leaves the increments bit for bit as they are.  Both are
-    drawn in C order and stored in Fortran order (see the module docstring);
-    the scaling runs in place on the Fortran copy, so at most two
-    block-sized arrays exist at once.
+    ``stream`` and ``m`` are one block's stream and sample count, or equal-
+    length sequences of them.  Each block's normals are drawn in C order from
+    its own stream into its rows of one Fortran-order array (see the module
+    docstring), then its signs in one ``integers`` call: an int8 call buffers
+    random bits, so splitting it could change the stream.  ``signs=False``
+    (eta of shape (m, 0)) leaves the increments bit for bit as they are.
     """
+    streams, counts = (stream, m) if isinstance(m, (list, tuple)) else ((stream,), (m,))
     steps = grid.steps
-    gen = stream.generator()
-    dw = np.asfortranarray(gen.standard_normal((m, d, steps)))
+    dw = np.empty((sum(counts), d, steps), order="F")
+    eta = np.empty((sum(counts), steps if signs else 0), dtype=np.int8, order="F")
+    rows = max(1, 2**17 // (d * steps))  # C-order normals drawn at most 1 MiB at a time
+    start = 0
+    for block, count in zip(streams, counts):
+        gen = block.generator()
+        for lo in range(start, start + count, rows):
+            dw[lo:min(lo + rows, start + count)] = gen.standard_normal(
+                (min(rows, start + count - lo), d, steps))
+        if signs:
+            eta[start:start + count] = 2 * gen.integers(0, 2, (count, steps), dtype=np.int8) - 1
+        start += count
     dw *= math.sqrt(grid.step)
-    if not signs:
-        return LevelPath(dw, np.zeros((m, 0), dtype=np.int8))
-    eta = np.asfortranarray(2 * gen.integers(0, 2, size=(m, steps), dtype=np.int8) - 1)
     return LevelPath(dw, eta)
 
 

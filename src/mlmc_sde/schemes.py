@@ -28,17 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import Payoff, SdeModel
-from .paths import (
-    LevelGrid,
-    RngStream,
-    antithetic_swap,
-    coarsen,
-    rademacher_coarse,
-    sample_level_path,
-)
+from .paths import LevelGrid, RngStream, sample_level_path
 
 # samples per RNG block; fixed so results never depend on the worker count
 BLOCK_SAMPLES = 4096
+# consecutive blocks sampled in one kernel call: at most this many blocks and
+# this many float64 increments (8 MiB)
+BATCH_BLOCKS = 4
+BATCH_INCREMENTS = 2**20
 
 # one path of a level sample: (scheme, swap increments, negate signs)
 _NV_FINE = (("nv", False, False), ("nv", True, False), ("nv", False, True), ("nv", True, True))
@@ -121,23 +118,32 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
-                  eta: np.ndarray | None = None) -> np.ndarray:
-    """Terminal state after all grid steps; "gs" ignores eta."""
-    steps = grid.steps
-    if dw.shape[-1] != steps or dw.shape[-2] != model.d:
-        raise ValueError(f"increments shaped {dw.shape} do not match d={model.d}, steps={steps}")
+                  eta: np.ndarray | None = None, swap: bool = False, negate: bool = False,
+                  coarse: bool = False) -> np.ndarray:
+    """Terminal state after all grid steps; "gs" ignores eta.
+
+    The flags read derived increments per step, with the arithmetic of the
+    arrays ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``),
+    ``negate`` flips the signs, and ``coarse`` reads dw and eta of the next
+    finer grid pairwise (``coarsen`` and ``rademacher_coarse``).
+    """
+    steps, fold = grid.steps, 2 if coarse else 1
+    if dw.shape[-1] != fold * steps or dw.shape[-2] != model.d or (swap and steps % 2):
+        raise ValueError(f"increments shaped {dw.shape} do not match d={model.d}, "
+                         f"steps={steps}, coarse={coarse}, swap={swap}")
+    if kind == "nv" and (eta is None or eta.shape[-1] != fold * steps):
+        raise ValueError("nv needs one Rademacher sign per step")
+    if kind not in ("nv", "gs"):
+        raise ValueError(f"unknown scheme kind {kind!r}")
     x = model.initial_state(dw.shape[0])
     h = grid.step
-    if kind == "nv":
-        if eta is None or eta.shape[-1] != steps:
-            raise ValueError("nv needs one Rademacher sign per step")
-        for k in range(steps):
-            x = nv_step(model, x, h, dw[:, :, k], eta[:, k])
-    elif kind == "gs":
-        for k in range(steps):
-            x = gs_step(model, x, h, dw[:, :, k])
-    else:
-        raise ValueError(f"unknown scheme kind {kind!r}")
+    for k in range(steps):
+        j = fold * k
+        w = dw[:, :, j] + dw[:, :, j + 1] if coarse else dw[:, :, k ^ swap]
+        if kind == "gs":
+            x = gs_step(model, x, h, w)
+        else:
+            x = nv_step(model, x, h, w, -eta[:, j] if negate else eta[:, j])
     return x
 
 
@@ -168,20 +174,22 @@ class LevelSample:
         return float(per * np.size(self.values))
 
 
-def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid,
-                 dw: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path,
+                 coarse: bool = False) -> np.ndarray:
     """Left-to-right sum of the payoffs of ``paths`` over their count."""
-    swapped = antithetic_swap(dw) if any(swap for _, swap, _ in paths) else None
     total = None
     for scheme, swap, negate in paths:
-        x = simulate_path(scheme, model, grid, swapped if swap else dw, -eta if negate else eta)
+        x = simulate_path(scheme, model, grid, path.dw, path.eta, swap, negate, coarse)
         total = payoff(x) if total is None else total + payoff(x)
     return total / len(paths)
 
 
 def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
-                 m: int, stream: RngStream, horizon: float = 1.0) -> LevelSample:
+                 m, stream, horizon: float = 1.0) -> LevelSample:
     """Simulate m coupled samples of Z^level for the requested coupling.
+
+    ``m`` and ``stream`` may be a batch's (``paths.sample_level_path``): the
+    values are those of its blocks sampled one by one, in block order.
 
     Z^l is the mean payoff of the coupling's fine paths on the level's
     increments and signs, minus the mean of its coarse paths on the
@@ -201,10 +209,10 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     signs = any(scheme == "nv" for scheme, _, _ in fine + coarse)
     path = sample_level_path(stream, grid, model.d, m, signs)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _mean_payoff(model, payoff, fine, grid, path.dw, path.eta)
+        values = _mean_payoff(model, payoff, fine, grid, path)
         if coarse:
             values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),
-                                           coarsen(path.dw), rademacher_coarse(path.eta))
+                                           path, coarse=True)
     return LevelSample(np.asarray(values, dtype=float), level, coupling)
 
 
@@ -220,28 +228,30 @@ class LevelSampler:
     def with_coupling(self, coupling: str) -> "LevelSampler":
         return replace(self, coupling=coupling)
 
-    def sample(self, level: int, m: int, stream: RngStream) -> LevelSample:
+    def sample(self, level: int, m, stream) -> LevelSample:
         return sample_level(self.model, self.payoff, self.coupling, level, m,
                             stream, self.horizon)
 
 
-def _map_blocks(fn, job, level: int, m: int, seed: int, experiment: int, workers: int):
-    """fn((job, level, count, stream)) over the fixed blocks of m samples.
+def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int, workers: int):
+    """fn((job, level, counts, streams)) over batches of the fixed blocks of m samples.
 
     Block boundaries and stream coordinates depend only on (seed,
-    experiment, level, block index), and results come back in block order,
-    so they are identical for any worker count.  The pool never has more
-    processes than the machine has cores.
+    experiment, level, block index), and results come back in batch order,
+    so they are identical for any worker count.  A batch holds consecutive
+    blocks within BATCH_BLOCKS and BATCH_INCREMENTS (d coordinates), and
+    with several workers a level of two blocks or more makes two tasks or
+    more.  The pool never has more processes than the machine has cores.
     """
-    tasks = [
-        (job, level, min(BLOCK_SAMPLES, m - start),
-         RngStream(seed, experiment, level, index))
-        for index, start in enumerate(range(0, m, BLOCK_SAMPLES))
-    ]
+    blocks = [(min(BLOCK_SAMPLES, m - start), RngStream(seed, experiment, level, index))
+              for index, start in enumerate(range(0, m, BLOCK_SAMPLES))]
     workers = min(workers, os.cpu_count() or 1)
+    size = max(1, min(BATCH_BLOCKS, BATCH_INCREMENTS // (BLOCK_SAMPLES * d * 2**level),
+                      -(-len(blocks) // workers)))
+    tasks = [(job, level, *zip(*blocks[i:i + size])) for i in range(0, len(blocks), size)]
     if workers <= 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
-    return list(_pool(workers).map(fn, tasks, chunksize=4))
+    return list(_pool(workers).map(fn, tasks))
 
 
 @functools.cache
@@ -251,32 +261,34 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _sample_block(task):
-    sampler, level, count, stream = task
-    return sampler.sample(level, count, stream).values
+    sampler, level, counts, streams = task
+    return sampler.sample(level, counts, streams).values
 
 
 def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
                 experiment: int = 0, workers: int = 1) -> LevelSample:
     """Draw m samples of Z^level in fixed blocks with per-block streams,
     concatenated in block order (identical for any worker count)."""
-    arrays = _map_blocks(_sample_block, sampler, level, m, seed, experiment, workers)
+    arrays = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed,
+                         experiment, workers)
     values = np.concatenate(arrays) if arrays else np.zeros(0)
     return LevelSample(values, level, sampler.coupling)
 
 
 def _coupling_block(task):
-    (model, horizon), level, count, stream = task
+    """(self, pair) sums of squared terminal gaps, one per block of the batch."""
+    (model, horizon), level, counts, streams = task
     grid = LevelGrid(level, horizon)
-    coarse_grid = LevelGrid(level - 1, horizon)
-    path = sample_level_path(stream, grid, model.d, count)
+    path = sample_level_path(streams, grid, model.d, counts)
     dw, eta = path.dw, path.eta
     x_fine = simulate_path("nv", model, grid, dw, eta)
-    x_neg = simulate_path("nv", model, grid, dw, -eta)
-    x_coarse = simulate_path("nv", model, coarse_grid, coarsen(dw), rademacher_coarse(eta))
+    x_neg = simulate_path("nv", model, grid, dw, eta, negate=True)
+    x_coarse = simulate_path("nv", model, LevelGrid(level - 1, horizon), dw, eta, coarse=True)
     x_gs = simulate_path("gs", model, grid, dw)
     self_sq = np.sum((x_fine - x_coarse) ** 2, axis=-1)
     pair_sq = np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)
-    return self_sq.sum(), pair_sq.sum()
+    cuts = np.cumsum(counts)[:-1]
+    return [(a.sum(), b.sum()) for a, b in zip(np.split(self_sq, cuts), np.split(pair_sq, cuts))]
 
 
 def coupling_errors(model: SdeModel, levels, m: int, seed: int,
@@ -291,8 +303,9 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
     for level in levels:
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
-        parts = _map_blocks(_coupling_block, (model, horizon), level, m,
-                            seed, experiment, workers)
+        parts = [part for batch in _map_blocks(_coupling_block, (model, horizon), model.d,
+                                               level, m, seed, experiment, workers)
+                 for part in batch]
         self_sum = sum(p[0] for p in parts)
         pair_sum = sum(p[1] for p in parts)
         self_mse.append(self_sum / m)

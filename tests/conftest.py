@@ -14,7 +14,7 @@ def zero_noise(monkeypatch):
     tests that use it sample with one worker.
     """
     def draw(stream, grid, d, m=1, signs=True):
-        steps = grid.steps if signs else 0
-        return LevelPath(np.zeros((m, d, grid.steps)), np.ones((m, steps), dtype=np.int8))
+        steps, rows = (grid.steps if signs else 0), int(np.sum(m))  # m: a count or a batch's
+        return LevelPath(np.zeros((rows, d, grid.steps)), np.ones((rows, steps), dtype=np.int8))
 
     monkeypatch.setattr(schemes, "sample_level_path", draw)

@@ -25,12 +25,17 @@ class FakeSampler:
     """Stream-driven sampler producing prescribed distributions, for unit tests."""
 
     coupling = "gs"
+    model = CC  # sample_many sizes its batches by model.d
 
     def __init__(self, kind, value=1.0):
         self.kind = kind
         self.value = value
 
-    def sample(self, level, m, stream):
+    def sample(self, level, counts, streams):
+        values = [self.block(m, stream) for m, stream in zip(counts, streams)]
+        return LevelSample(np.concatenate(values), level, "gs")
+
+    def block(self, m, stream):
         gen = stream.generator()
         if self.kind == "constant":
             values = np.full(m, self.value)
@@ -40,7 +45,7 @@ class FakeSampler:
             values = gen.normal(0.0, np.sqrt(self.value), size=m)
         else:
             raise ValueError(self.kind)
-        return LevelSample(values, level, "gs")
+        return values
 
 
 def stats_for(levels, means=None, variances=None, m=1000):

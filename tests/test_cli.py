@@ -506,6 +506,12 @@ def model_reading(name: str) -> str:
                  if name in {f.name for f in fields(cls)}), "clark-cameron")
 
 
+# (model parameter, a model that does not read it): the value is still checked
+UNREAD_PARAMETERS = [(f.name, label) for cls in MODELS.values() for f in fields(cls)
+                     for label, other in MODELS.items()
+                     if f.name in FLOAT_FIELDS and f.name not in {g.name for g in fields(other)}]
+
+
 class TestNonFiniteValues:
     """Every failure is an exit code and a `configuration error:` line, not a
     traceback, and it comes before any draw."""
@@ -519,6 +525,15 @@ class TestNonFiniteValues:
         flag = "--" + name.replace("_", "-")
         argv = ["run", "--model", model_reading(name), "--eps", "2^-4", *FIXED_RATES,
                 f"{flag}={value}", "--out", str(tmp_path)]
+        assert exit_code(argv) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name,label", UNREAD_PARAMETERS)
+    def test_non_finite_parameter_of_the_other_model_exits_two(self, name, label, value,
+                                                               tmp_path, no_draws, capsys):
+        argv = ["run", "--model", label, "--eps", "2^-4", *FIXED_RATES,
+                f"--{name}={value}", "--out", str(tmp_path)]
         assert exit_code(argv) == 2
         assert "configuration error:" in capsys.readouterr().err
 
@@ -544,7 +559,10 @@ class TestNonFiniteValues:
         ["oracle-check", "--horizon", "inf"],
         ["strong-order", "--horizon", "nan"],
         ["run", "--model", "heston", "--kappa", "nan", "--eps", "2^-4"],
-    ], ids=["oracle-mu", "oracle-horizon", "strong-horizon", "heston-kappa"])
+        ["variance-decay", "--kappa", "nan", "--levels", "1..2", "--pilot-m", "100"],
+        ["oracle-check", "--theta", "inf", "--levels", "1..1", "--pilot-m", "100"],
+    ], ids=["oracle-mu", "oracle-horizon", "strong-horizon", "heston-kappa",
+            "decay-unread-kappa", "oracle-unread-theta"])
     def test_bad_problem_exits_two_before_any_draw(self, argv, tmp_path, no_draws, capsys):
         assert exit_code([*argv, "--out", str(tmp_path)]) == 2
         assert "configuration error:" in capsys.readouterr().err

@@ -297,12 +297,14 @@ class LadderSampler:
     standard deviation above the mean, half below)."""
 
     coupling: str = "gs"
+    model = CC  # sample_many sizes its batches by model.d
 
     def with_coupling(self, coupling):
         return replace(self, coupling=coupling)
 
-    def sample(self, level, m, stream):
-        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    def sample(self, level, counts, streams):
+        index = np.concatenate([np.arange(m) for m in counts])
+        signs = np.where(index % 2 == 0, 1.0, -1.0)
         values = -(2.0 ** -(level + 1)) + 2.0 ** -min(level, 3) * signs
         return LevelSample(values, level, self.coupling)
 

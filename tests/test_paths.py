@@ -89,6 +89,23 @@ class TestLayout:
         assert path.dw.tobytes() == dw.tobytes()
         assert path.eta.dtype == np.int8 and path.eta.tobytes() == eta.tobytes()
 
+    def test_batch_rows_are_each_blocks_own_draw(self):
+        # per block: one C-order normal draw, then one int8 sign draw, from its
+        # own stream; at level 6 the 4096-sample block is drawn in pieces
+        grid, d, counts = LevelGrid(6), 2, (4096, 100)
+        streams = (RngStream(9, 1, 6, 0), RngStream(9, 1, 6, 1))
+        batch = sample_level_path(streams, grid, d, counts)
+        assert batch.dw.flags.f_contiguous and batch.eta.flags.f_contiguous
+        dws, etas = [], []
+        for stream, m in zip(streams, counts):
+            gen = stream.generator()
+            dws.append(gen.standard_normal((m, d, grid.steps)) * math.sqrt(grid.step))
+            etas.append(2 * gen.integers(0, 2, size=(m, grid.steps), dtype=np.int8) - 1)
+        assert batch.dw.tobytes() == np.concatenate(dws).tobytes()
+        assert batch.eta.tobytes() == np.concatenate(etas).tobytes()
+        bare = sample_level_path(streams, grid, d, counts, signs=False)
+        assert bare.dw.tobytes() == batch.dw.tobytes() and bare.eta.shape == (4196, 0)
+
     def test_step_slices_are_contiguous(self):
         path = sample_level_path(RngStream(4), LevelGrid(3), 2, m=5)
         for k in range(8):

@@ -8,9 +8,18 @@ import pytest
 from mlmc_sde import schemes
 from mlmc_sde.estimators import crude_mc
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
-from mlmc_sde.paths import LevelGrid, RngStream, antithetic_swap, coarsen, sample_level_path
+from mlmc_sde.paths import (
+    LevelGrid,
+    RngStream,
+    antithetic_swap,
+    coarsen,
+    rademacher_coarse,
+    sample_level_path,
+)
 from mlmc_sde.schemes import (
+    BLOCK_SAMPLES,
     COUPLING_COSTS,
+    COUPLINGS,
     LevelSampler,
     coupling_errors,
     gs_step,
@@ -165,6 +174,36 @@ class TestSteps:
             simulate_path("euler", CC, grid, np.zeros((1, 2, 4)))
 
 
+    @pytest.mark.parametrize("kind", ["nv", "gs"])
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_flags_read_the_derived_arrays(self, model, kind):
+        # a path reading swapped, negated or coarse increments per step is the
+        # path on the array paths.py builds, bit for bit
+        grid, cgrid = LevelGrid(3), LevelGrid(2)
+        path = sample_level_path(RngStream(19, 0, 3, 0), grid, model.d, m=64)
+        dw, eta = path.dw, path.eta
+        coarse_dw, coarse_eta = coarsen(dw), rademacher_coarse(eta)
+        pairs = [
+            ((grid, dw, eta, True, False, False), (grid, antithetic_swap(dw), eta)),
+            ((grid, dw, eta, False, True, False), (grid, dw, -eta)),
+            ((grid, dw, eta, True, True, False), (grid, antithetic_swap(dw), -eta)),
+            ((cgrid, dw, eta, False, False, True), (cgrid, coarse_dw, coarse_eta)),
+            ((cgrid, dw, eta, False, True, True), (cgrid, coarse_dw, -coarse_eta)),
+        ]
+        for read, built in pairs:
+            got = simulate_path(kind, model, *read)
+            assert got.tobytes() == simulate_path(kind, model, *built).tobytes()
+
+    def test_flag_validation(self):
+        with pytest.raises(ValueError):  # no pair to swap on one step
+            simulate_path("gs", CC, LevelGrid(0), np.zeros((1, 2, 1)), swap=True)
+        with pytest.raises(ValueError):  # a coarse path reads twice the grid's steps
+            simulate_path("gs", CC, LevelGrid(1), np.zeros((1, 2, 2)), coarse=True)
+        with pytest.raises(ValueError):
+            simulate_path("nv", CC, LevelGrid(1), np.zeros((1, 2, 4)),
+                          np.ones((1, 2), dtype=np.int8), coarse=True)
+
+
 class TestLayout:
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_states_are_coordinate_major(self, model):
@@ -244,9 +283,9 @@ class TestLevelSampleAlgebra:
         grid_levels = []
         simulate = schemes.simulate_path
 
-        def counted(kind, model, grid, dw, eta=None):
+        def counted(kind, model, grid, *args, **kwargs):
             grid_levels.append(grid.level)
-            return simulate(kind, model, grid, dw, eta)
+            return simulate(kind, model, grid, *args, **kwargs)
 
         monkeypatch.setattr(schemes, "simulate_path", counted)
         sample = sample_level(CC, COS, coupling, level, 5, RngStream(2))
@@ -386,6 +425,100 @@ class TestCouplingErrors:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             coupling_errors(CC, [0], 16, seed=1)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """(block counts, increment bytes) of every draw, in the order made."""
+    seen = []
+    draw = schemes.sample_level_path
+
+    def recorded(stream, grid, d, m=1, signs=True):
+        path = draw(stream, grid, d, m, signs)
+        seen.append((m, path.dw.nbytes))
+        return path
+
+    monkeypatch.setattr(schemes, "sample_level_path", recorded)
+    return seen
+
+
+def block_streams(m, seed, experiment, level):
+    """(count, stream) of each fixed block of m samples."""
+    return [(min(BLOCK_SAMPLES, m - start), RngStream(seed, experiment, level, index))
+            for index, start in enumerate(range(0, m, BLOCK_SAMPLES))]
+
+
+class TestBatches:
+    """Consecutive blocks sampled in one kernel call give the values of the
+    blocks sampled one by one."""
+
+    # (level, samples, blocks per batch) at d = 2, each with a short last block
+    CASES = [(5, 3 * BLOCK_SAMPLES + 100, [4]), (6, BLOCK_SAMPLES + 100, [2]),
+             (7, BLOCK_SAMPLES + 100, [1, 1])]
+
+    @pytest.mark.parametrize("level,m,sizes", CASES)
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    @pytest.mark.parametrize("model,payoff", [(CC, USQ), (HESTON, Payoff("heston-call"))],
+                             ids=["clark-cameron", "heston"])
+    def test_sample_many_equals_the_blocks(self, model, payoff, coupling, level, m, sizes,
+                                           batches):
+        batched = sample_many(LevelSampler(model, payoff, coupling), level, m, seed=13,
+                              experiment=5)
+        assert [len(counts) for counts, _ in batches] == sizes
+        alone = [sample_level(model, payoff, coupling, level, count, stream).values
+                 for count, stream in block_streams(m, 13, 5, level)]
+        assert batched.values.tobytes() == np.concatenate(alone).tobytes()
+
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_coupling_errors_equal_the_blocks(self, model):
+        levels, m = [5, 6, 7], BLOCK_SAMPLES + 100
+        self_mse, pair_mse = [], []
+        for level in levels:
+            parts = [schemes._coupling_block(((model, 1.0), level, (count,), (stream,)))[0]
+                     for count, stream in block_streams(m, 21, 3, level)]
+            self_mse.append(sum(p[0] for p in parts) / m)
+            pair_mse.append(sum(p[1] for p in parts) / m)
+        got = coupling_errors(model, levels, m, seed=21, experiment=3)
+        assert got[0].tobytes() == np.array(self_mse).tobytes()
+        assert got[1].tobytes() == np.array(pair_mse).tobytes()
+
+    def test_batches_stay_in_budget(self, batches):
+        # six blocks per level; from level 8 one block alone is past the budget
+        m = 5 * BLOCK_SAMPLES + 1
+        for level in range(0, 9):
+            batches.clear()
+            sample_many(LevelSampler(CC, COS, "crude-gs"), level, m, seed=3)
+            counts = [count for block, _ in batches for count in block]
+            assert counts == [count for count, _ in block_streams(m, 3, 0, level)]
+            for block, nbytes in batches:
+                assert len(block) <= schemes.BATCH_BLOCKS
+                assert nbytes <= 8 * 2**20 or len(block) == 1
+        coupling_errors(CC, [6], 3 * BLOCK_SAMPLES, seed=3)
+        assert [len(block) for block, _ in batches[-2:]] == [2, 1]
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5, 8])
+    def test_two_workers_get_two_tasks(self, blocks, monkeypatch):
+        # the fake pool maps in this process and counts the tasks it is given
+        tasks = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, given, chunksize=1):
+                given = list(given)
+                tasks.append(len(given))
+                return map(fn, given)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schemes, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(schemes, "_pool", functools.cache(schemes._pool.__wrapped__))
+        sampler = LevelSampler(CC, USQ, "nv")
+        m = blocks * BLOCK_SAMPLES - 7
+        pooled = sample_many(sampler, 1, m, seed=8, workers=2)
+        assert tasks and tasks[0] >= 2
+        serial = sample_many(sampler, 1, m, seed=8, workers=1)
+        assert pooled.values.tobytes() == serial.values.tobytes()
 
 
 # (seed, experiment, samples): two blocks, the second one short

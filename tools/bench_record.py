@@ -12,9 +12,10 @@ and once with ``--trace 1`` (per-layer metrics), and writes
 suite of the checkout once.  The file holds the git rev, the machine (nproc,
 CPU model, Python and numpy versions), the median and interquartile range
 over the seeds of each metric with its per-seed values, the failed-check
-counts, and the Tier-1 wall time with its pass/fail counts.  ``compare``
-prints the Tier-1 results of both files, then each median of NEW beside
-OLD's, with the ratio and OLD's relative spread.
+counts, and the Tier-1 wall time with its pass/fail counts and the own time
+of acceptance criterion 3 (the longest test, read from ``--durations``).
+``compare`` prints the Tier-1 results of both files, then each median of NEW
+beside OLD's, with the ratio and OLD's relative spread.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ HERE = Path(__file__).resolve().parent
 OUT = HERE.parent / "bench"
 SEEDS = (1, 2, 3)
 SECONDS = 5.0  # perfbench --seconds per invocation; it runs at least 2 children
-# the Tier-1 command of ROADMAP.md, run from the checkout's root with its src/ on PYTHONPATH
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# the Tier-1 command of ROADMAP.md, run from the checkout's root with its src/ on
+# PYTHONPATH; --durations=0 lists each test's own time
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0")
+CRITERION_3 = "tests/test_acceptance.py::test_criterion_03_oracle_equivalence"
 TIER1_OUTCOMES = ("passed", "failed", "error", "skipped", "xfailed", "xpassed")
 NOTE = ("Recorded on a shared 2-core virtual machine whose CPU speed drifts by up to "
         "+-15% over minutes: a ratio between two files inside that band is noise unless "
@@ -83,7 +86,9 @@ def _tier1(root: Path) -> dict:
     # "1 error" and "2 errors" both count as error
     counts = {word: int(n) for n, word in
               re.findall(rf"(\d+) ({'|'.join(TIER1_OUTCOMES)})", summary)}
+    criterion_3 = re.search(rf"([\d.]+)s call +{re.escape(CRITERION_3)}$", done.stdout, re.M)
     return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "wall_s": wall,
+            "criterion_03_s": float(criterion_3[1]) if criterion_3 else None,
             "exit_code": done.returncode, "summary": summary,
             **{k: counts.get(k, 0) for k in TIER1_OUTCOMES}}
 
@@ -91,8 +96,11 @@ def _tier1(root: Path) -> dict:
 def _tier1_line(run: dict | None) -> str:
     if run is None:
         return "not recorded"
-    return (f"{run['passed']} passed, {run['failed']} failed, {run['error']} errors "
+    line = (f"{run['passed']} passed, {run['failed']} failed, {run['error']} errors "
             f"in {run['wall_s']:.1f} s (exit {run['exit_code']})")
+    if run.get("criterion_03_s") is not None:
+        line += f", criterion 3 {run['criterion_03_s']:.1f} s"
+    return line
 
 
 def _summary(values: list[float], unit: str) -> dict:
