@@ -98,13 +98,12 @@ def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) 
     rows = max(1, 2**17 // (d * steps))  # C-order normals drawn at most 1 MiB at a time
     start = 0
     for block, count in zip(streams, counts):
-        gen = block.generator()
-        for lo in range(start, start + count, rows):
-            dw[lo:min(lo + rows, start + count)] = gen.standard_normal(
-                (min(rows, start + count - lo), d, steps))
+        gen, end = block.generator(), start + count
+        for lo in range(start, end, rows):
+            dw[lo:min(lo + rows, end)] = gen.standard_normal((min(rows, end - lo), d, steps))
         if signs:
-            eta[start:start + count] = 2 * gen.integers(0, 2, (count, steps), dtype=np.int8) - 1
-        start += count
+            eta[start:end] = 2 * gen.integers(0, 2, (count, steps), dtype=np.int8) - 1
+        start = end
     dw *= math.sqrt(grid.step)
     return LevelPath(dw, eta)
 
