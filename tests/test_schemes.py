@@ -542,19 +542,58 @@ GOLDEN_SAMPLES = {
 }
 
 
+# the same draw at more steps, where a path's composition order changes from
+# step to step: (model, coupling, level) -> sha256 prefix as above; the two
+# blocks share one kernel call
+GOLDEN_MULTISTEP = {
+    ("clark-cameron", "crude-nv", 3): "db3aa70c5ebed41b",
+    ("clark-cameron", "gs-nv", 5): "006c26631eeb5519",
+    ("clark-cameron", "level0-nv-averaged", 3): "0d089b4afb5f563b",
+    ("clark-cameron", "nv", 5): "c4fd98c41885e761",
+    ("heston", "crude-nv", 3): "731e4159f8e7f870",
+    ("heston", "gs-nv", 5): "da1827afc145b260",
+    ("heston", "level0-nv-averaged", 3): "952c02caff03ec07",
+    ("heston", "nv", 5): "52042520b635089e",
+}
+
+# sha256 prefix of the bytes of coupling_errors(..., [1, 5], ...)'s two arrays
+GOLDEN_COUPLING_ERRORS = {"clark-cameron": "d87378a71f4ea11e", "heston": "c3ef03f20c1ccf7f"}
+
+GOLDEN_MODELS = {"clark-cameron": (CC, COS),
+                 "heston": (HESTON, Payoff("heston-call", rate=HESTON.rate))}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 class TestGoldenSamples:
     """Pin the sampled values bit for bit: a kernel rewrite must leave every
     coupling's stream unchanged for the same (seed, experiment, level)."""
 
     @pytest.mark.parametrize("model_name,coupling", sorted(GOLDEN_SAMPLES))
     def test_sample_bytes(self, model_name, coupling):
-        model, payoff = {"clark-cameron": (CC, COS),
-                         "heston": (HESTON, Payoff("heston-call", rate=HESTON.rate))}[model_name]
+        model, payoff = GOLDEN_MODELS[model_name]
         level = 0 if coupling.startswith(("crude-", "level0-")) else 3
         seed, experiment, m = GOLDEN_DRAW
         sample = sample_many(LevelSampler(model, payoff, coupling), level, m, seed, experiment)
-        digest = hashlib.sha256(sample.values.tobytes()).hexdigest()[:16]
-        assert digest == GOLDEN_SAMPLES[model_name, coupling]
+        assert digest(sample.values.tobytes()) == GOLDEN_SAMPLES[model_name, coupling]
+
+    @pytest.mark.parametrize("model_name,coupling,level", sorted(GOLDEN_MULTISTEP))
+    def test_multistep_sample_bytes(self, model_name, coupling, level, batches):
+        model, payoff = GOLDEN_MODELS[model_name]
+        seed, experiment, m = GOLDEN_DRAW
+        sample = sample_many(LevelSampler(model, payoff, coupling), level, m, seed, experiment)
+        assert [len(counts) for counts, _ in batches] == [2]
+        assert digest(sample.values.tobytes()) == GOLDEN_MULTISTEP[model_name, coupling, level]
+
+    @pytest.mark.parametrize("model_name", sorted(GOLDEN_COUPLING_ERRORS))
+    def test_coupling_error_bytes(self, model_name):
+        seed, experiment, m = GOLDEN_DRAW
+        self_mse, pair_mse = coupling_errors(GOLDEN_MODELS[model_name][0], [1, 5], m, seed,
+                                             experiment)
+        got = digest(self_mse.tobytes() + pair_mse.tobytes())
+        assert got == GOLDEN_COUPLING_ERRORS[model_name]
 
     def test_covers_every_coupling(self):
         for model_name in ("clark-cameron", "heston"):
