@@ -3,9 +3,11 @@
 Two schemes are implemented.  The splitting scheme ("nv") composes the
 exact drift flow over half a step, the exact diffusion flows driven by the
 Brownian increments (in ascending column order when the step's Rademacher
-sign is +1, descending when it is -1), and the drift flow again.  The
-antithetic Milstein-type scheme ("gs") is the Milstein update with every
-Levy-area term deleted.
+sign is +1, descending otherwise), and the drift flow again.  Every nv
+path is simulated with its twin, which takes the other order at every step
+(the path on -eta for +-1 signs), because one step computes both orders.
+The antithetic Milstein-type scheme ("gs") is the Milstein update with
+every Levy-area term deleted.
 
 States are (m, n) batches stored coordinate-major (``x.T`` is
 C-contiguous), so each coordinate a step reads is a contiguous row; the
@@ -37,7 +39,7 @@ BLOCK_SAMPLES = 4096
 BATCH_BLOCKS = 4
 BATCH_INCREMENTS = 2**20
 
-# one path of a level sample: (scheme, swap increments, negate signs)
+# one path of a level sample: (scheme, swap increments, nv twin)
 _NV_FINE = (("nv", False, False), ("nv", True, False), ("nv", False, True), ("nv", True, True))
 
 # (fine paths, coarse paths) per sample of each coupling; the ones with coarse
@@ -55,42 +57,39 @@ COUPLINGS = {
 COUPLING_COSTS = {tag: (len(fine), len(coarse)) for tag, (fine, coarse) in COUPLINGS.items()}
 
 
-def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b where the uint64 mask is all ones, a where it is zero.
-
-    The bits of each float are moved, never compared, so NaN payloads,
-    infinities and signed zeros come through as they were; unlike
-    ``np.where`` on a random boolean mask, no per-element branch is taken.
-    """
-    a = a.view(np.uint64)
-    out = a ^ b.view(np.uint64)
-    out &= mask
-    out ^= a
-    return out.view(np.float64)
-
-
 def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
-            eta: np.ndarray) -> np.ndarray:
-    """One splitting step from a batch of states x (m, n).
+            exchange: np.ndarray) -> np.ndarray:
+    """One splitting step from a batch of state pairs x (2m, n).
 
-    dw holds the step's increments (m, d); eta the +-1 signs (m,).  Both
-    composition orders run on the whole batch and each sample keeps the one
-    its sign picks (ascending where eta > 0, descending elsewhere), which is
-    the same arithmetic as stepping it alone.  The new state is
-    coordinate-major: an (m, n) view of an (n, m) array.
+    dw holds the step's increments (m, d).  Rows [:m] take the ascending
+    composition order and rows [m:] the descending one, both on dw, so
+    sample i's rows i and m + i are stepped by the two orders.  The new state
+    is coordinate-major, an (2m, n) view of an (n, 2m) array, with the two
+    halves of sample i exchanged where the uint64 mask ``exchange`` (m,) is
+    all ones.  The exchange moves the bits of each float, never compares
+    them, so NaN payloads, infinities and signed zeros come through as they
+    were, and no per-element branch is taken.
     """
-    up = down = model.drift_flow(tuple(x.T), 0.5 * h)
+    m = dw.shape[0]
+    y = model.drift_flow(tuple(x.T), 0.5 * h)
+    up, down = tuple(c[:m] for c in y), tuple(c[m:] for c in y)
     # rows read by both orders; no copy for a step slice of paths' increments
     w = np.ascontiguousarray(dw.T)
     for j in range(1, model.d + 1):
         up = model.diffusion_flow(j, up, w[j - 1])
     for j in range(model.d, 0, -1):
         down = model.diffusion_flow(j, down, w[j - 1])
-    # all ones where eta > 0 is false: 1 - 1 = 0, and 0 - 1 wraps to 2^64 - 1
-    descending = (eta > 0).astype(np.uint64)
-    descending -= 1
-    y = tuple(_select(descending, a, b) for a, b in zip(up, down))
-    return np.stack(model.drift_flow(y, 0.5 * h)).T
+    up, down = model.drift_flow(up, 0.5 * h), model.drift_flow(down, 0.5 * h)
+    out = np.empty((model.n, 2 * m))
+    for row, a, b in zip(out.view(np.uint64), up, down):
+        a, b = a.view(np.uint64), b.view(np.uint64)
+        # t = (a ^ b) & exchange in the first half; b ^ t and a ^ t are then
+        # b and a where the mask is all ones, a and b where it is zero
+        t = np.bitwise_xor(a, b, out=row[:m])
+        t &= exchange
+        np.bitwise_xor(b, t, out=row[m:])
+        t ^= a
+    return out.T
 
 
 def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndarray:
@@ -118,32 +117,50 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
-                  eta: np.ndarray | None = None, swap: bool = False, negate: bool = False,
+                  eta: np.ndarray | None = None, swap: bool = False,
                   coarse: bool = False) -> np.ndarray:
-    """Terminal state after all grid steps; "gs" ignores eta.
+    """Terminal states after all grid steps; "gs" ignores eta.
+
+    "gs" runs one path per sample of dw (m, d, steps) and returns (m, n).
+    "nv" runs each sample's path on eta together with its twin, which takes
+    the other composition order at every step (the path on -eta for +-1
+    signs; on a zero sign the path descends and the twin ascends), and
+    returns (2m, n): the paths in rows [:m], their twins in rows [m:].
 
     The flags read derived increments per step, with the arithmetic of the
-    arrays ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``),
-    ``negate`` flips the signs, and ``coarse`` reads dw and eta of the next
-    finer grid pairwise (``coarsen`` and ``rademacher_coarse``).
+    arrays ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``)
+    and ``coarse`` reads dw and eta of the next finer grid pairwise
+    (``coarsen`` and ``rademacher_coarse``).
     """
     steps, fold = grid.steps, 2 if coarse else 1
     if dw.shape[-1] != fold * steps or dw.shape[-2] != model.d or (swap and steps % 2):
         raise ValueError(f"increments shaped {dw.shape} do not match d={model.d}, "
                          f"steps={steps}, coarse={coarse}, swap={swap}")
-    if kind == "nv" and (eta is None or eta.shape[-1] != fold * steps):
-        raise ValueError("nv needs one Rademacher sign per step")
+    if kind == "nv" and (eta is None or eta.shape != (dw.shape[0], fold * steps)):
+        raise ValueError(f"nv needs one Rademacher sign per sample and step: signs shaped "
+                         f"{None if eta is None else eta.shape}, increments {dw.shape}")
     if kind not in ("nv", "gs"):
         raise ValueError(f"unknown scheme kind {kind!r}")
-    x = model.initial_state(dw.shape[0])
     h = grid.step
+    if kind == "nv":
+        x = model.initial_state(2 * dw.shape[0])
+        ascends = eta[:, 0] > 0
+    else:
+        x = model.initial_state(dw.shape[0])
     for k in range(steps):
         j = fold * k
         w = dw[:, :, j] + dw[:, :, j + 1] if coarse else dw[:, :, k ^ swap]
         if kind == "gs":
             x = gs_step(model, x, h, w)
-        else:
-            x = nv_step(model, x, h, w, -eta[:, j] if negate else eta[:, j])
+            continue
+        # the path is in the ascending half of the step; exchange the halves
+        # where its order changes at the next step, and after the last step
+        # where it descended, so that it ends in rows [:m]
+        then = eta[:, j + fold] > 0 if k + 1 < steps else True
+        exchange = np.equal(ascends, then).astype(np.uint64)
+        exchange -= 1  # 1 - 1 = 0 where the order stays, 0 - 1 = 2^64 - 1 where it changes
+        x = nv_step(model, x, h, w, exchange)
+        ascends = then
     return x
 
 
@@ -176,10 +193,16 @@ class LevelSample:
 
 def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path,
                  coarse: bool = False) -> np.ndarray:
-    """Left-to-right sum of the payoffs of ``paths`` over their count."""
-    total = None
-    for scheme, swap, negate in paths:
-        x = simulate_path(scheme, model, grid, path.dw, path.eta, swap, negate, coarse)
+    """Left-to-right sum of the payoffs of ``paths`` over their count; each
+    (scheme, swap) is simulated once, an nv path with its twin."""
+    states, total = {}, None
+    for scheme, swap, twin in paths:
+        if (scheme, swap) not in states:
+            states[scheme, swap] = simulate_path(scheme, model, grid, path.dw, path.eta, swap,
+                                                 coarse)
+        x = states[scheme, swap]
+        if scheme == "nv":
+            x = np.split(x, 2)[twin]
         total = payoff(x) if total is None else total + payoff(x)
     return total / len(paths)
 
@@ -281,9 +304,9 @@ def _coupling_block(task):
     grid = LevelGrid(level, horizon)
     path = sample_level_path(streams, grid, model.d, counts)
     dw, eta = path.dw, path.eta
-    x_fine = simulate_path("nv", model, grid, dw, eta)
-    x_neg = simulate_path("nv", model, grid, dw, eta, negate=True)
-    x_coarse = simulate_path("nv", model, LevelGrid(level - 1, horizon), dw, eta, coarse=True)
+    x_fine, x_neg = np.split(simulate_path("nv", model, grid, dw, eta), 2)
+    x_coarse = np.split(simulate_path("nv", model, LevelGrid(level - 1, horizon), dw, eta,
+                                      coarse=True), 2)[0]
     x_gs = simulate_path("gs", model, grid, dw)
     self_sq = np.sum((x_fine - x_coarse) ** 2, axis=-1)
     pair_sq = np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)

@@ -1,0 +1,37 @@
+"""The benchmark harness in perfbench/ still measures the kernels it names.
+
+The harness wraps module-level names of mlmc_sde and counts kernel rows from
+the state a kernel receives, so a change of a kernel's name or of what it
+receives can leave a per-layer figure at zero or wrong without any failure.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_oracle_check_counts_every_nv_row(tmp_path):
+    levels, m = (1, 2), 2000
+    result = tmp_path / "result.json"
+    cli_args = ["oracle-check", "--levels", f"{levels[0]}..{levels[-1]}", "--pilot-m", str(m),
+                "--workers", "1", "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"),
+         repr(time.monotonic()), str(result), "1", *cli_args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr
+    layers = json.loads(result.read_text())["layers"]
+    for name in ("schemes.nv_step_s", "models.flow_s", "paths.draw_s"):
+        assert layers[name] > 0, name
+    # the nv coupling runs 4 fine paths of 2^l steps and 2 coarse paths of
+    # 2^(l-1) per sample; a pair kernel call counts as the 2m rows it advances
+    rows = 1e9 * layers["schemes.nv_step_s"] / layers["schemes.nv_ns_per_sample_step"]
+    assert rows == pytest.approx(sum(5 * 2**level * m for level in levels), rel=1e-9)

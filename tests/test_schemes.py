@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,52 +36,74 @@ COS = Payoff("cos-u")
 USQ = Payoff("u-squared")
 
 
+def where_step(model, x, h, dw, ascending):
+    """The single-path splitting step: each sample of x (m, n) takes the
+    composition order np.where(ascending, up, down) picks."""
+    up = down = model.drift_flow(tuple(x.T), 0.5 * h)
+    for j in range(1, model.d + 1):
+        up = model.diffusion_flow(j, up, dw[:, j - 1])
+    for j in range(model.d, 0, -1):
+        down = model.diffusion_flow(j, down, dw[:, j - 1])
+    y = tuple(np.where(ascending, a, b) for a, b in zip(up, down))
+    return np.stack(model.drift_flow(y, 0.5 * h), axis=-1)
+
+
+def where_path(model, grid, dw, ascending):
+    """Terminal states of single paths stepped by where_step; ascending is
+    a bool (m, steps) array."""
+    x = model.initial_state(dw.shape[0])
+    for k in range(grid.steps):
+        x = where_step(model, x, grid.step, dw[:, :, k], ascending[:, k])
+    return x
+
+
+def exchange_mask(flags):
+    """nv_step's uint64 exchange mask: all ones where flags is true."""
+    return np.where(flags, np.uint64(2**64 - 1), np.uint64(0))
+
+
 class TestSteps:
     def test_nv_step_hand_values(self):
-        x = np.array([[0.0, 0.0]])
+        # one step from equal halves, exchanged where eta <= 0, gives the path
+        # on eta and its twin; the dW1 dW2 product appears only in the
+        # descending composition
+        x = np.zeros((2, 2))
         dw = np.array([[1.0, 1.0]])
-        # the dW1 dW2 product appears only in the descending composition
-        np.testing.assert_allclose(nv_step(CC, x, 1.0, dw, np.array([-1])), [[1.5, 2.0]])
-        np.testing.assert_allclose(nv_step(CC, x, 1.0, dw, np.array([+1])), [[0.5, 2.0]])
+        np.testing.assert_allclose(nv_step(CC, x, 1.0, dw, exchange_mask([True])),
+                                   [[1.5, 2.0], [0.5, 2.0]])
+        np.testing.assert_allclose(nv_step(CC, x, 1.0, dw, exchange_mask([False])),
+                                   [[0.5, 2.0], [1.5, 2.0]])
 
     def test_nv_step_mixed_signs_batch(self):
-        x = np.zeros((2, 2))
+        x = np.zeros((4, 2))
         dw = np.ones((2, 2))
-        out = nv_step(CC, x, 1.0, dw, np.array([1, -1]))
-        np.testing.assert_allclose(out, [[0.5, 2.0], [1.5, 2.0]])
+        out = nv_step(CC, x, 1.0, dw, exchange_mask(np.array([1, -1]) <= 0))
+        np.testing.assert_allclose(out, [[0.5, 2.0], [1.5, 2.0], [1.5, 2.0], [0.5, 2.0]])
 
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_nv_step_batch_equals_single_samples(self, model):
-        # each sample of a mixed-sign batch is stepped bit for bit as if alone;
-        # the zero increments cover Heston's w == 0 pass-through
+        # each sample of a mixed-exchange batch of distinct halves is stepped
+        # bit for bit as if alone; the zero increments cover Heston's w == 0
+        # pass-through
         rng = np.random.default_rng(43)
         m, h = 12, 0.125
-        x = np.stack([rng.normal(size=m), rng.uniform(0.3, 2.5, size=m)], axis=-1)
+        x = np.stack([rng.normal(size=2 * m), rng.uniform(0.3, 2.5, size=2 * m)], axis=-1)
         dw = rng.normal(scale=np.sqrt(h), size=(m, 2))
         dw[::3, 1] = 0.0
         dw[1::4] = 0.0
-        eta = np.where(rng.random(m) < 0.5, -1, 1).astype(np.int8)
-        assert set(eta) == {-1, 1}
-        batch = nv_step(model, x, h, dw, eta)
+        exchange = exchange_mask(rng.random(m) < 0.5)
+        assert set(exchange) == {0, 2**64 - 1}
+        batch = nv_step(model, x, h, dw, exchange)
         for i in range(m):
-            alone = nv_step(model, x[i:i + 1], h, dw[i:i + 1], eta[i:i + 1])
-            np.testing.assert_array_equal(batch[i:i + 1], alone)
+            rows = [i, m + i]
+            alone = nv_step(model, x[rows], h, dw[i:i + 1], exchange[i:i + 1])
+            np.testing.assert_array_equal(batch[rows], alone)
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
-    def test_nv_step_order_choice_matches_where_bit_for_bit(self, model, dtype):
-        # the composition order is picked as np.where(eta > 0, up, down) would
-        # pick it, bit for bit: NaN payloads, infinities and signed zeros pass
-        # through, and a zero sign takes the descending order
-        def where_step(x, h, dw, eta):
-            up = down = model.drift_flow(tuple(x.T), 0.5 * h)
-            for j in range(1, model.d + 1):
-                up = model.diffusion_flow(j, up, dw[:, j - 1])
-            for j in range(model.d, 0, -1):
-                down = model.diffusion_flow(j, down, dw[:, j - 1])
-            y = tuple(np.where(eta > 0, a, b) for a, b in zip(up, down))
-            return np.stack(model.drift_flow(y, 0.5 * h), axis=-1)
-
+    def test_nv_step_exchange_matches_where_bit_for_bit(self, model):
+        # the first half ascends, the second descends, and each sample's
+        # halves land where np.where on its exchange flag would put them, bit
+        # for bit: NaN payloads, infinities and signed zeros pass through
         rng = np.random.default_rng(53)
         h = 0.125
         nan = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
@@ -89,21 +112,49 @@ class TestSteps:
                    (0.3, nan), (0.3, np.inf), (0.3, -0.0), (0.3, 0.0)]
         rows = [[u, v] for u, v in special] + [[u, v] for u, v in zip(
             rng.normal(size=8), rng.uniform(0.3, 2.5, size=8))]
-        # every row once under each sign
-        x = np.repeat(np.array(rows), 3, axis=0)
-        eta = np.tile(np.array([1, -1, 0], dtype=dtype), len(rows))
-        dw = rng.normal(scale=np.sqrt(h), size=(len(x), 2))
+        # every row once in each half, once exchanged and once kept
+        up = np.repeat(np.array(rows), 2, axis=0)
+        down = np.roll(up, 5, axis=0)
+        flags = np.tile([False, True], len(rows))
+        dw = rng.normal(scale=np.sqrt(h), size=(len(up), 2))
         dw[-6:-3] = -0.0
         with np.errstate(all="ignore"):
-            out = nv_step(model, x, h, dw, eta)
-            np.testing.assert_array_equal(out.view(np.uint64),
-                                          where_step(x, h, dw, eta).view(np.uint64))
-            zero = eta == 0
-            descending = nv_step(model, x[zero], h, dw[zero], -np.ones(zero.sum(), dtype=dtype))
-            ascending = nv_step(model, x[zero], h, dw[zero], np.ones(zero.sum(), dtype=dtype))
-        np.testing.assert_array_equal(out[zero].view(np.uint64), descending.view(np.uint64))
+            out = nv_step(model, np.concatenate([up, down]), h, dw, exchange_mask(flags))
+            a = where_step(model, up, h, dw, True)
+            b = where_step(model, down, h, dw, False)
+        swapped = flags[:, None]
+        expected = np.concatenate([np.where(swapped, b, a), np.where(swapped, a, b)])
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+        # the two orders differ, so the exchange is exercised
+        with np.errstate(all="ignore"):
+            assert not np.array_equal(a, where_step(model, up, h, dw, False), equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_nv_pair_matches_single_path_steps(self, model, dtype):
+        # over 8 steps of mixed signs the pair is, bit for bit, the single
+        # path stepped by where_step on eta > 0 and its twin on the other
+        # order: a zero sign makes the path descend and the twin ascend, and
+        # NaN payloads, infinities and signed zeros pass through
+        grid = LevelGrid(3)
+        path = sample_level_path(RngStream(59, 0, 3, 0), grid, model.d, m=64)
+        dw, eta = path.dw.copy(order="F"), path.eta.astype(dtype, order="F")
+        eta[::7, 1::3] = 0
+        dw[0, 0, 3] = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
+        dw[1, 1, 2], dw[2, 0, 5] = np.inf, -np.inf
+        dw[3, :, 4:] = -0.0
+        ascending = eta > 0
+        assert ascending.any() and not ascending.all() and (eta == 0).any()
+        with np.errstate(all="ignore"):
+            pair = simulate_path("nv", model, grid, dw, eta)
+            expected = np.concatenate([where_path(model, grid, dw, ascending),
+                                       where_path(model, grid, dw, ~ascending)])
+            descending = simulate_path("nv", model, grid, dw, np.where(eta == 0, -1, eta))
+            ascends = simulate_path("nv", model, grid, dw, np.where(eta == 0, 1, eta))
+        np.testing.assert_array_equal(pair.view(np.uint64), expected.view(np.uint64))
+        assert pair.tobytes() == descending.tobytes()
         # the two orders differ, so the choice is exercised
-        assert not np.array_equal(descending, ascending, equal_nan=True)
+        assert pair.tobytes() != ascends.tobytes()
 
     @pytest.mark.parametrize("model", [CC, HESTON, HestonModel(negative_variance="reflect")])
     def test_gs_step_batch_equals_single_samples(self, model):
@@ -140,7 +191,7 @@ class TestSteps:
         eta = np.array([[-1]], dtype=np.int8)
         np.testing.assert_array_equal(
             simulate_path("nv", CC, grid, dw, eta),
-            nv_step(CC, CC.initial_state(1), 1.0, dw[:, :, 0], eta[:, 0]),
+            nv_step(CC, CC.initial_state(2), 1.0, dw[:, :, 0], exchange_mask(eta[:, 0] <= 0)),
         )
         np.testing.assert_array_equal(
             simulate_path("gs", CC, grid, dw),
@@ -152,9 +203,9 @@ class TestSteps:
             grid = LevelGrid(level, 1.0)
             dw = np.zeros((1, 2, grid.steps))
             eta = np.ones((1, grid.steps), dtype=np.int8)
-            for kind in ("nv", "gs"):
+            for kind, paths in (("nv", 2), ("gs", 1)):
                 out = simulate_path(kind, CC, grid, dw, eta)
-                np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-14)
+                np.testing.assert_allclose(out, [[0.0, 1.0]] * paths, atol=1e-14)
 
     def test_s_coordinate_ignores_signs(self):
         grid = LevelGrid(3, 1.0)
@@ -162,7 +213,9 @@ class TestSteps:
         plus = simulate_path("nv", CC, grid, path.dw, path.eta)
         minus = simulate_path("nv", CC, grid, path.dw, -path.eta)
         np.testing.assert_array_equal(plus[:, 1], minus[:, 1])
-        assert not np.array_equal(plus[:, 0], minus[:, 0])
+        assert not np.array_equal(plus[:64, 0], minus[:64, 0])
+        # the twin is the path on the negated signs
+        assert plus[64:].tobytes() == minus[:64].tobytes()
 
     def test_shape_validation(self):
         grid = LevelGrid(2, 1.0)
@@ -173,26 +226,39 @@ class TestSteps:
         with pytest.raises(ValueError):
             simulate_path("euler", CC, grid, np.zeros((1, 2, 4)))
 
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 4), (5, 3), (4,)])
+    def test_signs_match_the_increments(self, shape):
+        # one sign per sample and step: no broadcast of one row over samples
+        dw = np.zeros((5, 2, 4))
+        with pytest.raises(ValueError, match=re.escape(f"signs shaped {shape}, increments "
+                                                       f"{dw.shape}")):
+            simulate_path("nv", CC, LevelGrid(2), dw, np.ones(shape, dtype=np.int8))
 
     @pytest.mark.parametrize("kind", ["nv", "gs"])
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_flags_read_the_derived_arrays(self, model, kind):
-        # a path reading swapped, negated or coarse increments per step is the
-        # path on the array paths.py builds, bit for bit
+        # a path reading swapped or coarse increments per step is the path on
+        # the array paths.py builds, bit for bit, and an nv path's twin is the
+        # path on the negated signs
         grid, cgrid = LevelGrid(3), LevelGrid(2)
         path = sample_level_path(RngStream(19, 0, 3, 0), grid, model.d, m=64)
         dw, eta = path.dw, path.eta
         coarse_dw, coarse_eta = coarsen(dw), rademacher_coarse(eta)
         pairs = [
-            ((grid, dw, eta, True, False, False), (grid, antithetic_swap(dw), eta)),
-            ((grid, dw, eta, False, True, False), (grid, dw, -eta)),
-            ((grid, dw, eta, True, True, False), (grid, antithetic_swap(dw), -eta)),
-            ((cgrid, dw, eta, False, False, True), (cgrid, coarse_dw, coarse_eta)),
-            ((cgrid, dw, eta, False, True, True), (cgrid, coarse_dw, -coarse_eta)),
+            ((grid, dw, eta, False, False), (grid, dw, eta)),
+            ((grid, dw, eta, True, False), (grid, antithetic_swap(dw), eta)),
+            ((grid, dw, -eta, True, False), (grid, antithetic_swap(dw), -eta)),
+            ((cgrid, dw, eta, False, True), (cgrid, coarse_dw, coarse_eta)),
+            ((cgrid, dw, -eta, False, True), (cgrid, coarse_dw, -coarse_eta)),
         ]
         for read, built in pairs:
             got = simulate_path(kind, model, *read)
             assert got.tobytes() == simulate_path(kind, model, *built).tobytes()
+            if kind == "nv":
+                g, dws, signs = built
+                twin = np.split(got, 2)[1]
+                negated = np.split(simulate_path(kind, model, g, dws, -signs), 2)[0]
+                assert twin.tobytes() == negated.tobytes()
 
     def test_flag_validation(self):
         with pytest.raises(ValueError):  # no pair to swap on one step
@@ -208,11 +274,11 @@ class TestLayout:
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_states_are_coordinate_major(self, model):
         path = sample_level_path(RngStream(6), LevelGrid(1), model.d, m=32)
-        x = model.initial_state(32)
-        steps = (nv_step(model, x, 0.5, path.dw[:, :, 0], path.eta[:, 0]),
-                 gs_step(model, x, 0.5, path.dw[:, :, 0]))
-        for state in (x, *steps):
-            assert state.shape == (32, model.n) and state.T.flags.c_contiguous
+        x, pair = model.initial_state(32), model.initial_state(64)
+        nv = nv_step(model, pair, 0.5, path.dw[:, :, 0], exchange_mask(path.eta[:, 0] <= 0))
+        gs = gs_step(model, x, 0.5, path.dw[:, :, 0])
+        for state, rows in ((x, 32), (pair, 64), (nv, 64), (gs, 32)):
+            assert state.shape == (rows, model.n) and state.T.flags.c_contiguous
 
     @pytest.mark.parametrize("level", [1, 6])
     @pytest.mark.parametrize("kind", ["nv", "gs"])
@@ -246,8 +312,9 @@ class TestLevelSampleAlgebra:
         dw = np.array([[[a], [b]]])
         ones = np.ones((1, 1), dtype=np.int8)
         grid = LevelGrid(0, 1.0)
-        u_plus = simulate_path("nv", CC, grid, dw, ones)[0, 0]
-        u_minus = simulate_path("nv", CC, grid, dw, -ones)[0, 0]
+        u_plus, u_minus = simulate_path("nv", CC, grid, dw, ones)[:, 0]
+        # the twin is the path on the negated sign
+        assert u_minus == simulate_path("nv", CC, grid, dw, -ones)[0, 0]
         assert u_plus == pytest.approx(0.5 * a)
         assert u_minus == pytest.approx(0.5 * a + a * b)
         assert 0.5 * (u_plus + u_minus) == pytest.approx(0.5 * a + 0.5 * a * b)
@@ -284,13 +351,16 @@ class TestLevelSampleAlgebra:
         simulate = schemes.simulate_path
 
         def counted(kind, model, grid, *args, **kwargs):
-            grid_levels.append(grid.level)
+            # an nv simulation runs each path with its twin
+            grid_levels.extend([grid.level] * (2 if kind == "nv" else 1))
             return simulate(kind, model, grid, *args, **kwargs)
 
         monkeypatch.setattr(schemes, "simulate_path", counted)
         sample = sample_level(CC, COS, coupling, level, 5, RngStream(2))
-        # the paths actually simulated per sample, on the fine and the coarse grid
-        assert sorted(grid_levels, reverse=True) == [level] * fine + [level - 1] * coarse
+        # the paths actually simulated per sample, on the fine and the coarse
+        # grid; crude-nv simulates its path's twin too, and does not use it
+        simulated = 2 if coupling == "crude-nv" else fine
+        assert sorted(grid_levels, reverse=True) == [level] * simulated + [level - 1] * coarse
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
         assert sample.cost_units == expected
 
