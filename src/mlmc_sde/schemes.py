@@ -39,7 +39,8 @@ BLOCK_SAMPLES = 4096
 BATCH_BLOCKS = 4
 BATCH_INCREMENTS = 2**20
 
-# one path of a level sample: (scheme, swap increments, nv twin)
+# one path of a level sample: (scheme, swap increments, twin); the twin of an
+# nv path takes the other composition order at every step
 _NV_FINE = (("nv", False, False), ("nv", True, False), ("nv", False, True), ("nv", True, True))
 
 # (fine paths, coarse paths) per sample of each coupling; the ones with coarse
@@ -64,11 +65,12 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
     dw holds the step's increments (m, d).  Rows [:m] take the ascending
     composition order and rows [m:] the descending one, both on dw, so
     sample i's rows i and m + i are stepped by the two orders.  The new state
-    is coordinate-major, an (2m, n) view of an (n, 2m) array, with the two
+    is coordinate-major, a (2m, n) view of an (n, 2m) array, with the two
     halves of sample i exchanged where the uint64 mask ``exchange`` (m,) is
     all ones.  The exchange moves the bits of each float, never compares
     them, so NaN payloads, infinities and signed zeros come through as they
-    were, and no per-element branch is taken.
+    were, and no per-element branch is taken.  ``simulate_path`` sets the
+    mask so that each path and its twin keep their own rows from step to step.
     """
     m = dw.shape[0]
     y = model.drift_flow(tuple(x.T), 0.5 * h)
@@ -125,7 +127,8 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     "nv" runs each sample's path on eta together with its twin, which takes
     the other composition order at every step (the path on -eta for +-1
     signs; on a zero sign the path descends and the twin ascends), and
-    returns (2m, n): the paths in rows [:m], their twins in rows [m:].
+    returns (2m, n): the paths in rows [:m], their twins in rows [m:].  A
+    path on -eta therefore needs no flag of its own: it is the twin.
 
     The flags read derived increments per step, with the arithmetic of the
     arrays ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``)
@@ -152,15 +155,15 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
         w = dw[:, :, j] + dw[:, :, j + 1] if coarse else dw[:, :, k ^ swap]
         if kind == "gs":
             x = gs_step(model, x, h, w)
-            continue
-        # the path is in the ascending half of the step; exchange the halves
-        # where its order changes at the next step, and after the last step
-        # where it descended, so that it ends in rows [:m]
-        then = eta[:, j + fold] > 0 if k + 1 < steps else True
-        exchange = np.equal(ascends, then).astype(np.uint64)
-        exchange -= 1  # 1 - 1 = 0 where the order stays, 0 - 1 = 2^64 - 1 where it changes
-        x = nv_step(model, x, h, w, exchange)
-        ascends = then
+        else:
+            # the path is in the ascending half of the step; exchange the
+            # halves where its order changes at the next step, and after the
+            # last step where it descended, so that it ends in rows [:m]
+            then = eta[:, j + fold] > 0 if k + 1 < steps else True
+            exchange = np.equal(ascends, then).astype(np.uint64)
+            exchange -= 1  # 1 - 1 = 0 where the order stays, 0 - 1 = 2^64 - 1 where it changes
+            x = nv_step(model, x, h, w, exchange)
+            ascends = then
     return x
 
 
