@@ -392,6 +392,25 @@ GOLDEN_RUNS = {
                      "--c2", "0.15", "--eps", "2^-5", "--eps", "2^-6",
                      "--pilot-m", "2000", "--seed", "13"],
                     "a340760b47302c0f"),
+    # T = 1/2: every grid is half as long; a horizon lost anywhere reads T = 1
+    "gs-mlmc-horizon-half": (["--payoff", "u-squared", "--coupling", "gs", "--eps", "2^-4",
+                              "--eps", "2^-5", "--eps", "2^-6", "--pilot-m", "4000",
+                              "--seed", "9", "--horizon", "0.5"],
+                             "f6cb03339c8125f8"),
+    # ML2R's depth and theta are formulas in T (depth 1 here, 2 at T = 1)
+    "heston-ml2r-horizon-half": (["--model", "heston", "--payoff", "heston-call",
+                                  "--coupling", "nv", "--estimator", "ml2r", "--eps", "2^-4",
+                                  "--eps", "2^-5", "--pilot-m", "4000", "--seed", "17",
+                                  "--horizon", "0.5"],
+                                 "cb585c8cf9a80761"),
+}
+
+# data rows of the commands without a seconds column, at T != 1
+GOLDEN_COMMANDS = {
+    "strong-order": (["--horizon", "0.25", "--levels", "1..3", "--pilot-m", "4000",
+                      "--seed", "5"], "824f690ce0b82cf4"),
+    "oracle-check": (["--horizon", "2", "--levels", "1..3", "--pilot-m", "4000",
+                      "--seed", "5"], "dd284ba051714edc"),
 }
 
 
@@ -404,6 +423,13 @@ class TestGolden:
         args, digest = GOLDEN_RUNS[name]
         assert main(["run", *args, "--out", str(tmp_path)]) == 0
         assert masked_digest(tmp_path / "run.csv") == digest
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+    def test_command_rows(self, command, tmp_path):
+        args, digest = GOLDEN_COMMANDS[command]
+        assert main([command, *args, "--out", str(tmp_path)]) == 0
+        body = "\n".join(csv_body(tmp_path / f"{command}.csv"))
+        assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
 
 
 def record_draws(monkeypatch):
