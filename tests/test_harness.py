@@ -35,3 +35,26 @@ def test_traced_oracle_check_counts_every_nv_row(tmp_path):
     # 2^(l-1) per sample; a pair kernel call counts as the 2m rows it advances
     rows = 1e9 * layers["schemes.nv_step_s"] / layers["schemes.nv_ns_per_sample_step"]
     assert rows == pytest.approx(sum(5 * 2**level * m for level in levels), rel=1e-9)
+
+
+def test_traced_gs_run_counts_every_gs_row(tmp_path):
+    m = 2000
+    result, out = tmp_path / "result.json", tmp_path / "out"
+    cli_args = ["run", "--coupling", "gs", "--estimator", "mlmc", "--payoff", "u-squared",
+                "--alpha", "1", "--c1", "0.3", "--beta", "2", "--c2", "0.5", "--eps", "2^-4",
+                "--pilot-m", str(m), "--workers", "1", "--seed", "3", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"),
+         repr(time.monotonic()), str(result), "1", *cli_args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["schemes.gs_step_s"] > 0
+    # with fixed rates the only pilot is the one-step crude-gs v0 draw of m
+    # samples, and a gs plan's cost units are its path steps
+    lines = [line for line in (out / "run.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    rows = 1e9 * layers["schemes.gs_step_s"] / layers["schemes.gs_ns_per_sample_step"]
+    assert rows == pytest.approx(m + float(row["cost_units"]), rel=1e-9)
