@@ -268,7 +268,7 @@ def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level strong errors of the splitting scheme and its pairing"""
     levels = list(_level_range(cfg))
     self_mse, pair_mse = coupling_errors(model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
-                                         cfg.workers, cfg.horizon)
+                                         cfg.workers)
     self_slope, self_log = _fit_slope(levels, self_mse)
     pair_slope, pair_log = _fit_slope(levels, pair_mse)
     rows = [(l, self_log[i], pair_log[i]) for i, l in enumerate(levels)]
@@ -287,7 +287,7 @@ def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     levels = list(_level_range(cfg))
     rows, slopes = [], []
     for ci, coupling in enumerate(cfg.coupling):
-        sampler = LevelSampler(model, payoff, coupling, cfg.horizon)
+        sampler = LevelSampler(model, payoff, coupling)
         stats = cal.pilot_stats(sampler, levels, cfg.pilot_m, cfg.seed, EXP_DECAY + ci,
                                 cfg.workers)
         slope, logs = _fit_slope(levels, [s.second_moment for s in stats])
@@ -305,11 +305,11 @@ def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """Monte Carlo vs closed-form second moments (PASS gate)"""
     from .oracle import znv_second_moment
 
-    sampler = LevelSampler(model, payoff, "nv", cfg.horizon)
+    sampler = LevelSampler(model, payoff, "nv")
     rows, warnings, worst = [], [], 0.0
     for level in _level_range(cfg):
         sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed, EXP_ORACLE, cfg.workers)
-        reference = znv_second_moment(level, cfg.mu, cfg.horizon).value
+        reference = znv_second_moment(level, model.mu, model.horizon).value
         # an overflow leaves a statistic that is not finite, which fails the gate
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             squares = sample.values**2
@@ -335,7 +335,7 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """pilot level statistics and fitted rates"""
     coupling = cfg.coupling[0]
     warnings = []
-    sampler = LevelSampler(model, payoff, coupling, cfg.horizon)
+    sampler = LevelSampler(model, payoff, coupling)
     stats = est.rate_pilot(sampler, _level_range(cfg), cfg.pilot_m, cfg.seed, cfg.workers)
     rows = [(s.level, s.mean, s.sem, s.variance) for s in stats]
     try:
@@ -360,15 +360,14 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
     rows, pilots = [], {}  # pilots shared by every coupling
     for coupling in cfg.coupling:
-        sampler = LevelSampler(model, payoff, coupling, cfg.horizon)
+        sampler = LevelSampler(model, payoff, coupling)
         plans = est.calibrated_plans(
             sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
             cfg.nv_level0, _level_range(cfg),
             cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
         )
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
-            result = est.run_multilevel(plan, model, payoff, cfg.seed,
-                                        EXP_RUN + i, cfg.workers, cfg.horizon)
+            result = est.run_multilevel(plan, model, payoff, cfg.seed, EXP_RUN + i, cfg.workers)
             rows.append((epsilon, plan.kind, coupling, plan.last_level,
                          plan.total_samples, result.cost_units, result.seconds,
                          result.estimate))

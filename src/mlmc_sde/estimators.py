@@ -267,8 +267,7 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
 
 
 def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
-                   seed: int, experiment: int = 0, workers: int = 1,
-                   horizon: float = 1.0) -> EstimatorResult:
+                   seed: int, experiment: int = 0, workers: int = 1) -> EstimatorResult:
     """Run the estimator: sum over levels of weight_l * mean(Z^l samples).
 
     Streams are independent across (level, block), so the estimate is a
@@ -277,7 +276,7 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
     run.
     """
     start = time.perf_counter()
-    base = LevelSampler(model, payoff, "gs", horizon=horizon)
+    base = LevelSampler(model, payoff, "gs")
     estimate = 0.0
     stats: list[LevelStats] = []
     aborted = 0
@@ -298,9 +297,9 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
 
 def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5,
              m: int = 10_000, seed: int = 0, experiment: int = 0,
-             workers: int = 1, horizon: float = 1.0) -> LevelStats:
+             workers: int = 1) -> LevelStats:
     """Plain Monte Carlo of f at one discretization level (payoff-variance pilot)."""
-    sampler = LevelSampler(model, payoff, f"crude-{scheme}", horizon=horizon)
+    sampler = LevelSampler(model, payoff, f"crude-{scheme}")
     return cal.pilot_stats(sampler, [level], m, seed, experiment, workers)[0]
 
 
@@ -349,10 +348,11 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
         c2 = var_fit.constant if c2 is None else c2
 
     if kind == "ml2r":
+        horizon = sampler.model.horizon
         for epsilon in epsilons:  # a level past the cap fails before the varf draw
-            ml2r_last_level(epsilon, alpha, sampler.horizon)
+            ml2r_last_level(epsilon, alpha, horizon)
         varf = variance(sampler.with_coupling("crude-nv"), 5, EXP_VARF)
-        return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, sampler.horizon)
+        return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
                 for epsilon in epsilons]
     if kind != "mlmc":
         raise ValueError(f"unknown estimator kind {kind!r}")

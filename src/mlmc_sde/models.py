@@ -1,6 +1,8 @@
 """SDE test models with closed-form flows for splitting schemes.
 
-Each model exposes the Ito drift, the diffusion columns sigma^j, their
+A model is one problem instance: its parameters, its start point X_0 and
+its horizon T, on which every grid of step T / 2^l is built.  Each model
+exposes the Ito drift, the diffusion columns sigma^j, their
 pairwise Jacobian products (d sigma^j) sigma^m, the Stratonovich-corrected
 drift sigma^0 and exact flows of the drift / diffusion vector fields.
 Coefficients take and return states as arrays of shape (..., n), so a batch
@@ -75,9 +77,12 @@ class SdeModel:
 
     n: int
     d: int
+    horizon: float
 
     def __post_init__(self):
         _require_finite(self)
+        if not self.horizon > 0.0:
+            raise ValueError("horizon must be positive")
 
     def initial_state(self, m: int) -> np.ndarray:
         """m copies of the start point as an (m, n) batch stored coordinate-major."""
@@ -122,6 +127,7 @@ class ClarkCameronModel(SdeModel):
     mu: float = 1.0
     u0: float = 0.0
     s0: float = 0.0
+    horizon: float = 1.0
 
     n = 2
     d = 2
@@ -188,6 +194,7 @@ class HestonModel(SdeModel):
     u0: float = 0.0
     v0: float = 1.0
     negative_variance: str = "error"
+    horizon: float = 1.0
 
     n = 2
     d = 2

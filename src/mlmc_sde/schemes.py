@@ -17,7 +17,10 @@ step-major order of ``paths``.
 A level sample Z^l is the mean payoff over a set of fine-grid paths minus
 the mean over a set of coarse-grid paths on pairwise-summed increments;
 each coupling in ``COUPLINGS`` declares the two sets (Giles & Szpruch,
-Ann. Appl. Probab. 2014, for the antithetic construction).
+Ann. Appl. Probab. 2014, for the antithetic construction).  Level l's grid
+has 2^l steps of the model's horizon over 2^l, and a coarse path is given
+the fine increments themselves: they hold twice its grid's steps, which
+is what makes ``simulate_path`` read them pairwise.
 """
 
 from __future__ import annotations
@@ -119,8 +122,7 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
-                  eta: np.ndarray | None = None, swap: bool = False,
-                  coarse: bool = False) -> np.ndarray:
+                  eta: np.ndarray | None = None, swap: bool = False) -> np.ndarray:
     """Terminal states after all grid steps; "gs" ignores eta.
 
     "gs" runs one path per sample of dw (m, d, steps) and returns (m, n).
@@ -130,15 +132,16 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     returns (2m, n): the paths in rows [:m], their twins in rows [m:].  A
     path on -eta therefore needs no flag of its own: it is the twin.
 
-    The flags read derived increments per step, with the arithmetic of the
-    arrays ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``)
-    and ``coarse`` reads dw and eta of the next finer grid pairwise
-    (``coarsen`` and ``rademacher_coarse``).
+    Derived increments are read per step, with the arithmetic of the arrays
+    ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``), and
+    dw and eta with twice the grid's steps, those of the next finer grid,
+    are read pairwise (``coarsen`` and ``rademacher_coarse``).
     """
-    steps, fold = grid.steps, 2 if coarse else 1
-    if dw.shape[-1] != fold * steps or dw.shape[-2] != model.d or (swap and steps % 2):
+    steps = grid.steps
+    fold = dw.shape[-1] // steps  # 2 where the steps are read pairwise
+    if dw.shape[-1] not in (steps, 2 * steps) or dw.shape[-2] != model.d or (swap and steps % 2):
         raise ValueError(f"increments shaped {dw.shape} do not match d={model.d}, "
-                         f"steps={steps}, coarse={coarse}, swap={swap}")
+                         f"steps={steps} or twice that, swap={swap}")
     if kind == "nv" and (eta is None or eta.shape != (dw.shape[0], fold * steps)):
         raise ValueError(f"nv needs one Rademacher sign per sample and step: signs shaped "
                          f"{None if eta is None else eta.shape}, increments {dw.shape}")
@@ -152,7 +155,7 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
         x = model.initial_state(dw.shape[0])
     for k in range(steps):
         j = fold * k
-        w = dw[:, :, j] + dw[:, :, j + 1] if coarse else dw[:, :, k ^ swap]
+        w = dw[:, :, j] + dw[:, :, j + 1] if fold == 2 else dw[:, :, k ^ swap]
         if kind == "gs":
             x = gs_step(model, x, h, w)
         else:
@@ -194,15 +197,13 @@ class LevelSample:
         return float(per * np.size(self.values))
 
 
-def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path,
-                 coarse: bool = False) -> np.ndarray:
+def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) -> np.ndarray:
     """Left-to-right sum of the payoffs of ``paths`` over their count; each
     (scheme, swap) is simulated once, an nv path with its twin."""
     states, total = {}, None
     for scheme, swap, twin in paths:
         if (scheme, swap) not in states:
-            states[scheme, swap] = simulate_path(scheme, model, grid, path.dw, path.eta, swap,
-                                                 coarse)
+            states[scheme, swap] = simulate_path(scheme, model, grid, path.dw, path.eta, swap)
         x = states[scheme, swap]
         if scheme == "nv":
             x = np.split(x, 2)[twin]
@@ -211,7 +212,7 @@ def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path,
 
 
 def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
-                 m, stream, horizon: float = 1.0) -> LevelSample:
+                 m, stream) -> LevelSample:
     """Simulate m coupled samples of Z^level for the requested coupling.
 
     ``m`` and ``stream`` may be a batch's (``paths.sample_level_path``): the
@@ -231,14 +232,14 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     fine, coarse = COUPLINGS[coupling]
     if coarse and level < 1:
         raise ValueError(f"coupling {coupling!r} needs level >= 1")
-    grid = LevelGrid(level, horizon)
+    grid = LevelGrid(level, model.horizon)
     signs = any(scheme == "nv" for scheme, _, _ in fine + coarse)
     path = sample_level_path(stream, grid, model.d, m, signs)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _mean_payoff(model, payoff, fine, grid, path)
         if coarse:
-            values = values - _mean_payoff(model, payoff, coarse, LevelGrid(level - 1, horizon),
-                                           path, coarse=True)
+            values = values - _mean_payoff(model, payoff, coarse,
+                                           LevelGrid(level - 1, model.horizon), path)
     return LevelSample(np.asarray(values, dtype=float), level, coupling)
 
 
@@ -249,14 +250,12 @@ class LevelSampler:
     model: SdeModel
     payoff: Payoff
     coupling: str
-    horizon: float = 1.0
 
     def with_coupling(self, coupling: str) -> "LevelSampler":
         return replace(self, coupling=coupling)
 
     def sample(self, level: int, m, stream) -> LevelSample:
-        return sample_level(self.model, self.payoff, self.coupling, level, m,
-                            stream, self.horizon)
+        return sample_level(self.model, self.payoff, self.coupling, level, m, stream)
 
 
 def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int, workers: int):
@@ -303,13 +302,13 @@ def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
 
 def _coupling_block(task):
     """(self, pair) sums of squared terminal gaps, one per block of the batch."""
-    (model, horizon), level, counts, streams = task
-    grid = LevelGrid(level, horizon)
+    model, level, counts, streams = task
+    grid = LevelGrid(level, model.horizon)
     path = sample_level_path(streams, grid, model.d, counts)
     dw, eta = path.dw, path.eta
     x_fine, x_neg = np.split(simulate_path("nv", model, grid, dw, eta), 2)
-    x_coarse = np.split(simulate_path("nv", model, LevelGrid(level - 1, horizon), dw, eta,
-                                      coarse=True), 2)[0]
+    x_coarse = np.split(simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw,
+                                      eta), 2)[0]
     x_gs = simulate_path("gs", model, grid, dw)
     self_sq = np.sum((x_fine - x_coarse) ** 2, axis=-1)
     pair_sq = np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)
@@ -318,7 +317,7 @@ def _coupling_block(task):
 
 
 def coupling_errors(model: SdeModel, levels, m: int, seed: int,
-                    experiment: int = 0, workers: int = 1, horizon: float = 1.0):
+                    experiment: int = 0, workers: int = 1):
     """Mean squared terminal gaps per level, for the two coupling checks.
 
     Returns (self_mse, pair_mse): E||X_fine - X_coarse||^2 for the
@@ -329,8 +328,8 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
     for level in levels:
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
-        parts = [part for batch in _map_blocks(_coupling_block, (model, horizon), model.d,
-                                               level, m, seed, experiment, workers)
+        parts = [part for batch in _map_blocks(_coupling_block, model, model.d, level, m,
+                                               seed, experiment, workers)
                  for part in batch]
         self_sum = sum(p[0] for p in parts)
         pair_sum = sum(p[1] for p in parts)

@@ -226,3 +226,12 @@ def test_build_model_dispatch():
     assert isinstance(build_model("heston"), HestonModel)
     with pytest.raises(ValueError):
         build_model("ornstein")
+
+
+@pytest.mark.parametrize("name", ["clark-cameron", "heston"])
+def test_model_holds_its_horizon(name):
+    assert build_model(name).horizon == 1.0
+    assert build_model(name, horizon=0.25).horizon == 0.25
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            build_model(name, horizon=bad)

@@ -237,19 +237,19 @@ class TestSteps:
     @pytest.mark.parametrize("kind", ["nv", "gs"])
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_flags_read_the_derived_arrays(self, model, kind):
-        # a path reading swapped or coarse increments per step is the path on
-        # the array paths.py builds, bit for bit, and an nv path's twin is the
-        # path on the negated signs
+        # a path reading swapped or pairwise increments per step is the path
+        # on the array paths.py builds, bit for bit, and an nv path's twin is
+        # the path on the negated signs
         grid, cgrid = LevelGrid(3), LevelGrid(2)
         path = sample_level_path(RngStream(19, 0, 3, 0), grid, model.d, m=64)
         dw, eta = path.dw, path.eta
         coarse_dw, coarse_eta = coarsen(dw), rademacher_coarse(eta)
         pairs = [
-            ((grid, dw, eta, False, False), (grid, dw, eta)),
-            ((grid, dw, eta, True, False), (grid, antithetic_swap(dw), eta)),
-            ((grid, dw, -eta, True, False), (grid, antithetic_swap(dw), -eta)),
-            ((cgrid, dw, eta, False, True), (cgrid, coarse_dw, coarse_eta)),
-            ((cgrid, dw, -eta, False, True), (cgrid, coarse_dw, -coarse_eta)),
+            ((grid, dw, eta, False), (grid, dw, eta)),
+            ((grid, dw, eta, True), (grid, antithetic_swap(dw), eta)),
+            ((grid, dw, -eta, True), (grid, antithetic_swap(dw), -eta)),
+            ((cgrid, dw, eta, False), (cgrid, coarse_dw, coarse_eta)),
+            ((cgrid, dw, -eta, False), (cgrid, coarse_dw, -coarse_eta)),
         ]
         for read, built in pairs:
             got = simulate_path(kind, model, *read)
@@ -263,11 +263,13 @@ class TestSteps:
     def test_flag_validation(self):
         with pytest.raises(ValueError):  # no pair to swap on one step
             simulate_path("gs", CC, LevelGrid(0), np.zeros((1, 2, 1)), swap=True)
-        with pytest.raises(ValueError):  # a coarse path reads twice the grid's steps
-            simulate_path("gs", CC, LevelGrid(1), np.zeros((1, 2, 2)), coarse=True)
+        with pytest.raises(ValueError):  # a path reads its grid's steps or twice that
+            simulate_path("gs", CC, LevelGrid(1), np.zeros((1, 2, 3)))
         with pytest.raises(ValueError):
+            simulate_path("gs", CC, LevelGrid(1), np.zeros((1, 2, 6)))
+        with pytest.raises(ValueError):  # signs as long as the increments read pairwise
             simulate_path("nv", CC, LevelGrid(1), np.zeros((1, 2, 4)),
-                          np.ones((1, 2), dtype=np.int8), coarse=True)
+                          np.ones((1, 2), dtype=np.int8))
 
 
 class TestLayout:
@@ -544,7 +546,7 @@ class TestBatches:
         levels, m = [5, 6, 7], BLOCK_SAMPLES + 100
         self_mse, pair_mse = [], []
         for level in levels:
-            parts = [schemes._coupling_block(((model, 1.0), level, (count,), (stream,)))[0]
+            parts = [schemes._coupling_block((model, level, (count,), (stream,)))[0]
                      for count, stream in block_streams(m, 21, 3, level)]
             self_mse.append(sum(p[0] for p in parts) / m)
             pair_mse.append(sum(p[1] for p in parts) / m)
