@@ -217,15 +217,23 @@ def ml2r_theta(beta: float, c2: float, varf: float, horizon: float = 1.0) -> flo
     return horizon ** (-0.5 * beta) * math.sqrt(c2 / varf)
 
 
+def _ml2r_allocation(last_level: int, alpha: float, beta: float, theta: float):
+    """The suffix weights W, the fractions q of ``ml2r_allocation`` and, per
+    coupled level l = 1..L, (|W_l|, decay, cost): the variance decay
+    2^(-beta l/2) + 2^(-beta (l-1)/2) and the cost 2^l + 2^(l-1) of one
+    coupled sample."""
+    _, suffix = ml2r_weights(last_level, alpha)
+    levels = [(abs(suffix[level]),
+               2.0 ** (-0.5 * beta * level) + 2.0 ** (-0.5 * beta * (level - 1)),
+               2.0**level + 2.0 ** (level - 1)) for level in range(1, last_level + 1)]
+    q = np.array([1.0 + theta]
+                 + [theta * w * decay / math.sqrt(cost) for w, decay, cost in levels])
+    return suffix, q / q.sum(), levels
+
+
 def ml2r_allocation(last_level: int, alpha: float, beta: float, theta: float) -> np.ndarray:
     """Normalized per-level sampling fractions q of the weighted estimator."""
-    _, suffix = ml2r_weights(last_level, alpha)
-    q = np.zeros(last_level + 1)
-    q[0] = 1.0 + theta
-    for level in range(1, last_level + 1):
-        decay = 2.0 ** (-0.5 * beta * level) + 2.0 ** (-0.5 * beta * (level - 1))
-        q[level] = theta * abs(suffix[level]) * decay / math.sqrt(2.0**level + 2.0 ** (level - 1))
-    return q / q.sum()
+    return _ml2r_allocation(last_level, alpha, beta, theta)[1]
 
 
 def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
@@ -237,17 +245,10 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
     single-order crude sampler.
     """
     last = ml2r_last_level(epsilon, alpha, horizon)
-    _, suffix = ml2r_weights(last, alpha)
     theta = ml2r_theta(beta, c2, varf, horizon)
-    q = ml2r_allocation(last, alpha, beta, theta)
-
-    coupled = sum(
-        abs(suffix[level])
-        * (2.0 ** (-0.5 * beta * level) + 2.0 ** (-0.5 * beta * (level - 1)))
-        * math.sqrt(2.0**level + 2.0 ** (level - 1))
-        for level in range(1, last + 1)
-    )
-    effort = q[0] + sum(q[level] * (2.0**level + 2.0 ** (level - 1)) for level in range(1, last + 1))
+    suffix, q, levels = _ml2r_allocation(last, alpha, beta, theta)
+    coupled = sum(w * decay * math.sqrt(cost) for w, decay, cost in levels)
+    effort = q[0] + sum(q[level] * cost for level, (_, _, cost) in enumerate(levels, 1))
     n_star = (
         (1.0 + 0.5 / (alpha * (last + 1)))
         * varf * (1.0 + theta * (1.0 + coupled)) ** 2
@@ -276,12 +277,11 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
     run.
     """
     start = time.perf_counter()
-    base = LevelSampler(model, payoff, "gs")
     estimate = 0.0
     stats: list[LevelStats] = []
     aborted = 0
     for level in range(plan.last_level + 1):
-        sampler = base.with_coupling(plan.level_tags[level])
+        sampler = LevelSampler(model, payoff, plan.level_tags[level])
         sample = sample_many(sampler, level, int(plan.sizes[level]), seed, experiment, workers)
         if sample.aborted > ABORT_TOLERANCE * sample.values.size:
             raise SamplingError(

@@ -148,11 +148,8 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     if kind not in ("nv", "gs"):
         raise ValueError(f"unknown scheme kind {kind!r}")
     h = grid.step
-    if kind == "nv":
-        x = model.initial_state(2 * dw.shape[0])
-        ascends = eta[:, 0] > 0
-    else:
-        x = model.initial_state(dw.shape[0])
+    x = model.initial_state((2 if kind == "nv" else 1) * dw.shape[0])
+    ascends = kind == "nv" and eta[:, 0] > 0
     for k in range(steps):
         j = fold * k
         w = dw[:, :, j] + dw[:, :, j + 1] if fold == 2 else dw[:, :, k ^ swap]
@@ -191,9 +188,7 @@ class LevelSample:
         """Path steps simulated: each path of the coupling (COUPLING_COSTS)
         times the steps of its grid, over all samples."""
         fine, coarse = COUPLING_COSTS[self.coupling]
-        per = fine * 2**self.level
-        if coarse:
-            per += coarse * 2 ** (self.level - 1)
+        per = fine * 2**self.level + coarse * 2 ** (self.level - 1)
         return float(per * np.size(self.values))
 
 
@@ -331,8 +326,6 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
         parts = [part for batch in _map_blocks(_coupling_block, model, model.d, level, m,
                                                seed, experiment, workers)
                  for part in batch]
-        self_sum = sum(p[0] for p in parts)
-        pair_sum = sum(p[1] for p in parts)
-        self_mse.append(self_sum / m)
-        pair_mse.append(pair_sum / m)
+        self_mse.append(sum(p[0] for p in parts) / m)
+        pair_mse.append(sum(p[1] for p in parts) / m)
     return np.array(self_mse), np.array(pair_mse)
