@@ -112,7 +112,8 @@ class ExperimentConfig:
     sigma: float = _option(0.05, float, check=FINITE, help="Heston volatility of variance")
     v0: float = _option(1.0, float, check=FINITE, help="Heston initial variance")
     nv_level0: str = _option("averaged", choices=("averaged", "single"),
-                             help="level-0 splitting sample: both orders averaged or one")
+                             help="mlmc level-0 splitting sample: both orders averaged or one "
+                                  "(ml2r ignores it: its level 0 is always one order)")
     alpha: float | None = _option(None, float, check=POSITIVE,
                                   help="fixed weak order (skips the rate pilot)")
     c1: float | None = _option(None, float, check=FINITE, help="fixed weak constant")
