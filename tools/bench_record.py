@@ -12,10 +12,11 @@ and once with ``--trace 1`` (per-layer metrics), and writes
 suite of the checkout once.  The file holds the git rev, the machine (nproc,
 CPU model, Python and numpy versions), the median and interquartile range
 over the seeds of each metric with its per-seed values, the failed-check
-counts, and the Tier-1 wall time with its pass/fail counts and the own time
-of acceptance criterion 3 (the longest test, read from ``--durations``).
-``compare`` prints the Tier-1 results of both files, then each median of NEW
-beside OLD's, with the ratio and OLD's relative spread.
+counts, the Tier-1 wall time with its pass/fail counts and the own time
+of acceptance criterion 3 (the longest test, read from ``--durations``), and
+``src_lines``, the ``wc -l`` total of ``src/mlmc_sde/*.py``.  ``compare``
+prints the Tier-1 results and source lines of both files, then each median
+of NEW beside OLD's, with the ratio and OLD's relative spread.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def _tier1(root: Path) -> dict:
             **{k: counts.get(k, 0) for k in TIER1_OUTCOMES}}
 
 
+def _src_lines(root: Path) -> int:
+    """Newlines in the package's modules, as ``wc -l src/mlmc_sde/*.py`` totals them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "mlmc_sde").glob("*.py"))
+
+
 def _tier1_line(run: dict | None) -> str:
     if run is None:
         return "not recorded"
@@ -129,6 +135,7 @@ def record(root: Path) -> Path:
         "seconds": SECONDS,
         "workloads": {},
         "tier1": _tier1(root),
+        "src_lines": _src_lines(root),
     }
     for workload in (w["name"] for w in workloads):
         plain, traced = [], []
@@ -151,7 +158,9 @@ def record(root: Path) -> Path:
 def compare(old_path: Path, new_path: Path) -> None:
     old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
     print(f"# {old['rev'][:7]} -> {new['rev'][:7]}")
-    print(f"tier-1: {_tier1_line(old.get('tier1'))} -> {_tier1_line(new.get('tier1'))}")
+    print(f"tier-1: {_tier1_line(old.get('tier1'))} -> {_tier1_line(new.get('tier1'))}; "
+          f"src lines {old.get('src_lines', 'not recorded')} -> "
+          f"{new.get('src_lines', 'not recorded')}")
     print("# medians, new / old, (old IQR / old median)")
     for workload, a in old["workloads"].items():
         b = new["workloads"].get(workload)
