@@ -397,7 +397,7 @@ GOLDEN_RUNS = {
                               "--eps", "2^-5", "--eps", "2^-6", "--pilot-m", "4000",
                               "--seed", "9", "--horizon", "0.5"],
                              "f6cb03339c8125f8"),
-    # ML2R's depth and theta are formulas in T (depth 1 here, 2 at T = 1)
+    # ML2R's depth and theta are formulas in T (at 2^-5, depth 1 here and 2 at T = 1)
     "heston-ml2r-horizon-half": (["--model", "heston", "--payoff", "heston-call",
                                   "--coupling", "nv", "--estimator", "ml2r", "--eps", "2^-4",
                                   "--eps", "2^-5", "--pilot-m", "4000", "--seed", "17",
