@@ -382,6 +382,10 @@ GOLDEN_RUNS = {
     "gs-nv-mlmc": (["--coupling", "gs-nv", "--eps", "2^-4", "--eps", "2^-5",
                     "--eps", "2^-6", "--pilot-m", "4000", "--seed", "9"],
                    "3a6c1ce93a13bb2b"),
+    # nv coupling with the averaged (two-path) level-0 sampler
+    "nv-mlmc-averaged": (["--payoff", "u-squared", "--coupling", "nv", "--eps", "2^-5",
+                          "--eps", "2^-7", "--pilot-m", "4000", "--seed", "9"],
+                         "a57cd54757b4f30d"),
     # weighted estimator sized from the crude payoff-variance pilot
     "heston-ml2r": (["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
                      "--estimator", "ml2r", "--eps", "2^-4", "--eps", "2^-5",
