@@ -1,0 +1,30 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+
+def bench_file(path, workloads):
+    metric = {"unit": "s", "median": 1.0, "iqr": 0.1, "values": [1.0]}
+    path.write_text(json.dumps({"rev": path.stem * 7, "workloads": {
+        name: {"failed_checks": 0, "end_to_end": {m: metric for m in metrics},
+               "per_layer": {}}
+        for name, metrics in workloads.items()}}))
+    return path
+
+
+def test_compare_prints_what_one_side_lacks(tmp_path, capsys):
+    old = bench_file(tmp_path / "a.json", {"both": ["wall_s", "gone_s"], "old-only": ["wall_s"]})
+    new = bench_file(tmp_path / "b.json", {"both": ["wall_s", "added_s"], "new-only": ["wall_s"]})
+    bench_record.compare(old, new)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["old-only:", "missing", "in", "NEW"] in lines
+    assert ["new-only:", "missing", "in", "OLD"] in lines
+    assert ["gone_s", "missing", "in", "NEW"] in lines
+    assert ["added_s", "missing", "in", "OLD"] in lines
+    assert [line[0] for line in lines if line[0].endswith("_s")] == ["wall_s", "gone_s",
+                                                                     "added_s"]

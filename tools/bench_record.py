@@ -16,7 +16,8 @@ counts, the Tier-1 wall time with its pass/fail counts and the own time
 of acceptance criterion 3 (the longest test, read from ``--durations``), and
 ``src_lines``, the ``wc -l`` total of ``src/mlmc_sde/*.py``.  ``compare``
 prints the Tier-1 results and source lines of both files, then each median
-of NEW beside OLD's, with the ratio and OLD's relative spread.
+of NEW beside OLD's, with the ratio and OLD's relative spread; a workload or
+metric found in only one file is printed as missing in the other.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ def record(root: Path) -> Path:
     return path
 
 
+def _union(a: dict, b: dict) -> list:
+    """The keys of a, then those only in b, each in its own order."""
+    return [*a, *(k for k in b if k not in a)]
+
+
 def compare(old_path: Path, new_path: Path) -> None:
     old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
     print(f"# {old['rev'][:7]} -> {new['rev'][:7]}")
@@ -162,15 +168,17 @@ def compare(old_path: Path, new_path: Path) -> None:
           f"src lines {old.get('src_lines', 'not recorded')} -> "
           f"{new.get('src_lines', 'not recorded')}")
     print("# medians, new / old, (old IQR / old median)")
-    for workload, a in old["workloads"].items():
-        b = new["workloads"].get(workload)
-        if b is None:
+    for workload in _union(old["workloads"], new["workloads"]):
+        a, b = old["workloads"].get(workload), new["workloads"].get(workload)
+        if a is None or b is None:
+            print(f"{workload}: missing in {'OLD' if a is None else 'NEW'}")
             continue
         print(f"{workload}: failed checks {a['failed_checks']} -> {b['failed_checks']}")
         for kind in ("end_to_end", "per_layer"):
-            for name, x in a[kind].items():
-                y = b[kind].get(name)
-                if y is None:
+            for name in _union(a[kind], b[kind]):
+                x, y = a[kind].get(name), b[kind].get(name)
+                if x is None or y is None:
+                    print(f"  {name:36s} missing in {'OLD' if x is None else 'NEW'}")
                     continue
                 ratio = y["median"] / x["median"] if x["median"] else float("nan")
                 spread = x["iqr"] / x["median"] if x["median"] else float("nan")
