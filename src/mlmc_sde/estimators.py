@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import calibrate as cal
 from .calibrate import LevelStats, stats_from_sample
 from .models import Payoff, SdeModel
 from .paths import MAX_LEVEL
-from .schemes import COUPLING_COSTS, LevelSampler, sample_many
+from .schemes import LevelSampler, path_steps, sample_many
 
 # experiment ids of the pilot streams, kept apart from every other phase's
 EXP_RATES = 11
@@ -53,7 +53,7 @@ class SamplingError(cal.SamplingFailure, RuntimeError):
 
 @dataclass(frozen=True)
 class MultilevelPlan:
-    """Levels, sample sizes, estimator weights and cost weights of one run."""
+    """Levels, sample sizes, estimator weights and level samplers of one run."""
 
     kind: str                 # "mlmc" | "ml2r"
     coupling: str             # "gs" | "nv" | "gs-nv"
@@ -61,13 +61,12 @@ class MultilevelPlan:
     last_level: int
     sizes: np.ndarray         # samples per level
     weights: np.ndarray       # level weights (all ones for mlmc)
-    lam: np.ndarray           # cost weights lambda_l
-    level_tags: tuple[str, ...] = field(default=())
+    level_tags: tuple[str, ...]  # the coupling each level is sampled with
 
     @property
     def cost_units(self) -> float:
-        levels = np.arange(self.last_level + 1)
-        return float(np.sum(self.sizes * self.lam * 2.0**levels))
+        """Path steps of the planned samples."""
+        return float(np.sum(self.sizes * _level_costs(self.level_tags)))
 
     @property
     def total_samples(self) -> int:
@@ -95,29 +94,25 @@ def mlmc_last_level(epsilon: float, c1: float, alpha: float) -> int:
     return max(1, math.ceil(raw))
 
 
-def mlmc_sample_sizes(epsilon: float, last_level: int, variances, lam) -> np.ndarray:
-    """Cost-optimal sizes M_l = ceil(2 eps^-2 sqrt(V_l / (lam_l 2^l)) * sum_j sqrt(lam_j 2^j V_j))."""
+def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
+    """Cost-optimal sizes M_l = ceil(2 eps^-2 sqrt(V_l / C_l) * sum_j sqrt(C_j V_j)),
+    C_l the cost of one sample of level l."""
     variances = np.asarray(variances, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if variances.shape != (last_level + 1,) or lam.shape != (last_level + 1,):
-        raise ValueError("variances and lambda must cover levels 0..last_level")
+    costs = np.asarray(costs, dtype=float)
+    if variances.ndim != 1 or costs.shape != variances.shape:
+        raise ValueError("variances and costs must both cover levels 0..last_level")
     if np.any(variances < 0.0):
         raise ValueError("variances must be nonnegative")
-    levels = np.arange(last_level + 1)
     if not variances.any():
-        return np.ones(last_level + 1, dtype=int)
-    budget = np.sum(np.sqrt(lam * 2.0**levels * variances))
-    raw = 2.0 / epsilon**2 * np.sqrt(variances / (lam * 2.0**levels)) * budget
+        return np.ones(variances.size, dtype=int)
+    budget = np.sum(np.sqrt(costs * variances))
+    raw = 2.0 / epsilon**2 * np.sqrt(variances / costs) * budget
     return np.maximum(1, np.ceil(raw - 1e-9).astype(int))
 
 
-def default_lambdas(coupling: str, last_level: int, nv_level0: str = "averaged") -> np.ndarray:
-    """Per-level cost weights: each level's path steps per sample (from
-    COUPLING_COSTS) over 2^l, relative to level 0."""
-    costs = np.array([COUPLING_COSTS[tag]
-                      for tag in _level_tags("mlmc", coupling, last_level, nv_level0)])
-    steps = costs[:, 0] + 0.5 * costs[:, 1]
-    return steps / steps[0]
+def _level_costs(level_tags) -> np.ndarray:
+    """Path steps per sample of each level, level l sampled with level_tags[l]."""
+    return np.array([path_steps(tag, level) for level, tag in enumerate(level_tags)])
 
 
 def _level_tags(kind: str, coupling: str, last_level: int, nv_level0: str) -> tuple[str, ...]:
@@ -145,7 +140,7 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
     variance of its final level.
     """
     last = mlmc_last_level(epsilon, c1, alpha)
-    lam = default_lambdas(coupling, last, nv_level0)
+    tags = _level_tags("mlmc", coupling, last, nv_level0)
     if variance_table is not None:
         variances = np.asarray(variance_table, dtype=float).copy()
         if variances.shape != (last + 1,):
@@ -158,7 +153,7 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
             raise MissingLastLevelVariance("gs-nv needs a pilot variance at the last level")
         if v_last is not None:
             variances[last] = v_last
-    sizes = mlmc_sample_sizes(epsilon, last, variances, lam)
+    sizes = mlmc_sample_sizes(epsilon, variances, _level_costs(tags))
     return MultilevelPlan(
         kind="mlmc",
         coupling=coupling,
@@ -166,8 +161,7 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
         last_level=last,
         sizes=sizes,
         weights=np.ones(last + 1),
-        lam=lam,
-        level_tags=_level_tags("mlmc", coupling, last, nv_level0),
+        level_tags=tags,
     )
 
 
@@ -217,23 +211,19 @@ def ml2r_theta(beta: float, c2: float, varf: float, horizon: float = 1.0) -> flo
     return horizon ** (-0.5 * beta) * math.sqrt(c2 / varf)
 
 
-def _ml2r_allocation(last_level: int, alpha: float, beta: float, theta: float):
-    """The suffix weights W, the fractions q of ``ml2r_allocation`` and, per
-    coupled level l = 1..L, (|W_l|, decay, cost): the variance decay
-    2^(-beta l/2) + 2^(-beta (l-1)/2) and the cost 2^l + 2^(l-1) of one
-    coupled sample."""
-    _, suffix = ml2r_weights(last_level, alpha)
-    levels = [(abs(suffix[level]),
-               2.0 ** (-0.5 * beta * level) + 2.0 ** (-0.5 * beta * (level - 1)),
-               2.0**level + 2.0 ** (level - 1)) for level in range(1, last_level + 1)]
-    q = np.array([1.0 + theta]
-                 + [theta * w * decay / math.sqrt(cost) for w, decay, cost in levels])
-    return suffix, q / q.sum(), levels
-
-
-def ml2r_allocation(last_level: int, alpha: float, beta: float, theta: float) -> np.ndarray:
-    """Normalized per-level sampling fractions q of the weighted estimator."""
-    return _ml2r_allocation(last_level, alpha, beta, theta)[1]
+def _ml2r_allocation(costs, alpha: float, beta: float, theta: float):
+    """The suffix weights W, the normalized sampling fractions q and
+    sum_l s_l sqrt(C_l) of the weighted estimator whose level l costs C_l
+    per sample: q_l is proportional to s_l / sqrt(C_l), with s_0 = 1 + theta
+    and s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)) for l >= 1."""
+    costs = np.asarray(costs, dtype=float)
+    _, suffix = ml2r_weights(costs.size - 1, alpha)
+    levels = np.arange(1, costs.size)
+    decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
+    s = np.concatenate(([1.0 + theta], theta * np.abs(suffix[1:]) * decay))
+    root = np.sqrt(costs)
+    q = s / root
+    return suffix, q / q.sum(), float(np.sum(s * root))
 
 
 def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
@@ -241,18 +231,18 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
     """Weighted multilevel plan with fully explicit allocation.
 
     ``varf`` is the payoff variance V(f(X_T)) estimated by a crude run.
-    Cost accounting carries unit lambda weights, and level 0 is the
-    single-order crude sampler.
+    Level 0 is the single-order crude sampler, and each level is charged
+    its path steps per sample (``path_steps``).
     """
     last = ml2r_last_level(epsilon, alpha, horizon)
     theta = ml2r_theta(beta, c2, varf, horizon)
-    suffix, q, levels = _ml2r_allocation(last, alpha, beta, theta)
-    coupled = sum(w * decay * math.sqrt(cost) for w, decay, cost in levels)
-    effort = q[0] + sum(q[level] * cost for level, (_, _, cost) in enumerate(levels, 1))
+    tags = _level_tags("ml2r", coupling, last, "single")
+    costs = _level_costs(tags)
+    suffix, q, spread = _ml2r_allocation(costs, alpha, beta, theta)
     n_star = (
         (1.0 + 0.5 / (alpha * (last + 1)))
-        * varf * (1.0 + theta * (1.0 + coupled)) ** 2
-        / (epsilon**2 * effort)
+        * varf * spread**2
+        / (epsilon**2 * np.sum(q * costs))
     )
     sizes = np.maximum(1, np.ceil(q * n_star - 1e-9).astype(int))
     return MultilevelPlan(
@@ -262,8 +252,7 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
         last_level=last,
         sizes=sizes,
         weights=suffix,
-        lam=np.ones(last + 1),
-        level_tags=_level_tags("ml2r", coupling, last, "single"),
+        level_tags=tags,
     )
 
 
@@ -274,10 +263,10 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
     Streams are independent across (level, block), so the estimate is a
     pure function of (seed, plan) whatever the worker count.  A level
     whose aborted-sample fraction exceeds ``ABORT_TOLERANCE`` fails the
-    run.
+    run.  The cost is the path steps of the samples drawn.
     """
     start = time.perf_counter()
-    estimate = 0.0
+    estimate = cost = 0.0
     stats: list[LevelStats] = []
     aborted = 0
     for level in range(plan.last_level + 1):
@@ -290,9 +279,10 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
         level_stats = stats_from_sample(sample)
         stats.append(level_stats)
         aborted += sample.aborted
+        cost += sample.cost_units
         estimate += plan.weights[level] * level_stats.mean
     seconds = time.perf_counter() - start
-    return EstimatorResult(float(estimate), stats, plan.cost_units, seconds, aborted)
+    return EstimatorResult(float(estimate), stats, cost, seconds, aborted)
 
 
 def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5,

@@ -61,6 +61,14 @@ COUPLINGS = {
 COUPLING_COSTS = {tag: (len(fine), len(coarse)) for tag, (fine, coarse) in COUPLINGS.items()}
 
 
+def path_steps(coupling: str, level: int) -> float:
+    """Path steps simulated per sample of ``coupling`` at ``level``: 2^level
+    for each fine path and 2^(level-1) for each coarse one.  The one cost of
+    a sample that plans are sized with and runs report."""
+    fine, coarse = COUPLING_COSTS[coupling]
+    return fine * 2.0**level + coarse * 2.0 ** (level - 1)
+
+
 def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
             exchange: np.ndarray) -> np.ndarray:
     """One splitting step from a batch of state pairs x (2m, n).
@@ -185,11 +193,8 @@ class LevelSample:
 
     @property
     def cost_units(self) -> float:
-        """Path steps simulated: each path of the coupling (COUPLING_COSTS)
-        times the steps of its grid, over all samples."""
-        fine, coarse = COUPLING_COSTS[self.coupling]
-        per = fine * 2**self.level + coarse * 2 ** (self.level - 1)
-        return float(per * np.size(self.values))
+        """Path steps simulated over all samples (``path_steps``)."""
+        return path_steps(self.coupling, self.level) * np.size(self.values)
 
 
 def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) -> np.ndarray:

@@ -385,12 +385,12 @@ GOLDEN_RUNS = {
     # nv coupling with the averaged (two-path) level-0 sampler
     "nv-mlmc-averaged": (["--payoff", "u-squared", "--coupling", "nv", "--eps", "2^-5",
                           "--eps", "2^-7", "--pilot-m", "4000", "--seed", "9"],
-                         "a57cd54757b4f30d"),
+                         "1141b423dc1f0b16"),
     # weighted estimator sized from the crude payoff-variance pilot
     "heston-ml2r": (["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
                      "--estimator", "ml2r", "--eps", "2^-4", "--eps", "2^-5",
                      "--pilot-m", "4000", "--seed", "17"],
-                    "12d995a4b844ea25"),
+                    "755a508ec680c334"),
     # no rate pilot at all
     "fixed-rates": (["--coupling", "gs", "--alpha", "1", "--c1", "0.16", "--beta", "2",
                      "--c2", "0.15", "--eps", "2^-5", "--eps", "2^-6",
@@ -406,7 +406,7 @@ GOLDEN_RUNS = {
                                   "--coupling", "nv", "--estimator", "ml2r", "--eps", "2^-4",
                                   "--eps", "2^-5", "--pilot-m", "4000", "--seed", "17",
                                   "--horizon", "0.5"],
-                                 "cb585c8cf9a80761"),
+                                 "5ba0cd90009505fe"),
 }
 
 # data rows of the commands without a seconds column, at T != 1

@@ -16,8 +16,6 @@ from mlmc_sde.estimators import (
     ZeroWeakConstant,
     calibrated_plans,
     crude_mc,
-    default_lambdas,
-    ml2r_allocation,
     ml2r_last_level,
     ml2r_plan,
     ml2r_theta,
@@ -29,10 +27,16 @@ from mlmc_sde.estimators import (
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
-from mlmc_sde.schemes import LevelSample, LevelSampler, sample_many
+from mlmc_sde.schemes import LevelSample, LevelSampler, path_steps, sample_many
 
 CC = ClarkCameronModel(mu=1.0)
 USQ = Payoff("u-squared")
+
+
+def gs_costs(last):
+    """Path steps per sample of gs MLMC: the one-step crude-gs at level 0,
+    then 2 fine paths of 2^l steps and 1 coarse path of 2^(l-1)."""
+    return np.array([1.0] + [2.5 * 2.0**level for level in range(1, last + 1)])
 
 
 class TestLastLevel:
@@ -61,35 +65,41 @@ class TestLastLevel:
 
 class TestSampleSizes:
     def test_single_level(self):
-        np.testing.assert_array_equal(mlmc_sample_sizes(1.0, 0, [1.0], [1.0]), [2])
+        np.testing.assert_array_equal(mlmc_sample_sizes(1.0, [1.0], [1.0]), [2])
 
     def test_epsilon_scaling(self):
         variances = [0.5, 0.1, 0.02]
-        lam = [1.0, 2.5, 2.5]
-        coarse = mlmc_sample_sizes(0.1, 2, variances, lam)
-        fine = mlmc_sample_sizes(0.05, 2, variances, lam)
+        costs = gs_costs(2)
+        coarse = mlmc_sample_sizes(0.1, variances, costs)
+        fine = mlmc_sample_sizes(0.05, variances, costs)
         # quadrupling before the ceiling: within one unit of exactly 4x
         assert (fine >= 4 * (coarse - 1)).all()
         assert (fine <= 4 * coarse).all()
 
     def test_zero_variance_level_floors_to_one(self):
-        sizes = mlmc_sample_sizes(0.5, 2, [1.0, 0.0, 0.25], [1.0, 2.5, 2.5])
+        sizes = mlmc_sample_sizes(0.5, [1.0, 0.0, 0.25], gs_costs(2))
         assert sizes[1] == 1
         assert sizes[0] > 1
 
     def test_all_zero_variance(self):
         np.testing.assert_array_equal(
-            mlmc_sample_sizes(0.5, 2, [0.0, 0.0, 0.0], [1.0, 2.5, 2.5]), [1, 1, 1]
+            mlmc_sample_sizes(0.5, [0.0, 0.0, 0.0], gs_costs(2)), [1, 1, 1]
         )
 
 
-class TestLambdas:
+def level_costs(kind, coupling, last, nv_level0="averaged"):
+    return estimators._level_costs(estimators._level_tags(kind, coupling, last, nv_level0))
+
+
+class TestPathSteps:
     def test_tables(self):
-        np.testing.assert_allclose(default_lambdas("gs", 3), [1.0, 2.5, 2.5, 2.5])
-        np.testing.assert_allclose(default_lambdas("gs-nv", 3), [1.0, 2.5, 2.5, 4.5])
-        np.testing.assert_allclose(default_lambdas("nv", 2, "single"), [1.0, 5.0, 5.0])
-        np.testing.assert_allclose(default_lambdas("nv", 2, "averaged"), [1.0, 2.5, 2.5])
-        np.testing.assert_allclose(default_lambdas("gs-nv", 1), [1.0, 4.5])
+        np.testing.assert_array_equal(level_costs("mlmc", "gs", 3), [1.0, 5.0, 10.0, 20.0])
+        np.testing.assert_array_equal(level_costs("mlmc", "gs-nv", 3), [1.0, 5.0, 10.0, 36.0])
+        np.testing.assert_array_equal(level_costs("mlmc", "nv", 2, "single"), [1.0, 10.0, 20.0])
+        np.testing.assert_array_equal(level_costs("mlmc", "nv", 2, "averaged"), [2.0, 10.0, 20.0])
+        np.testing.assert_array_equal(level_costs("mlmc", "gs-nv", 1), [1.0, 9.0])
+        np.testing.assert_array_equal(level_costs("ml2r", "nv", 2, "single"), [1.0, 10.0, 20.0])
+        np.testing.assert_array_equal(level_costs("ml2r", "gs", 2), [1.0, 5.0, 10.0])
 
 
 class TestMlmcPlan:
@@ -99,7 +109,7 @@ class TestMlmcPlan:
         last = mlmc_last_level(epsilon, c1, alpha)
         table = c2 * 2.0 ** (-beta * np.arange(last + 1))
         np.testing.assert_array_equal(
-            plan.sizes, mlmc_sample_sizes(epsilon, last, table, default_lambdas("gs", last))
+            plan.sizes, mlmc_sample_sizes(epsilon, table, gs_costs(last))
         )
 
     def test_monotone_sizes_for_decaying_variance(self):
@@ -115,21 +125,21 @@ class TestMlmcPlan:
         assert plan.level_tags[0] == "crude-gs"
         assert plan.level_tags[-1] == "gs-nv"
         assert set(plan.level_tags[1:-1]) <= {"gs"}
-        assert plan.lam[-1] == 4.5
+        assert path_steps(plan.level_tags[-1], plan.last_level) == 4.5 * 2.0**plan.last_level
 
     def test_nv_level0_tags(self):
         plan = mlmc_plan("nv", 0.05, 2.0, 0.1, 2.0, 0.3, v0=0.4, nv_level0="averaged")
         assert plan.level_tags[0] == "level0-nv-averaged"
         plan = mlmc_plan("nv", 0.05, 2.0, 0.1, 2.0, 0.3, v0=0.4, nv_level0="single")
         assert plan.level_tags[0] == "crude-nv"
-        assert plan.lam[1] == 5.0
+        assert path_steps(plan.level_tags[1], 1) == 5.0 * 2.0
 
     def test_direct_variance_table_override(self):
         table = np.array([0.4, 0.1, 0.05])
         plan = mlmc_plan("gs", 2.0**-4, 1.0, 0.17, 2.0, 0.3, v0=0.4, variance_table=table)
         assert plan.last_level == 2
         np.testing.assert_array_equal(
-            plan.sizes, mlmc_sample_sizes(2.0**-4, 2, table, default_lambdas("gs", 2))
+            plan.sizes, mlmc_sample_sizes(2.0**-4, table, gs_costs(2))
         )
 
 
@@ -169,18 +179,39 @@ class TestMl2r:
         alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
         beta=st.sampled_from([1.0, 1.5, 2.0]),
         theta=st.floats(0.05, 5.0),
+        per_step=st.sampled_from([2.5, 5.0]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_allocation_normalized(self, last, alpha, beta, theta):
-        q = ml2r_allocation(last, alpha, beta, theta)
+    def test_allocation_normalized(self, last, alpha, beta, theta, per_step):
+        costs = np.array([1.0] + [per_step * 2.0**level for level in range(1, last + 1)])
+        q = estimators._ml2r_allocation(costs, alpha, beta, theta)[1]
         assert abs(q.sum() - 1.0) < 1e-12
         assert (q > 0).all()
+
+    @pytest.mark.parametrize("coupling,per_step", [("nv", 5.0), ("gs", 2.5)])
+    def test_allocation_charges_path_steps(self, coupling, per_step):
+        # q_l sqrt(C_l) / s_l is one constant over every level, with C_0 = 1,
+        # s_0 = 1 + theta and, at l >= 1, C_l = per_step 2^l and
+        # s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)); the sizes are
+        # q n* rounded up, so they hold it to their rounding
+        epsilon, alpha, beta, c2, varf = 2.0**-9, 1.0, 2.0, 0.1, 0.8
+        plan = ml2r_plan(coupling, epsilon, alpha, beta, c2, varf)
+        theta = ml2r_theta(beta, c2, varf)
+        levels = np.arange(1, plan.last_level + 1)
+        decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
+        s = np.append(1.0 + theta, theta * np.abs(plan.weights[1:]) * decay)
+        costs = np.append(1.0, per_step * 2.0**levels)
+        ratio = plan.sizes * np.sqrt(costs) / s
+        assert plan.last_level >= 2 and plan.sizes.min() >= 100
+        np.testing.assert_allclose(ratio, ratio[0], rtol=0.01)
 
     def test_plan_structure(self):
         plan = ml2r_plan("nv", 2.0**-5, 2.0, 2.0, 0.1, 0.8)
         assert plan.kind == "ml2r"
         assert plan.level_tags[0] == "crude-nv"
-        np.testing.assert_array_equal(plan.lam, np.ones(plan.last_level + 1))
+        np.testing.assert_array_equal(
+            estimators._level_costs(plan.level_tags),
+            [1.0] + [5.0 * 2.0**level for level in range(1, plan.last_level + 1)])
         assert plan.weights[0] == pytest.approx(1.0)
         assert (plan.sizes >= 1).all()
 
@@ -203,7 +234,7 @@ class TestRunner:
 
     def test_single_level_plan_is_plain_average(self):
         plan = MultilevelPlan("mlmc", "gs", 1.0, 0, np.array([5000]), np.ones(1),
-                              np.ones(1), ("crude-gs",))
+                              ("crude-gs",))
         result = run_multilevel(plan, CC, USQ, seed=4, experiment=2)
         sampler = LevelSampler(CC, USQ, "crude-gs")
         direct = sample_many(sampler, 0, 5000, seed=4, experiment=2)
@@ -218,9 +249,33 @@ class TestRunner:
     def test_cost_model_exact(self):
         plan = small_plan()
         result = run_multilevel(plan, CC, USQ, seed=6)
-        levels = np.arange(plan.last_level + 1)
-        assert result.cost_units == np.sum(plan.sizes * plan.lam * 2.0**levels)
+        # gs-nv: 2.5 2^l path steps per gs sample and 4.5 2^L at the last level
+        costs = np.append(gs_costs(plan.last_level - 1), 4.5 * 2.0**plan.last_level)
+        assert result.cost_units == np.sum(plan.sizes * costs)
         assert result.cost_units == plan.cost_units
+
+    @pytest.mark.parametrize("plan", [
+        mlmc_plan("gs", 2.0**-4, 2.0, 0.08, 2.0, 1.7, v0=0.5),
+        mlmc_plan("gs-nv", 2.0**-4, 2.0, 0.08, 2.0, 1.7, v0=0.5, v_last=0.4),
+        mlmc_plan("nv", 2.0**-4, 2.0, 0.08, 2.0, 1.7, v0=0.5, nv_level0="averaged"),
+        mlmc_plan("nv", 2.0**-4, 2.0, 0.08, 2.0, 1.7, v0=0.5, nv_level0="single"),
+        ml2r_plan("gs", 2.0**-4, 1.0, 2.0, 0.1, 0.8),
+        ml2r_plan("nv", 2.0**-4, 1.0, 2.0, 0.1, 0.8),
+    ], ids=["mlmc-gs", "mlmc-gs-nv", "mlmc-nv-averaged", "mlmc-nv-single", "ml2r-gs",
+            "ml2r-nv"])
+    def test_realized_cost_is_planned_cost(self, plan, monkeypatch):
+        drawn = []
+        draw = estimators.sample_many
+
+        def counted(*args, **kwargs):
+            sample = draw(*args, **kwargs)
+            drawn.append(sample.cost_units)
+            return sample
+
+        monkeypatch.setattr(estimators, "sample_many", counted)
+        result = run_multilevel(plan, CC, USQ, seed=6)
+        assert len(drawn) == plan.last_level + 1
+        assert result.cost_units == sum(drawn) == plan.cost_units
 
     def test_weighted_levels_enter_estimate(self):
         plan = small_plan(epsilon=2.0**-5)
@@ -237,7 +292,6 @@ class TestRunner:
         # Carlo of the finest-level scheme within 3 combined standard errors
         plan = MultilevelPlan("mlmc", "gs", 0.1, 2,
                               np.array([4000, 2000, 1000]), np.ones(3),
-                              default_lambdas("gs", 2),
                               ("crude-gs", "gs", "gs"))
         estimates = np.array([
             run_multilevel(plan, CC, USQ, seed=100 + k, experiment=4).estimate
@@ -252,8 +306,7 @@ class TestRunner:
         # the explicit scheme negative often
         fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05)
         plan = MultilevelPlan("mlmc", "gs", 1.0, 1, np.array([4000, 2000]),
-                              np.ones(2), default_lambdas("gs", 1),
-                              ("crude-gs", "gs"))
+                              np.ones(2), ("crude-gs", "gs"))
         with pytest.raises(SamplingError):
             run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
 
@@ -261,8 +314,7 @@ class TestRunner:
         fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05,
                               negative_variance="reflect")
         plan = MultilevelPlan("mlmc", "gs", 1.0, 1, np.array([4000, 2000]),
-                              np.ones(2), default_lambdas("gs", 1),
-                              ("crude-gs", "gs"))
+                              np.ones(2), ("crude-gs", "gs"))
         result = run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
         assert np.isfinite(result.estimate)
         assert result.aborted == 0
@@ -331,14 +383,13 @@ class TestCalibratedPlans:
         direct = unbiased * np.array([1.0, 2.0**-2, 2.0**-4, 2.0**-6])
         table = np.append(direct, direct[3] * 2.0**-1.5)
         for plan, last in zip(plans[1:], (3, 4)):
-            expected = mlmc_sample_sizes(plan.epsilon, last, table[:last + 1],
-                                         default_lambdas("gs", last))
+            expected = mlmc_sample_sizes(plan.epsilon, table[:last + 1], gs_costs(last))
             np.testing.assert_array_equal(plan.sizes, expected)
         # below the inflection the fitted variance model sizes the levels
         model = unbiased * np.array([1.0, 0.5 * 2.0**-1.5, 0.5 * 2.0**-3])
         np.testing.assert_array_equal(
             plans[0].sizes,
-            mlmc_sample_sizes(2.0**-2, 2, model, default_lambdas("gs", 2)))
+            mlmc_sample_sizes(2.0**-2, model, gs_costs(2)))
 
         assert len(keys) == len(set(keys))
         assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [1, 2, 3]
