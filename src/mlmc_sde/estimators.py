@@ -211,12 +211,11 @@ def ml2r_theta(beta: float, c2: float, varf: float, horizon: float = 1.0) -> flo
     return horizon ** (-0.5 * beta) * math.sqrt(c2 / varf)
 
 
-def _ml2r_allocation(costs, alpha: float, beta: float, theta: float):
+def _ml2r_fractions(costs, alpha: float, beta: float, theta: float):
     """The suffix weights W, the normalized sampling fractions q and
     sum_l s_l sqrt(C_l) of the weighted estimator whose level l costs C_l
     per sample: q_l is proportional to s_l / sqrt(C_l), with s_0 = 1 + theta
     and s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)) for l >= 1."""
-    costs = np.asarray(costs, dtype=float)
     _, suffix = ml2r_weights(costs.size - 1, alpha)
     levels = np.arange(1, costs.size)
     decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
@@ -238,7 +237,7 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
     theta = ml2r_theta(beta, c2, varf, horizon)
     tags = _level_tags("ml2r", coupling, last, "single")
     costs = _level_costs(tags)
-    suffix, q, spread = _ml2r_allocation(costs, alpha, beta, theta)
+    suffix, q, spread = _ml2r_fractions(costs, alpha, beta, theta)
     n_star = (
         (1.0 + 0.5 / (alpha * (last + 1)))
         * varf * spread**2

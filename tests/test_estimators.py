@@ -184,7 +184,7 @@ class TestMl2r:
     @settings(max_examples=40, deadline=None)
     def test_allocation_normalized(self, last, alpha, beta, theta, per_step):
         costs = np.array([1.0] + [per_step * 2.0**level for level in range(1, last + 1)])
-        q = estimators._ml2r_allocation(costs, alpha, beta, theta)[1]
+        q = estimators._ml2r_fractions(costs, alpha, beta, theta)[1]
         assert abs(q.sum() - 1.0) < 1e-12
         assert (q > 0).all()
 
