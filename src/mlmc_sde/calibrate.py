@@ -100,10 +100,21 @@ def snap_half(x: float) -> float:
     return max(round(2.0 * x) / 2.0, 0.5)
 
 
-def _log2_line(levels: np.ndarray, logs: np.ndarray):
-    slope, intercept = np.polyfit(levels, logs, 1)
-    residuals = logs - (slope * levels + intercept)
-    return float(slope), float(intercept), residuals
+def log2_line(xs, values):
+    """Least-squares line of log2(values) against xs, and every log2 value.
+
+    Points whose log2 is not finite (a zero, negative or non-finite value)
+    are left out of the fit; slope and intercept are NaN when fewer than two
+    distinct xs remain.
+    """
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log2(np.asarray(values, dtype=float))
+    keep = np.isfinite(logs)
+    if np.unique(xs[keep]).size < 2:
+        return float("nan"), float("nan"), logs
+    slope, intercept = np.polyfit(xs[keep], logs[keep], 1)
+    return float(slope), float(intercept), logs
 
 
 def _usable(stats, values):
@@ -125,19 +136,19 @@ def fit_weak_rate(stats: list[LevelStats]) -> RateFit:
     mean carries the factor (1 - 2^alpha) < 0.
     """
     levels, means = _usable(stats, [s.mean for s in stats])
-    slope, intercept, residuals = _log2_line(levels, np.log2(np.abs(means)))
+    slope, intercept, logs = log2_line(levels, np.abs(means))
     alpha = snap_half(-slope)
     magnitude = 2.0**intercept / (2.0**alpha - 1.0)
     sign = 1.0 if means[0] > 0 else -1.0
-    return RateFit(alpha, -sign * magnitude, slope, intercept, residuals)
+    return RateFit(alpha, -sign * magnitude, slope, intercept, logs - (slope * levels + intercept))
 
 
 def fit_variance_rate(stats: list[LevelStats]) -> RateFit:
     """Fit (beta, c2) from level variances; c2 = 2^intercept > 0."""
     levels, variances = _usable(stats, [s.variance for s in stats])
-    slope, intercept, residuals = _log2_line(levels, np.log2(variances))
+    slope, intercept, logs = log2_line(levels, variances)
     beta = snap_half(-slope)
-    return RateFit(beta, 2.0**intercept, slope, intercept, residuals)
+    return RateFit(beta, 2.0**intercept, slope, intercept, logs - (slope * levels + intercept))
 
 
 def detect_inflection(stats: list[LevelStats], fit: RateFit,

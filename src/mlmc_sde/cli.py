@@ -251,32 +251,18 @@ def _level_range(cfg: ExperimentConfig) -> range:
     return range(lo, hi + 1)
 
 
-def _fit_slope(xs, values):
-    """Slope of log2(values) vs xs; NaN when fewer than two distinct xs
-    carry a finite log."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log2(values)
-    keep = np.isfinite(logs)
-    if np.unique(xs[keep]).size < 2:
-        return float("nan"), logs
-    slope = np.polyfit(xs[keep], logs[keep], 1)[0]
-    return float(slope), logs
-
-
 def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level strong errors of the splitting scheme and its pairing"""
     levels = list(_level_range(cfg))
     self_mse, pair_mse = coupling_errors(model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
                                          cfg.workers)
-    self_slope, self_log = _fit_slope(levels, self_mse)
-    pair_slope, pair_log = _fit_slope(levels, pair_mse)
+    self_slope, _, self_log = cal.log2_line(levels, self_mse)
+    pair_slope, _, pair_log = cal.log2_line(levels, pair_mse)
     rows = [(l, self_log[i], pair_log[i]) for i, l in enumerate(levels)]
     rows.append(("slope", self_slope, pair_slope))
-    warnings = []
-    if np.isnan(self_slope) or np.isnan(pair_slope):
-        warnings.append("zero strong error; slope undefined")
+    warnings = [f"{name} slope undefined: fewer than two levels with a finite log2 error"
+                for name, slope in (("nv", self_slope), ("coupling", pair_slope))
+                if math.isnan(slope)]
     path = write_csv(cfg, "strong-order", ("l", "log2_strong_error_nv", "log2_coupling_error"),
                      rows, warnings)
     print(f"strong-order: nv slope {self_slope:.3f}, coupling slope {pair_slope:.3f} -> {path}")
@@ -291,12 +277,17 @@ def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
         sampler = LevelSampler(model, payoff, coupling)
         stats = cal.pilot_stats(sampler, levels, cfg.pilot_m, cfg.seed, EXP_DECAY + ci,
                                 cfg.workers)
-        slope, logs = _fit_slope(levels, [s.second_moment for s in stats])
+        slope, _, logs = cal.log2_line(levels, [s.second_moment for s in stats])
         slopes.append(slope)
         rows.extend((coupling, l, logs[i]) for i, l in enumerate(levels))
+    warnings = []
     for coupling, slope in zip(cfg.coupling, slopes):
         rows.append((coupling, "slope", slope))
-    path = write_csv(cfg, "variance-decay", ("coupling", "l", "log2_second_moment"), rows)
+        if math.isnan(slope):
+            warnings.append(f"{coupling} slope undefined: fewer than two levels with a "
+                            "finite log2 second moment")
+    path = write_csv(cfg, "variance-decay", ("coupling", "l", "log2_second_moment"), rows,
+                     warnings)
     summary = ", ".join(f"{c}: {s:.3f}" for c, s in zip(cfg.coupling, slopes))
     print(f"variance-decay slopes {summary} -> {path}")
     return 0
@@ -395,9 +386,9 @@ def cmd_sweep(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     for coupling in cfg.coupling:
         sub = [r for r in rows if r[2] == coupling]
         log_eps = np.log2([r[0] for r in sub])
-        slopes[coupling], log_cost = _fit_slope(log_eps, [r[5] for r in sub])
+        slopes[coupling], _, log_cost = cal.log2_line(log_eps, [r[5] for r in sub])
         out_rows.extend((coupling, le, lc, r[7]) for le, lc, r in zip(log_eps, log_cost, sub))
-    pooled, _ = _fit_slope(np.log2([r[0] for r in rows]), [r[5] for r in rows])
+    pooled, _, _ = cal.log2_line(np.log2([r[0] for r in rows]), [r[5] for r in rows])
     for coupling in cfg.coupling:
         out_rows.append((coupling, "slope", slopes[coupling], ""))
     out_rows.append(("all", "slope", pooled, ""))

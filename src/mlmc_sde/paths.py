@@ -1,14 +1,13 @@
 """Coupled randomness for one multilevel sample.
 
-A level-l sample needs fine-grid Brownian increments, their coarse-grid
-aggregation, the antithetic pair swap and a Rademacher sign sequence with
-its coarse-grid subsampling.  Increment arrays have shape (m, d, steps)
-for a batch of m samples; sign arrays have shape (m, steps).  Both are
-stored step-major (Fortran order: memory (steps, d, m) and (steps, m)),
-so the (m, d) increments and (m,) signs of one step, and each coordinate's
-row of them, are contiguous; ``coarsen``, ``antithetic_swap`` and
-``rademacher_coarse`` keep that order.  The sampling path reads their
-values per step instead of building them (``schemes.simulate_path``).
+A level-l sample draws fine-grid Brownian increments and a Rademacher sign
+sequence.  Increment arrays have shape (m, d, steps) for a batch of m
+samples; sign arrays have shape (m, steps).  Both are stored step-major
+(Fortran order: memory (steps, d, m) and (steps, m)), so the (m, d)
+increments and (m,) signs of one step, and each coordinate's row of them,
+are contiguous.  The coarse-grid aggregation, the antithetic pair swap and
+the coarse-grid signs are never built: ``schemes.simulate_path`` reads them
+from the fine arrays step by step.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ _MASK64 = (1 << 64) - 1
 # deepest level any command samples: at d = 2 one block of 4096 samples holds
 # 256 MiB of increments at level 12, and each further level doubles that
 MAX_LEVEL = 12
-
-
-class OddStepCount(ValueError):
-    """Pairwise coarsening was requested on an odd number of steps."""
 
 
 @dataclass(frozen=True)
@@ -106,29 +101,3 @@ def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) 
         start = end
     dw *= math.sqrt(grid.step)
     return LevelPath(dw, eta)
-
-
-def _require_even(steps: int):
-    if steps % 2 != 0:
-        raise OddStepCount(f"need an even number of steps, got {steps}")
-
-
-def coarsen(dw: np.ndarray) -> np.ndarray:
-    """Aggregate fine increments pairwise onto the next coarser grid."""
-    _require_even(dw.shape[-1])
-    return dw[..., 0::2] + dw[..., 1::2]
-
-
-def antithetic_swap(dw: np.ndarray) -> np.ndarray:
-    """Exchange each successive pair of fine increments (an involution)."""
-    _require_even(dw.shape[-1])
-    out = np.empty_like(dw)
-    out[..., 0::2] = dw[..., 1::2]
-    out[..., 1::2] = dw[..., 0::2]
-    return out
-
-
-def rademacher_coarse(eta: np.ndarray) -> np.ndarray:
-    """Odd-position subvector (1st, 3rd, ...) driving the coarse-grid scheme."""
-    _require_even(eta.shape[-1])
-    return np.asfortranarray(eta[..., 0::2])

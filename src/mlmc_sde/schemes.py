@@ -140,10 +140,11 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     returns (2m, n): the paths in rows [:m], their twins in rows [m:].  A
     path on -eta therefore needs no flag of its own: it is the twin.
 
-    Derived increments are read per step, with the arithmetic of the arrays
-    ``paths`` builds: ``swap`` reads step k ^ 1 (``antithetic_swap``), and
-    dw and eta with twice the grid's steps, those of the next finer grid,
-    are read pairwise (``coarsen`` and ``rademacher_coarse``).
+    Derived increments are read per step and never built: ``swap`` reads
+    step k ^ 1, the antithetic pair swap, and dw and eta with twice the
+    grid's steps, those of the next finer grid, are read pairwise: the
+    coarse increment of step k is dw[..., 2k] + dw[..., 2k + 1] and its sign
+    is eta[:, 2k].  The tests build these arrays in full as a reference.
     """
     steps = grid.steps
     fold = dw.shape[-1] // steps  # 2 where the steps are read pairwise

@@ -21,8 +21,9 @@ from mlmc_sde.estimators import (
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean, znv_second_moment
-from mlmc_sde.paths import LevelGrid, RngStream, antithetic_swap, coarsen, sample_level_path
+from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
 from mlmc_sde.schemes import LevelSampler, coupling_errors, sample_many, simulate_path
+from path_reference import antithetic_swap, coarsen
 
 CC = ClarkCameronModel(mu=1.0)
 

@@ -10,6 +10,7 @@ from mlmc_sde.calibrate import (
     detect_inflection,
     fit_variance_rate,
     fit_weak_rate,
+    log2_line,
     pilot_stats,
     snap_half,
     stats_from_values,
@@ -104,6 +105,40 @@ class TestPilot:
     def test_independent_streams_per_level(self):
         a, b = pilot_stats(FakeSampler("normal", 1.0), [3, 4], 100, seed=4)
         assert a.mean != b.mean
+
+
+class TestLog2Line:
+    def test_one_x_has_no_line(self):
+        slope, intercept, logs = log2_line([3], [0.25])
+        assert np.isnan(slope) and np.isnan(intercept)
+        np.testing.assert_array_equal(logs, [-2.0])
+
+    @pytest.mark.parametrize("xs, values", [
+        ([2, 2, 2], [0.5, 0.25, 0.125]),  # repeated xs fix no line
+        ([1, 1, 2], [0.5, 0.25, 0.0]),    # the only other x has no finite log
+    ])
+    def test_one_distinct_x_has_no_line(self, xs, values):
+        slope, intercept, _ = log2_line(xs, values)
+        assert np.isnan(slope) and np.isnan(intercept)
+
+    def test_unusable_values_are_dropped(self):
+        xs = [0, 1, 2, 3, 4, 5, 6]
+        values = [0.5, 0.0, -1.0, np.nan, np.inf, 0.125, 0.03]
+        slope, intercept, logs = log2_line(xs, values)
+        kept = [0, 5, 6]
+        expected = np.polyfit(np.array(kept, float), np.log2([values[i] for i in kept]), 1)
+        assert (slope, intercept) == tuple(expected)
+        assert logs[1] == -np.inf and logs[4] == np.inf
+        assert np.isnan(logs[[2, 3]]).all()
+
+    def test_equals_polyfit_bit_for_bit(self):
+        gen = np.random.default_rng(5)
+        xs = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0])  # a pooled fit repeats xs
+        values = gen.uniform(0.01, 2.0, xs.size)
+        slope, intercept, logs = log2_line(xs, values)
+        expected = np.polyfit(xs, np.log2(values), 1)
+        assert (slope, intercept) == (expected[0], expected[1])
+        np.testing.assert_array_equal(logs, np.log2(values))
 
 
 class TestWeakFit:

@@ -20,7 +20,7 @@ from mlmc_sde.cli import (
     resolve_config,
 )
 from mlmc_sde.models import MODELS, NegativeSqrtArgument
-from mlmc_sde.paths import MAX_LEVEL, OddStepCount
+from mlmc_sde.paths import MAX_LEVEL
 
 
 def csv_body(path):
@@ -238,8 +238,20 @@ class TestCommands:
         assert main(["strong-order", "--levels", "2..3", "--pilot-m", "128",
                      "--out", str(tmp_path)]) == 0
         text = (tmp_path / "strong-order.csv").read_text()
-        assert "# warning: zero strong error" in text
+        assert "# warning: nv slope undefined: fewer than two levels with a finite" in text
+        assert "# warning: coupling slope undefined" in text
         assert "slope,nan,nan" in text
+
+    def test_strong_order_one_level_warns_why(self, tmp_path):
+        # both errors are nonzero; one level fixes no line
+        assert main(["strong-order", "--levels", "3..3", "--pilot-m", "256",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "strong-order.csv").read_text()
+        row = csv_body(tmp_path / "strong-order.csv")[1].split(",")
+        assert row[0] == "3" and all(np.isfinite(float(cell)) for cell in row[1:])
+        assert "zero strong error" not in text
+        assert "# warning: nv slope undefined: fewer than two levels with a finite" in text
+        assert "# warning: coupling slope undefined" in text
 
     def test_variance_decay_smoke(self, tmp_path):
         assert main(["variance-decay", "--levels", "2..4", "--pilot-m", "4000",
@@ -247,6 +259,22 @@ class TestCommands:
         body = csv_body(tmp_path / "variance-decay.csv")
         assert body[0] == "coupling,l,log2_second_moment"
         assert sum(1 for line in body if line.startswith("gs-nv,slope")) == 1
+
+    def test_variance_decay_one_level_warns(self, tmp_path):
+        assert main(["variance-decay", "--levels", "3..3", "--pilot-m", "256",
+                     "--coupling", "gs", "--coupling", "nv", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "variance-decay.csv").read_text()
+        for coupling in ("gs", "nv"):
+            assert f"{coupling},slope,nan" in csv_body(tmp_path / "variance-decay.csv")
+            assert (f"# warning: {coupling} slope undefined: fewer than two levels with a "
+                    "finite log2 second moment") in text
+
+    def test_variance_decay_degenerate_warns(self, tmp_path, zero_noise):
+        assert main(["variance-decay", "--levels", "2..3", "--pilot-m", "128",
+                     "--coupling", "gs", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "variance-decay.csv").read_text()
+        assert "gs,slope,nan" in csv_body(tmp_path / "variance-decay.csv")
+        assert "# warning: gs slope undefined" in text
 
     def test_oracle_check_gate_passes(self, tmp_path):
         assert main(["oracle-check", "--levels", "1..3", "--pilot-m", "20000",
@@ -613,9 +641,9 @@ def exception_classes():
 
 class TestExceptionContract:
     def test_every_exception_has_an_exit_code(self):
-        # OddStepCount and NegativeSqrtArgument guard internal invariants that
-        # no configuration reaches
-        mapped = (ConfigError, calibrate.SamplingFailure, OddStepCount, NegativeSqrtArgument)
+        # NegativeSqrtArgument guards an internal invariant that no
+        # configuration reaches
+        mapped = (ConfigError, calibrate.SamplingFailure, NegativeSqrtArgument)
         classes = exception_classes()
         assert calibrate.SamplingFailure in classes
         unmapped = [cls.__qualname__ for cls in classes if not issubclass(cls, mapped)]

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmc_sde.paths import (
-    LevelGrid,
-    OddStepCount,
-    RngStream,
-    antithetic_swap,
-    coarsen,
-    rademacher_coarse,
-    sample_level_path,
-)
+from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
+from path_reference import OddStepCount, antithetic_swap, coarsen, rademacher_coarse
 
 
 @given(level=st.integers(0, 12), horizon=st.floats(0.1, 10.0))

@@ -9,14 +9,7 @@ import pytest
 from mlmc_sde import schemes
 from mlmc_sde.estimators import crude_mc
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
-from mlmc_sde.paths import (
-    LevelGrid,
-    RngStream,
-    antithetic_swap,
-    coarsen,
-    rademacher_coarse,
-    sample_level_path,
-)
+from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
 from mlmc_sde.schemes import (
     BLOCK_SAMPLES,
     COUPLING_COSTS,
@@ -29,6 +22,7 @@ from mlmc_sde.schemes import (
     sample_many,
     simulate_path,
 )
+from path_reference import antithetic_swap, coarsen, rademacher_coarse
 
 CC = ClarkCameronModel(mu=1.0)
 HESTON = HestonModel()
