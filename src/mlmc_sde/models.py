@@ -9,6 +9,9 @@ Coefficients take and return states as arrays of shape (..., n), so a batch
 of Monte Carlo samples is just a leading axis.  The flows and the Milstein
 terms, which the schemes call once or more per step, take and return a
 tuple of n coordinate arrays instead, so no call builds a new stacked state.
+A splitting step runs its diffusion flows through one call,
+``diffusion_orders``, which composes them in both orders; a model may
+override it to share work between flows and orders.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ class NegativeSqrtArgument(ValueError):
 
     Raised by the Heston flows, where a negative variance signals a
     corrupted state (unreachable while xi >= 0, in either composition order
-    of the splitting step, so the check can stay batch-wide).
+    of the splitting step, so the check can stay batch-wide).  A splitting
+    step checks each variance it starts its diffusion flows from once: flow
+    1 leaves v unchanged, and flow 2 leaves a square, so no later root of
+    the step can see a negative argument.
     """
 
 
@@ -118,6 +124,20 @@ class SdeModel:
     def diffusion_flow(self, j: int, c: tuple, w: np.ndarray) -> tuple:
         """Exact solution of dx/dw = sigma^j(x) after (per-sample) time w, on coordinates c."""
         raise NotImplementedError
+
+    def diffusion_orders(self, up: tuple, down: tuple, w: np.ndarray) -> tuple:
+        """(flows 1..d on up, flows d..1 on down), flow j driven by row w[j - 1].
+
+        ``up`` may be ``down``: a step of paths with no twin starts both
+        orders from the same coordinates.  A model that overrides this must
+        return, bit for bit, what this composition of ``diffusion_flow``
+        calls returns, and leave its inputs as they were.
+        """
+        for j in range(1, self.d + 1):
+            up = self.diffusion_flow(j, up, w[j - 1])
+        for j in range(self.d, 0, -1):
+            down = self.diffusion_flow(j, down, w[j - 1])
+        return up, down
 
 
 @dataclass(frozen=True)
@@ -271,9 +291,17 @@ class HestonModel(SdeModel):
         u, v = c
         decay = np.exp(-self.kappa * t)
         xi = self.xi
-        # v*decay + xi*(1-decay) passes v through exactly at t = 0
-        v_new = v * decay + xi * (1.0 - decay)
-        u_new = u + (self.rate - 0.5 * xi) * t + (v - xi) * (decay - 1.0) / (2.0 * self.kappa)
+        # u + (r - xi/2) t + (v - xi) (decay - 1) / (2 kappa) and
+        # v decay + xi (1 - decay), operation for operation, in the two outputs;
+        # v_new holds u's last term before its own value.  The variance
+        # passes through exactly at t = 0
+        u_new = np.add(u, (self.rate - 0.5 * xi) * t)
+        v_new = np.subtract(v, xi)
+        v_new *= decay - 1.0
+        v_new /= 2.0 * self.kappa
+        u_new += v_new
+        np.multiply(v, decay, out=v_new)
+        v_new += xi * (1.0 - decay)
         return u_new, v_new
 
     def diffusion_flow(self, j, c, w):
@@ -281,11 +309,33 @@ class HestonModel(SdeModel):
         if j == 1:
             return u + self._flow_sqrt(v) * w, v
         if j == 2:
-            # the squared form keeps the variance nonnegative bit for bit;
-            # zero increments pass v through exactly
+            # the squared form keeps the variance nonnegative bit for bit; a
+            # zero increment returns sqrt(v)^2, within an ulp or two of v
             root = self._flow_sqrt(v) + 0.5 * self.sigma * w
-            return u, np.where(w == 0.0, v, root * root)
+            return u, root * root
         raise ValueError(f"diffusion index {j} out of range")
+
+    def diffusion_orders(self, up, down, w):
+        # the per-flow composition, bit for bit, with each root taken once:
+        # flow 1 leaves v unchanged, so the ascending order's flow 2 reuses its
+        # root, and from one start both orders' flow 2 make the same square;
+        # the descending order's second root is of that square, so the check
+        # of each starting variance covers every root of the step
+        (u, v), (u_down, v_down) = up, down
+        w1, half = w[0], 0.5 * self.sigma * w[1]
+        root = self._flow_sqrt(v)
+        v_up = root + half
+        v_up *= v_up
+        if down is up:
+            v_down = v_up
+        else:
+            v_down = self._flow_sqrt(v_down)
+            v_down += half
+            v_down *= v_down
+        root *= w1
+        shift = np.sqrt(v_down)
+        shift *= w1
+        return (np.add(u, root, out=root), v_up), (np.add(u_down, shift, out=shift), v_down)
 
 
 MODELS = {"clark-cameron": ClarkCameronModel, "heston": HestonModel}

@@ -3,9 +3,11 @@
 Two schemes are implemented.  The splitting scheme ("nv") composes the
 exact drift flow over half a step, the exact diffusion flows driven by the
 Brownian increments (in ascending column order when the step's Rademacher
-sign is +1, descending otherwise), and the drift flow again.  Every nv
-path is simulated with its twin, which takes the other order at every step
-(the path on -eta for +-1 signs), because one step computes both orders.
+sign is +1, descending otherwise), and the drift flow again.  One step
+computes both orders, so an nv path whose twin is also used, the path
+that takes the other order at every step (the path on -eta for +-1
+signs), is simulated together with it; a path used alone is simulated
+alone, and each sample keeps its own order.
 The antithetic Milstein-type scheme ("gs") is the Milstein update with
 every Levy-area term deleted.
 
@@ -43,7 +45,8 @@ BATCH_BLOCKS = 4
 BATCH_INCREMENTS = 2**20
 
 # one path of a level sample: (scheme, swap increments, twin); the twin of an
-# nv path takes the other composition order at every step
+# nv path takes the other composition order at every step, and is simulated
+# only where a coupling uses it
 _NV_FINE = (("nv", False, False), ("nv", True, False), ("nv", False, True), ("nv", True, True))
 
 # (fine paths, coarse paths) per sample of each coupling; the ones with coarse
@@ -70,38 +73,46 @@ def path_steps(coupling: str, level: int) -> float:
 
 
 def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
-            exchange: np.ndarray) -> np.ndarray:
-    """One splitting step from a batch of state pairs x (2m, n).
+            mask: np.ndarray) -> np.ndarray:
+    """One splitting step from a batch of paths x (m, n) or of path pairs x (2m, n).
 
-    dw holds the step's increments (m, d).  Rows [:m] take the ascending
-    composition order and rows [m:] the descending one, both on dw, so
-    sample i's rows i and m + i are stepped by the two orders.  The new state
-    is coordinate-major, a (2m, n) view of an (n, 2m) array, with the two
-    halves of sample i exchanged where the uint64 mask ``exchange`` (m,) is
-    all ones.  The exchange moves the bits of each float, never compares
-    them, so NaN payloads, infinities and signed zeros come through as they
-    were, and no per-element branch is taken.  ``simulate_path`` sets the
-    mask so that each path and its twin keep their own rows from step to step.
+    dw holds the step's increments (m, d).  Both composition orders run on
+    dw: for paths, each from its own row, and for pairs, the ascending one
+    from rows [:m] and the descending one from rows [m:], so sample i's rows
+    i and m + i are stepped by the two orders.  Row i of the new state takes
+    the descending result where the uint64 mask ``mask`` (m,) is all ones
+    and the ascending one where it is zero; for pairs, row m + i takes the
+    other, so the two halves of sample i are exchanged.  The new state is
+    coordinate-major, an (m, n) or (2m, n) view of an (n, m) or (n, 2m)
+    array.  The select moves the bits of each float, never compares them,
+    so NaN payloads, infinities and signed zeros come through as they were,
+    and no per-element branch is taken.  ``simulate_path`` sets the mask so
+    that each path, and its twin, take their own order at each step.
     """
-    m = dw.shape[0]
+    m, rows = dw.shape[0], x.shape[0]
     y = model.drift_flow(tuple(x.T), 0.5 * h)
-    up, down = tuple(c[:m] for c in y), tuple(c[m:] for c in y)
     # rows read by both orders; no copy for a step slice of paths' increments
     w = np.ascontiguousarray(dw.T)
-    for j in range(1, model.d + 1):
-        up = model.diffusion_flow(j, up, w[j - 1])
-    for j in range(model.d, 0, -1):
-        down = model.diffusion_flow(j, down, w[j - 1])
-    up, down = model.drift_flow(up, 0.5 * h), model.drift_flow(down, 0.5 * h)
-    out = np.empty((model.n, 2 * m))
+    if rows == m:
+        up, down = model.diffusion_orders(y, y, w)
+    else:
+        up, down = model.diffusion_orders(tuple(c[:m] for c in y), tuple(c[m:] for c in y), w)
+        up, down = model.drift_flow(up, 0.5 * h), model.drift_flow(down, 0.5 * h)
+    out = np.empty((model.n, rows))
     for row, a, b in zip(out.view(np.uint64), up, down):
         a, b = a.view(np.uint64), b.view(np.uint64)
-        # t = (a ^ b) & exchange in the first half; b ^ t and a ^ t are then
-        # b and a where the mask is all ones, a and b where it is zero
+        # t = (a ^ b) & mask in rows [:m]; a ^ t and b ^ t are then b and a
+        # where the mask is all ones, a and b where it is zero
         t = np.bitwise_xor(a, b, out=row[:m])
-        t &= exchange
-        np.bitwise_xor(b, t, out=row[m:])
+        t &= mask
+        if rows > m:
+            np.bitwise_xor(b, t, out=row[m:])
         t ^= a
+    if rows == m:
+        # the drift flow acts on each row alone, so the paths take it once,
+        # after their order is picked
+        for row, c in zip(out, model.drift_flow(tuple(out), 0.5 * h)):
+            row[...] = c
     return out.T
 
 
@@ -130,15 +141,18 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
-                  eta: np.ndarray | None = None, swap: bool = False) -> np.ndarray:
-    """Terminal states after all grid steps; "gs" ignores eta.
+                  eta: np.ndarray | None = None, swap: bool = False,
+                  twin: bool = True) -> np.ndarray:
+    """Terminal states after all grid steps; "gs" ignores eta and twin.
 
     "gs" runs one path per sample of dw (m, d, steps) and returns (m, n).
-    "nv" runs each sample's path on eta together with its twin, which takes
-    the other composition order at every step (the path on -eta for +-1
-    signs; on a zero sign the path descends and the twin ascends), and
-    returns (2m, n): the paths in rows [:m], their twins in rows [m:].  A
-    path on -eta therefore needs no flag of its own: it is the twin.
+    "nv" runs each sample's path on eta, which ascends at a step whose sign
+    is positive and descends otherwise.  With ``twin`` it runs the path
+    together with its twin, which takes the other composition order at
+    every step (the path on -eta for +-1 signs), and returns (2m, n): the
+    paths in rows [:m], their twins in rows [m:].  A path on -eta therefore
+    needs no flag of its own: it is the twin.  Without ``twin`` it returns
+    the paths alone (m, n), bit for bit rows [:m] of the pair.
 
     Derived increments are read per step and never built: ``swap`` reads
     step k ^ 1, the antithetic pair swap, and dw and eta with twice the
@@ -157,13 +171,18 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     if kind not in ("nv", "gs"):
         raise ValueError(f"unknown scheme kind {kind!r}")
     h = grid.step
-    x = model.initial_state((2 if kind == "nv" else 1) * dw.shape[0])
-    ascends = kind == "nv" and eta[:, 0] > 0
+    pair = kind == "nv" and twin
+    x = model.initial_state((2 if pair else 1) * dw.shape[0])
+    ascends = pair and eta[:, 0] > 0
     for k in range(steps):
         j = fold * k
         w = dw[:, :, j] + dw[:, :, j + 1] if fold == 2 else dw[:, :, k ^ swap]
         if kind == "gs":
             x = gs_step(model, x, h, w)
+        elif not pair:
+            descends = (eta[:, j] > 0).astype(np.uint64)
+            descends -= 1  # 1 - 1 = 0 where the path ascends, 0 - 1 = 2^64 - 1 where not
+            x = nv_step(model, x, h, w, descends)
         else:
             # the path is in the ascending half of the step; exchange the
             # halves where its order changes at the next step, and after the
@@ -200,14 +219,16 @@ class LevelSample:
 
 def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) -> np.ndarray:
     """Left-to-right sum of the payoffs of ``paths`` over their count; each
-    (scheme, swap) is simulated once, an nv path with its twin."""
+    (scheme, swap) is simulated once, an nv path with its twin only where
+    ``paths`` holds that twin."""
+    twins = {(scheme, swap) for scheme, swap, twin in paths if twin}
     states, total = {}, None
     for scheme, swap, twin in paths:
-        if (scheme, swap) not in states:
-            states[scheme, swap] = simulate_path(scheme, model, grid, path.dw, path.eta, swap)
-        x = states[scheme, swap]
-        if scheme == "nv":
-            x = np.split(x, 2)[twin]
+        key = scheme, swap
+        if key not in states:
+            x = simulate_path(scheme, model, grid, path.dw, path.eta, swap, key in twins)
+            states[key] = np.split(x, 2) if key in twins else (x,)
+        x = states[key][twin]
         total = payoff(x) if total is None else total + payoff(x)
     return total / len(paths)
 
@@ -308,8 +329,8 @@ def _coupling_block(task):
     path = sample_level_path(streams, grid, model.d, counts)
     dw, eta = path.dw, path.eta
     x_fine, x_neg = np.split(simulate_path("nv", model, grid, dw, eta), 2)
-    x_coarse = np.split(simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw,
-                                      eta), 2)[0]
+    x_coarse = simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw, eta,
+                             twin=False)
     x_gs = simulate_path("gs", model, grid, dw)
     self_sq = np.sum((x_fine - x_coarse) ** 2, axis=-1)
     pair_sq = np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from mlmc_sde.models import (
     HestonModel,
     NegativeSqrtArgument,
     Payoff,
+    SdeModel,
     build_model,
 )
 
@@ -115,6 +118,41 @@ class TestFlows:
             with pytest.raises(NegativeSqrtArgument):
                 HESTON.diffusion_flow(j, coords(0.0, -0.1), np.array([0.1]))
 
+    def test_heston_zero_increment_keeps_the_variance(self):
+        # flow 2 at w = 0 returns sqrt(v)^2: nonnegative and within 2 ulp of v,
+        # in both orders of the composed step too
+        rng = np.random.default_rng(23)
+        v = np.concatenate([[0.0, 5e-324, 1e-310, 1e-300, 1.4], rng.uniform(0.0, 4.0, 4000)])
+        u = rng.normal(size=v.size)
+        zero = np.zeros(v.size)
+        got = [HESTON.diffusion_flow(2, (u, v), zero)[1]]
+        for down in ((u, v), (u.copy(), v.copy())):
+            up, down = HESTON.diffusion_orders((u, v), down, np.stack([zero, zero]))
+            got += [up[1], down[1]]
+        for out in got:
+            assert (out >= 0.0).all()
+            assert (np.abs(out - v) <= 2 * np.spacing(v)).all()
+
+    def test_heston_drift_flow_is_its_expression_tree(self):
+        # the in-place drift flow is the closed form evaluated operation for
+        # operation, and leaves its input as it was
+        rng = np.random.default_rng(29)
+        nan = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
+        u = np.concatenate([[nan, np.inf, -0.0, 0.3], rng.normal(size=60)])
+        v = np.concatenate([[1.0, 1.0, 0.0, nan], rng.uniform(0.0, 3.0, size=60)])
+        kept = u.tobytes() + v.tobytes()
+        for t in (0.0, 1 / 64, 0.5, 3.0):
+            decay = np.exp(-HESTON.kappa * t)
+            xi = HESTON.xi
+            expected = (u + (HESTON.rate - 0.5 * xi) * t
+                        + (v - xi) * (decay - 1.0) / (2.0 * HESTON.kappa),
+                        v * decay + xi * (1.0 - decay))
+            with np.errstate(invalid="ignore"):
+                got = HESTON.drift_flow((u, v), t)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
+        assert u.tobytes() + v.tobytes() == kept
+
     @given(v=st.floats(0.0, 3.0), t=st.floats(0.0, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_heston_drift_flow_variance_floor(self, v, t):
@@ -142,6 +180,62 @@ class TestFlows:
                 ]
                 assert errs[2] <= errs[0] + 1e-9
                 assert errs[2] < 1e-3
+
+
+def per_flow(model, up, down, w):
+    """The default composition of diffusion_flow calls, which a model's own
+    diffusion_orders must equal bit for bit."""
+    return SdeModel.diffusion_orders(model, up, down, w)
+
+
+# a Heston model whose flow-2 shift sigma w / 2 is large against sqrt(v)
+STIFF_HESTON = HestonModel(kappa=2.0, theta=0.5, sigma=1.0)
+
+
+class TestDiffusionOrders:
+    @pytest.mark.parametrize("shared", [False, True], ids=["halves", "up-is-down"])
+    @pytest.mark.parametrize("model", [CC, HESTON, STIFF_HESTON],
+                             ids=["clark-cameron", "heston", "stiff-heston"])
+    def test_equals_the_per_flow_composition(self, model, shared):
+        # random batches with v = 0 rows and large |w|, bit for bit; the inputs
+        # are left as they were
+        rng = np.random.default_rng(31)
+        m = 400
+        up = tuple(random_states(model, rng, m).T)
+        down = up if shared else tuple(random_states(model, rng, m).T)
+        for c in (up, down):
+            c[1][::7] = 0.0
+        w = rng.normal(scale=rng.choice([0.1, 3.0, 50.0, 1e3], size=m), size=(model.d, m))
+        w[:, ::11] = 0.0
+        kept = [c.tobytes() for c in up + down + (w,)]
+        got = model.diffusion_orders(up, down, w)
+        expected = per_flow(model, up, down, w)
+        for a, b in zip(got, expected):
+            for ca, cb in zip(a, b):
+                assert np.asarray(ca).tobytes() == np.asarray(cb).tobytes()
+        assert [c.tobytes() for c in up + down + (w,)] == kept
+
+    @pytest.mark.parametrize("negative", ["none", "up", "down", "both", "up-is-down"])
+    @pytest.mark.parametrize("model", [HESTON, STIFF_HESTON], ids=["heston", "stiff-heston"])
+    def test_heston_raises_exactly_on_a_negative_start(self, model, negative):
+        # one check per starting variance; v = -0.0, v = 0, NaN and a large
+        # shift never raise, and neither order's later root can
+        v = np.array([1.0, 0.0, -0.0, np.nan, 1e-300])
+        w = np.array([[0.3, -2.0, 1.0, 0.5, 4.0], [-1e3, -50.0, 3.0, 0.5, -4.0]])
+        up = (np.zeros(5), v.copy())
+        down = (np.ones(5), v[::-1].copy())
+        if negative in ("up", "both", "up-is-down"):
+            up[1][2] = -1e-300
+        if negative in ("down", "both"):
+            down[1][0] = -0.1
+        if negative == "up-is-down":
+            down = up
+        for orders in (model.diffusion_orders, functools.partial(per_flow, model)):
+            if negative == "none":
+                orders(up, down, w)
+            else:
+                with pytest.raises(NegativeSqrtArgument):
+                    orders(up, down, w)
 
 
 class TestJacobianProducts:

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import os
 import re
 
@@ -77,8 +78,7 @@ class TestSteps:
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_nv_step_batch_equals_single_samples(self, model):
         # each sample of a mixed-exchange batch of distinct halves is stepped
-        # bit for bit as if alone; the zero increments cover Heston's w == 0
-        # pass-through
+        # bit for bit as if alone, zero increments included
         rng = np.random.default_rng(43)
         m, h = 12, 0.125
         x = np.stack([rng.normal(size=2 * m), rng.uniform(0.3, 2.5, size=2 * m)], axis=-1)
@@ -266,6 +266,62 @@ class TestSteps:
                           np.ones((1, 2), dtype=np.int8))
 
 
+class TestOneOrderPaths:
+    """An nv path simulated without its twin is rows [:m] of the pair."""
+
+    @pytest.mark.parametrize("level", [0, 3, 5], ids=["1-step", "8-steps", "32-steps"])
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_equals_the_pair_rows(self, model, level):
+        # bit for bit on the grid's own increments, swapped ones and ones read
+        # pairwise, with zero signs, NaN payloads, infinities and signed zeros
+        m, grid = 64, LevelGrid(level)
+        reads = []
+        for finer in (0, 1):
+            path = sample_level_path(RngStream(61, 0, level + finer, 0),
+                                     LevelGrid(level + finer), model.d, m=m)
+            dw, eta = path.dw.copy(order="F"), path.eta.copy(order="F")
+            eta[::5, ::3] = 0
+            dw[0, 0, -1] = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
+            dw[1, 1, 0], dw[2, 0, -1] = np.inf, -np.inf
+            dw[3] = -0.0
+            reads.append((dw, eta, False))
+            if level and not finer:
+                reads.append((dw, eta, True))
+        assert len(reads) == (3 if level else 2)
+        for dw, eta, swap in reads:
+            with np.errstate(all="ignore"):
+                pair = simulate_path("nv", model, grid, dw, eta, swap)
+                alone = simulate_path("nv", model, grid, dw, eta, swap, twin=False)
+            assert alone.shape == (m, model.n) and alone.T.flags.c_contiguous
+            assert alone.tobytes() == pair[:m].tobytes()
+            if not swap and dw.shape[-1] == grid.steps:
+                with np.errstate(all="ignore"):
+                    reference = where_path(model, grid, dw, eta > 0)
+                assert alone.tobytes() == reference.tobytes()
+
+    def test_kernel_rows(self, monkeypatch):
+        # a path used without its twin is stepped alone: crude-nv kernel calls
+        # carry m rows, and the calls of couplings that use the twins 2m; the
+        # coarse path of coupling_errors is stepped alone too
+        rows, step = [], schemes.nv_step
+
+        def counted(model, x, *args):
+            rows.append(x.shape[0])
+            return step(model, x, *args)
+
+        monkeypatch.setattr(schemes, "nv_step", counted)
+        m, call = 24, Payoff("heston-call", rate=HESTON.rate)
+        for coupling, level, expected in (("crude-nv", 0, [m]), ("crude-nv", 3, [m] * 8),
+                                          ("level0-nv-averaged", 0, [2 * m]),
+                                          ("nv", 3, [2 * m] * 20), ("gs-nv", 3, [2 * m] * 16)):
+            rows.clear()
+            sample_level(HESTON, call, coupling, level, m, RngStream(5))
+            assert rows == expected, coupling
+        rows.clear()
+        coupling_errors(HESTON, [3], m, seed=5)
+        assert rows == [2 * m] * 8 + [m] * 4
+
+
 class TestLayout:
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_states_are_coordinate_major(self, model):
@@ -347,16 +403,18 @@ class TestLevelSampleAlgebra:
         simulate = schemes.simulate_path
 
         def counted(kind, model, grid, *args, **kwargs):
-            # an nv simulation runs each path with its twin
-            grid_levels.extend([grid.level] * (2 if kind == "nv" else 1))
+            # an nv simulation with twin runs each path with its twin
+            call = inspect.signature(simulate).bind(kind, model, grid, *args, **kwargs)
+            call.apply_defaults()
+            pair = kind == "nv" and call.arguments["twin"]
+            grid_levels.extend([grid.level] * (2 if pair else 1))
             return simulate(kind, model, grid, *args, **kwargs)
 
         monkeypatch.setattr(schemes, "simulate_path", counted)
         sample = sample_level(CC, COS, coupling, level, 5, RngStream(2))
-        # the paths actually simulated per sample, on the fine and the coarse
-        # grid; crude-nv simulates its path's twin too, and does not use it
-        simulated = 2 if coupling == "crude-nv" else fine
-        assert sorted(grid_levels, reverse=True) == [level] * simulated + [level - 1] * coarse
+        # the paths simulated per sample, on the fine and the coarse grid, are
+        # the paths used
+        assert sorted(grid_levels, reverse=True) == [level] * fine + [level - 1] * coarse
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
         assert sample.cost_units == expected
 
