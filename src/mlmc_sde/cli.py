@@ -204,6 +204,8 @@ def _validate(cfg: ExperimentConfig, command: str):
         values = value if f.metadata["repeat"] else (value,)
         if check is not None and not all(v is None or check[0](v) for v in values):
             raise ConfigError(f"{f.name.replace('_', '-')} must be {check[1]}")
+    if command == "calibrate" and len(cfg.coupling) > 1:
+        raise ConfigError("calibrate takes one --coupling")
     if command in ("run", "sweep") and not cfg.eps:
         raise ConfigError(f"{command} needs at least one --eps")
     if command in ("run", "sweep") and cfg.estimator == "ml2r" and "gs-nv" in cfg.coupling:
@@ -242,7 +244,10 @@ def write_csv(cfg: ExperimentConfig, command: str, columns, rows,
     lines.extend(f"# warning: {w}" for w in warnings)
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -428,6 +433,9 @@ def main(argv=None) -> int:
     except cal.SamplingFailure as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 3
+    except ConfigError as exc:  # an output file that cannot be written
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -76,28 +76,26 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
             mask: np.ndarray) -> np.ndarray:
     """One splitting step from a batch of paths x (m, n) or of path pairs x (2m, n).
 
-    dw holds the step's increments (m, d).  Both composition orders run on
-    dw: for paths, each from its own row, and for pairs, the ascending one
-    from rows [:m] and the descending one from rows [m:], so sample i's rows
-    i and m + i are stepped by the two orders.  Row i of the new state takes
-    the descending result where the uint64 mask ``mask`` (m,) is all ones
-    and the ascending one where it is zero; for pairs, row m + i takes the
-    other, so the two halves of sample i are exchanged.  The new state is
-    coordinate-major, an (m, n) or (2m, n) view of an (n, m) or (n, 2m)
-    array.  The select moves the bits of each float, never compares them,
-    so NaN payloads, infinities and signed zeros come through as they were,
-    and no per-element branch is taken.  ``simulate_path`` sets the mask so
-    that each path, and its twin, take their own order at each step.
+    dw holds the step's increments (m, d).  After the first drift half-flow,
+    both composition orders run on dw from two halves: for paths, each row
+    is both halves, and for pairs, rows [:m] start the ascending order and
+    rows [m:] the descending one.  Row i of the new state takes the
+    descending result where the uint64 mask ``mask`` (m,) is all ones and
+    the ascending one where it is zero; for pairs, row m + i takes the
+    other, so the two halves of sample i are exchanged.  The second drift
+    half-flow then runs once on every row, which the pick leaves
+    bit-identical because the drift flow acts on each row alone.  The new
+    state is coordinate-major, an (m, n) or (2m, n) view of an (n, m) or
+    (n, 2m) array.  The select moves the bits of each float, never compares
+    them, so NaN payloads, infinities and signed zeros come through as they
+    were, and no per-element branch is taken.  ``simulate_path`` sets the
+    mask so that each path, and its twin, take their own order at each step.
     """
     m, rows = dw.shape[0], x.shape[0]
     y = model.drift_flow(tuple(x.T), 0.5 * h)
+    halves = (y, y) if rows == m else (tuple(c[:m] for c in y), tuple(c[m:] for c in y))
     # rows read by both orders; no copy for a step slice of paths' increments
-    w = np.ascontiguousarray(dw.T)
-    if rows == m:
-        up, down = model.diffusion_orders(y, y, w)
-    else:
-        up, down = model.diffusion_orders(tuple(c[:m] for c in y), tuple(c[m:] for c in y), w)
-        up, down = model.drift_flow(up, 0.5 * h), model.drift_flow(down, 0.5 * h)
+    up, down = model.diffusion_orders(*halves, np.ascontiguousarray(dw.T))
     out = np.empty((model.n, rows))
     for row, a, b in zip(out.view(np.uint64), up, down):
         a, b = a.view(np.uint64), b.view(np.uint64)
@@ -108,11 +106,8 @@ def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
         if rows > m:
             np.bitwise_xor(b, t, out=row[m:])
         t ^= a
-    if rows == m:
-        # the drift flow acts on each row alone, so the paths take it once,
-        # after their order is picked
-        for row, c in zip(out, model.drift_flow(tuple(out), 0.5 * h)):
-            row[...] = c
+    for row, c in zip(out, model.drift_flow(tuple(out), 0.5 * h)):
+        row[...] = c
     return out.T
 
 
@@ -122,7 +117,8 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
     Each coordinate gets b h, then sigma^j dw^j in ascending j, then
     (1/2) (d sigma^j) sigma^k (dw^j dw^k - [j = k] h) in (j, k) order; the
     structural zeros (None) of ``model.milstein_terms`` are skipped.  The
-    new state is coordinate-major, as in ``nv_step``.
+    terms are added in place to one C-order copy of ``x.T``, so the new
+    state is coordinate-major, as in ``nv_step``, whatever the order of x.
     """
     drift, sigma, jac = model.milstein_terms(tuple(x.T))
     # rows read by several terms; no copy for a step slice of paths' increments
@@ -132,12 +128,12 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
         corr = w[j - 1] * w[k - 1]
         terms.append((tuple(None if a is None else 0.5 * a for a in col),
                        corr - h if j == k else corr))
-    out = list(x.T)
+    out = np.array(x.T, order="C")
     for col, dz in terms:
-        for i, a in enumerate(col):
+        for row, a in zip(out, col):
             if a is not None:
-                out[i] = out[i] + a * dz
-    return np.stack(out).T
+                row += a * dz
+    return out.T
 
 
 def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
@@ -153,6 +149,10 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     paths in rows [:m], their twins in rows [m:].  A path on -eta therefore
     needs no flag of its own: it is the twin.  Without ``twin`` it returns
     the paths alone (m, n), bit for bit rows [:m] of the pair.
+
+    One mask rule serves both: a step's rows [:m] take the descending result
+    where its order differs from ``then``, the path's next order for a pair
+    (ascending after the last step) and always ascending for a path alone.
 
     Derived increments are read per step and never built: ``swap`` reads
     step k ^ 1, the antithetic pair swap, and dw and eta with twice the
@@ -173,25 +173,16 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     h = grid.step
     pair = kind == "nv" and twin
     x = model.initial_state((2 if pair else 1) * dw.shape[0])
-    ascends = pair and eta[:, 0] > 0
     for k in range(steps):
         j = fold * k
         w = dw[:, :, j] + dw[:, :, j + 1] if fold == 2 else dw[:, :, k ^ swap]
         if kind == "gs":
             x = gs_step(model, x, h, w)
-        elif not pair:
-            descends = (eta[:, j] > 0).astype(np.uint64)
-            descends -= 1  # 1 - 1 = 0 where the path ascends, 0 - 1 = 2^64 - 1 where not
-            x = nv_step(model, x, h, w, descends)
         else:
-            # the path is in the ascending half of the step; exchange the
-            # halves where its order changes at the next step, and after the
-            # last step where it descended, so that it ends in rows [:m]
-            then = eta[:, j + fold] > 0 if k + 1 < steps else True
-            exchange = np.equal(ascends, then).astype(np.uint64)
-            exchange -= 1  # 1 - 1 = 0 where the order stays, 0 - 1 = 2^64 - 1 where it changes
-            x = nv_step(model, x, h, w, exchange)
-            ascends = then
+            then = eta[:, j + fold] > 0 if pair and k + 1 < steps else True
+            mask = np.equal(eta[:, j] > 0, then).astype(np.uint64)
+            mask -= 1  # 1 - 1 = 0 where the orders agree, 0 - 1 = 2^64 - 1 where not
+            x = nv_step(model, x, h, w, mask)
     return x
 
 

@@ -28,3 +28,32 @@ def test_compare_prints_what_one_side_lacks(tmp_path, capsys):
     assert ["added_s", "missing", "in", "OLD"] in lines
     assert [line[0] for line in lines if line[0].endswith("_s")] == ["wall_s", "gone_s",
                                                                      "added_s"]
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "mlmc_sde"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('''"""Module docstring
+over two lines."""
+
+# a comment line
+import os  # a trailing comment counts as code
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string that is
+not a docstring"""
+
+    def f(self):
+        """Function
+        docstring."""
+        return (1,
+                2)
+''')
+    (package / "b.py").write_text("\n\n# only comments\n")
+    (tmp_path / "src" / "other.py").write_text("print(1)\n")  # outside the package
+    assert bench_record._src_lines(tmp_path) == 21
+    # import, class, the two lines of x, def, and the two lines of the return
+    assert bench_record._src_code_lines(tmp_path) == 7

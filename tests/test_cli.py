@@ -159,6 +159,21 @@ class TestExitCodes:
                      "--eps", "1e-30", "--alpha", "1", "--c1", "1", "--beta", "2",
                      "--c2", "1", "--out", str(tmp_path)]) == 3
 
+    def test_calibrate_takes_one_coupling(self, tmp_path, no_draws, capsys):
+        assert main(["calibrate", "--coupling", "gs", "--coupling", "nv",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "calibrate.csv").exists()
+
+    def test_unwritable_csv_exits_two(self, tmp_path, capsys):
+        # the CSV's path is a directory, found only once the rows are drawn
+        csv = tmp_path / "strong-order.csv"
+        csv.mkdir()
+        assert main(["strong-order", "--levels", "1..2", "--pilot-m", "8",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: cannot write {csv}: Is a directory"]
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--coupling", "euler", "--eps", "0.1", "--out", str(tmp_path)])

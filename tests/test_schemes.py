@@ -302,24 +302,34 @@ class TestOneOrderPaths:
     def test_kernel_rows(self, monkeypatch):
         # a path used without its twin is stepped alone: crude-nv kernel calls
         # carry m rows, and the calls of couplings that use the twins 2m; the
-        # coarse path of coupling_errors is stepped alone too
-        rows, step = [], schemes.nv_step
+        # coarse path of coupling_errors is stepped alone too.  Every step runs
+        # two drift half-flows, each over all of the kernel's rows
+        rows, flows, step, flow = [], [], schemes.nv_step, HestonModel.drift_flow
 
         def counted(model, x, *args):
             rows.append(x.shape[0])
             return step(model, x, *args)
 
+        def counted_flow(model, c, t):
+            flows.append(c[0].shape[0])
+            return flow(model, c, t)
+
         monkeypatch.setattr(schemes, "nv_step", counted)
+        monkeypatch.setattr(HestonModel, "drift_flow", counted_flow)
         m, call = 24, Payoff("heston-call", rate=HESTON.rate)
         for coupling, level, expected in (("crude-nv", 0, [m]), ("crude-nv", 3, [m] * 8),
                                           ("level0-nv-averaged", 0, [2 * m]),
                                           ("nv", 3, [2 * m] * 20), ("gs-nv", 3, [2 * m] * 16)):
             rows.clear()
+            flows.clear()
             sample_level(HESTON, call, coupling, level, m, RngStream(5))
             assert rows == expected, coupling
+            assert flows == [r for r in expected for _ in range(2)], coupling
         rows.clear()
+        flows.clear()
         coupling_errors(HESTON, [3], m, seed=5)
         assert rows == [2 * m] * 8 + [m] * 4
+        assert flows == [r for r in rows for _ in range(2)]
 
 
 class TestLayout:
@@ -329,7 +339,10 @@ class TestLayout:
         x, pair = model.initial_state(32), model.initial_state(64)
         nv = nv_step(model, pair, 0.5, path.dw[:, :, 0], exchange_mask(path.eta[:, 0] <= 0))
         gs = gs_step(model, x, 0.5, path.dw[:, :, 0])
-        for state, rows in ((x, 32), (pair, 64), (nv, 64), (gs, 32)):
+        # a C-order state steps to the same values, stored coordinate-major
+        gs_c = gs_step(model, np.ascontiguousarray(x), 0.5, path.dw[:, :, 0])
+        assert gs_c.tobytes() == gs.tobytes()
+        for state, rows in ((x, 32), (pair, 64), (nv, 64), (gs, 32), (gs_c, 32)):
             assert state.shape == (rows, model.n) and state.T.flags.c_contiguous
 
     @pytest.mark.parametrize("level", [1, 6])

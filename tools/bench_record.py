@@ -14,15 +14,19 @@ CPU model, Python and numpy versions), the median and interquartile range
 over the seeds of each metric with its per-seed values, the failed-check
 counts, the Tier-1 wall time with its pass/fail counts and the own time
 of acceptance criterion 3 (the longest test, read from ``--durations``), and
-``src_lines``, the ``wc -l`` total of ``src/mlmc_sde/*.py``.  ``compare``
-prints the Tier-1 results and source lines of both files, then each median
-of NEW beside OLD's, with the ratio and OLD's relative spread; a workload or
-metric found in only one file is printed as missing in the other.
+``src_lines``, the ``wc -l`` total of ``src/mlmc_sde/*.py``, with
+``src_code_lines``, those of its lines that are neither blank, nor only a
+comment, nor in a docstring.  ``compare`` prints the Tier-1 results and both
+line counts of both files, then each median of NEW beside OLD's, with the
+ratio and OLD's relative spread; a workload or metric found in only one file
+is printed as missing in the other.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -31,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,10 @@ SECONDS = 5.0  # perfbench --seconds per invocation; it runs at least 2 children
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0")
 CRITERION_3 = "tests/test_acceptance.py::test_criterion_03_oracle_equivalence"
 TIER1_OUTCOMES = ("passed", "failed", "error", "skipped", "xfailed", "xpassed")
+# tokens that make no line code; comments, blank lines and indentation
+NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER)
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 NOTE = ("Recorded on a shared 2-core virtual machine whose CPU speed drifts by up to "
         "+-15% over minutes: a ratio between two files inside that band is noise unless "
         "alternating pairs of runs confirm it, and pool speedup cannot exceed 2.")
@@ -100,6 +109,24 @@ def _src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "mlmc_sde").glob("*.py"))
 
 
+def _src_code_lines(root: Path) -> int:
+    """Lines of the package's modules that hold code: not blank, not only a
+    comment, and not in a module, class or function docstring."""
+    total = 0
+    for path in (root / "src" / "mlmc_sde").glob("*.py"):
+        text = path.read_text()
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NOT_CODE:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                code.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        total += len(code)
+    return total
+
+
 def _tier1_line(run: dict | None) -> str:
     if run is None:
         return "not recorded"
@@ -137,6 +164,7 @@ def record(root: Path) -> Path:
         "workloads": {},
         "tier1": _tier1(root),
         "src_lines": _src_lines(root),
+        "src_code_lines": _src_code_lines(root),
     }
     for workload in (w["name"] for w in workloads):
         plain, traced = [], []
@@ -166,7 +194,9 @@ def compare(old_path: Path, new_path: Path) -> None:
     print(f"# {old['rev'][:7]} -> {new['rev'][:7]}")
     print(f"tier-1: {_tier1_line(old.get('tier1'))} -> {_tier1_line(new.get('tier1'))}; "
           f"src lines {old.get('src_lines', 'not recorded')} -> "
-          f"{new.get('src_lines', 'not recorded')}")
+          f"{new.get('src_lines', 'not recorded')}, code lines "
+          f"{old.get('src_code_lines', 'not recorded')} -> "
+          f"{new.get('src_code_lines', 'not recorded')}")
     print("# medians, new / old, (old IQR / old median)")
     for workload in _union(old["workloads"], new["workloads"]):
         a, b = old["workloads"].get(workload), new["workloads"].get(workload)
