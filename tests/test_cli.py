@@ -452,12 +452,23 @@ GOLDEN_RUNS = {
                                  "5ba0cd90009505fe"),
 }
 
-# data rows of the commands without a seconds column, at T != 1
+# data rows of the commands without a seconds column, at T != 1, by case name:
+# (command, arguments, digest)
 GOLDEN_COMMANDS = {
-    "strong-order": (["--horizon", "0.25", "--levels", "1..3", "--pilot-m", "4000",
-                      "--seed", "5"], "824f690ce0b82cf4"),
-    "oracle-check": (["--horizon", "2", "--levels", "1..3", "--pilot-m", "4000",
-                      "--seed", "5"], "dd284ba051714edc"),
+    "strong-order": ("strong-order", ["--horizon", "0.25", "--levels", "1..3",
+                                      "--pilot-m", "4000", "--seed", "5"], "824f690ce0b82cf4"),
+    "oracle-check": ("oracle-check", ["--horizon", "2", "--levels", "1..3",
+                                      "--pilot-m", "4000", "--seed", "5"], "dd284ba051714edc"),
+    # pilot rows and both fits of one scheme
+    "calibrate-gs": ("calibrate", ["--coupling", "gs", "--horizon", "0.5", "--levels", "1..4",
+                                   "--pilot-m", "4000", "--seed", "5"], "90b63a7db6a84350"),
+    "calibrate-nv": ("calibrate", ["--coupling", "nv", "--horizon", "0.5", "--levels", "1..4",
+                                   "--pilot-m", "4000", "--seed", "5"], "ef05d0a82194b1d8"),
+    # a repeated coupling draws its own stream and gets its own rows
+    "variance-decay": ("variance-decay", ["--coupling", "gs-nv", "--coupling", "nv",
+                                          "--coupling", "gs-nv", "--horizon", "2",
+                                          "--levels", "1..3", "--pilot-m", "4000",
+                                          "--seed", "5"], "743b5e6b29b319d0"),
 }
 
 
@@ -471,9 +482,9 @@ class TestGolden:
         assert main(["run", *args, "--out", str(tmp_path)]) == 0
         assert masked_digest(tmp_path / "run.csv") == digest
 
-    @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
-    def test_command_rows(self, command, tmp_path):
-        args, digest = GOLDEN_COMMANDS[command]
+    @pytest.mark.parametrize("case", sorted(GOLDEN_COMMANDS))
+    def test_command_rows(self, case, tmp_path):
+        command, args, digest = GOLDEN_COMMANDS[case]
         assert main([command, *args, "--out", str(tmp_path)]) == 0
         body = "\n".join(csv_body(tmp_path / f"{command}.csv"))
         assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
