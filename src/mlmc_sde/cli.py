@@ -23,17 +23,10 @@ import numpy as np
 
 from . import calibrate as cal
 from . import estimators as est
+from .estimators import EXP_DECAY, EXP_ORACLE, EXP_RUN, EXP_STRONG
 from .models import MODELS, PAYOFF_LABELS, Payoff, build_model
 from .paths import MAX_LEVEL
 from .schemes import COUPLINGS, LevelSampler, coupling_errors, sample_many
-
-# experiment-id bases keep the streams of different phases independent; the
-# pilot phases of run and sweep take theirs from estimators
-EXP_STRONG = 21
-EXP_DECAY = 22
-EXP_ORACLE = 23
-EXP_RUN = 31
-
 
 # the couplings with a coarse grid; the others only sample level 0 or a crude pilot
 LEVEL_COUPLINGS = tuple(tag for tag, (_, coarse) in COUPLINGS.items() if coarse)
@@ -256,18 +249,24 @@ def _level_range(cfg: ExperimentConfig) -> range:
     return range(lo, hi + 1)
 
 
+def _log2_slope(name: str, levels, values, what: str, warnings: list[str]):
+    """The log2_line slope and log2 values of ``values`` over ``levels``; an
+    undefined slope appends a warning that says why."""
+    slope, _, logs = cal.log2_line(levels, values)
+    if math.isnan(slope):
+        warnings.append(f"{name} slope undefined: fewer than two levels with a finite log2 {what}")
+    return slope, logs
+
+
 def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level strong errors of the splitting scheme and its pairing"""
     levels = list(_level_range(cfg))
     self_mse, pair_mse = coupling_errors(model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
                                          cfg.workers)
-    self_slope, _, self_log = cal.log2_line(levels, self_mse)
-    pair_slope, _, pair_log = cal.log2_line(levels, pair_mse)
-    rows = [(l, self_log[i], pair_log[i]) for i, l in enumerate(levels)]
-    rows.append(("slope", self_slope, pair_slope))
-    warnings = [f"{name} slope undefined: fewer than two levels with a finite log2 error"
-                for name, slope in (("nv", self_slope), ("coupling", pair_slope))
-                if math.isnan(slope)]
+    warnings = []
+    self_slope, self_log = _log2_slope("nv", levels, self_mse, "error", warnings)
+    pair_slope, pair_log = _log2_slope("coupling", levels, pair_mse, "error", warnings)
+    rows = [*zip(levels, self_log, pair_log), ("slope", self_slope, pair_slope)]
     path = write_csv(cfg, "strong-order", ("l", "log2_strong_error_nv", "log2_coupling_error"),
                      rows, warnings)
     print(f"strong-order: nv slope {self_slope:.3f}, coupling slope {pair_slope:.3f} -> {path}")
@@ -277,23 +276,17 @@ def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level second moments of the coupled level samples"""
     levels = list(_level_range(cfg))
-    rows, slopes = [], []
+    rows, slope_rows, warnings = [], [], []
     for ci, coupling in enumerate(cfg.coupling):
-        sampler = LevelSampler(model, payoff, coupling)
-        stats = cal.pilot_stats(sampler, levels, cfg.pilot_m, cfg.seed, EXP_DECAY + ci,
-                                cfg.workers)
-        slope, _, logs = cal.log2_line(levels, [s.second_moment for s in stats])
-        slopes.append(slope)
+        stats = cal.pilot_stats(LevelSampler(model, payoff, coupling), levels, cfg.pilot_m,
+                                cfg.seed, EXP_DECAY + ci, cfg.workers)
+        slope, logs = _log2_slope(coupling, levels, [s.second_moment for s in stats],
+                                  "second moment", warnings)
         rows.extend((coupling, l, logs[i]) for i, l in enumerate(levels))
-    warnings = []
-    for coupling, slope in zip(cfg.coupling, slopes):
-        rows.append((coupling, "slope", slope))
-        if math.isnan(slope):
-            warnings.append(f"{coupling} slope undefined: fewer than two levels with a "
-                            "finite log2 second moment")
-    path = write_csv(cfg, "variance-decay", ("coupling", "l", "log2_second_moment"), rows,
-                     warnings)
-    summary = ", ".join(f"{c}: {s:.3f}" for c, s in zip(cfg.coupling, slopes))
+        slope_rows.append((coupling, "slope", slope))
+    path = write_csv(cfg, "variance-decay", ("coupling", "l", "log2_second_moment"),
+                     rows + slope_rows, warnings)
+    summary = ", ".join(f"{c}: {s:.3f}" for c, _, s in slope_rows)
     print(f"variance-decay slopes {summary} -> {path}")
     return 0
 
@@ -332,18 +325,18 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """pilot level statistics and fitted rates"""
     coupling = cfg.coupling[0]
     warnings = []
-    sampler = LevelSampler(model, payoff, coupling)
-    stats = est.rate_pilot(sampler, _level_range(cfg), cfg.pilot_m, cfg.seed, cfg.workers)
-    rows = [(s.level, s.mean, s.sem, s.variance) for s in stats]
+    weak, var = est.rate_pilots(LevelSampler(model, payoff, coupling), _level_range(cfg),
+                                cfg.pilot_m, cfg.seed, cfg.workers)
+    rows = [(w.level, w.mean, w.sem, v.variance) for w, v in zip(weak, var)]
     try:
-        weak = cal.fit_weak_rate(stats)
-        var = cal.fit_variance_rate(stats)
-        inflection = cal.detect_inflection(stats, var)
-        rows.append(("fit", weak.order, weak.constant, ""))
-        rows.append(("fit-variance", var.order, var.constant,
+        weak_fit = cal.fit_weak_rate(weak)
+        var_fit = cal.fit_variance_rate(var)
+        inflection = cal.detect_inflection(var, var_fit)
+        rows.append(("fit", weak_fit.order, weak_fit.constant, ""))
+        rows.append(("fit-variance", var_fit.order, var_fit.constant,
                      inflection if inflection is not None else ""))
-        print(f"calibrate {coupling}: alpha={weak.order} c1={weak.constant:.4g} "
-              f"beta={var.order} c2={var.constant:.4g} "
+        print(f"calibrate {coupling}: alpha={weak_fit.order} c1={weak_fit.constant:.4g} "
+              f"beta={var_fit.order} c2={var_fit.constant:.4g} "
               f"inflection={'none' if inflection is None else inflection}")
     except (cal.ZeroMean, cal.IllConditioned) as exc:
         warnings.append(str(exc))

@@ -20,12 +20,21 @@ from .models import Payoff, SdeModel
 from .paths import MAX_LEVEL
 from .schemes import LevelSampler, path_steps, sample_many
 
-# experiment ids of the pilot streams, kept apart from every other phase's
+# experiment ids of the streams of every phase, the pilots' and the commands'
 EXP_RATES = 11
 EXP_V0 = 12
-EXP_VLAST = 13  # plus the last level
+EXP_VLAST = 13  # + last level
 EXP_VARF = 14
+EXP_STRONG = 21
+EXP_DECAY = 22  # + coupling index
+EXP_ORACLE = 23
+EXP_RUN = 31  # + eps index
 EXP_TABLE = EXP_VLAST + 64
+
+# the schemes whose pilots fit the (weak, variance) rates of each coupling:
+# gs-nv's bias is that of its finest, splitting-scheme level and its level
+# variances are those of the gs coupling below it
+RATE_COUPLINGS = {"gs": ("gs", "gs"), "nv": ("nv", "nv"), "gs-nv": ("nv", "gs")}
 
 # largest fraction of aborted samples a level of a run may have
 ABORT_TOLERANCE = 0.01
@@ -49,6 +58,10 @@ class LevelTooDeep(cal.SamplingFailure, ValueError):
 
 class SamplingError(cal.SamplingFailure, RuntimeError):
     """Too many samples aborted at some level of a run."""
+
+
+class PlanTooLarge(cal.SamplingFailure, ValueError):
+    """A planned sample size is not below 2^63 (or is not a number)."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +116,15 @@ def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
         raise ValueError("variances and costs must both cover levels 0..last_level")
     if np.any(variances < 0.0):
         raise ValueError("variances must be nonnegative")
-    if not variances.any():
-        return np.ones(variances.size, dtype=int)
     budget = np.sum(np.sqrt(costs * variances))
-    raw = 2.0 / epsilon**2 * np.sqrt(variances / costs) * budget
+    return _round_sizes(2.0 / epsilon**2 * np.sqrt(variances / costs) * budget)
+
+
+def _round_sizes(raw: np.ndarray) -> np.ndarray:
+    """Whole sample sizes, at least 1; PlanTooLarge unless every raw size is
+    below 2^63, the first size int64 cannot hold (which also rejects NaN)."""
+    if not np.all(raw < 2.0**63):
+        raise PlanTooLarge(f"a planned sample size of {np.max(raw):.3g} is not below 2^63")
     return np.maximum(1, np.ceil(raw - 1e-9).astype(int))
 
 
@@ -243,7 +261,7 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
         * varf * spread**2
         / (epsilon**2 * np.sum(q * costs))
     )
-    sizes = np.maximum(1, np.ceil(q * n_star - 1e-9).astype(int))
+    sizes = _round_sizes(q * n_star)
     return MultilevelPlan(
         kind="ml2r",
         coupling=coupling,
@@ -292,10 +310,20 @@ def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5
     return cal.pilot_stats(sampler, [level], m, seed, experiment, workers)[0]
 
 
-def rate_pilot(sampler: LevelSampler, levels, m: int, seed: int,
-               workers: int = 1, memo: dict | None = None) -> list[LevelStats]:
-    """Pilot level statistics of ``sampler`` that rates are fitted to."""
-    return cal.pilot_stats(sampler, levels, m, seed, EXP_RATES, workers, memo)
+def rate_pilots(sampler: LevelSampler, levels, m: int, seed: int, workers: int = 1,
+                memo: dict | None = None) -> tuple[list[LevelStats], list[LevelStats]]:
+    """Pilot level statistics for the weak rate and for the variance rate of
+    ``sampler.coupling``.
+
+    Each is drawn on the ``EXP_RATES`` streams with its scheme from
+    ``RATE_COUPLINGS``, so gs-nv fits its weak rate on nv and its variance
+    rate on gs.  Both draws go through the memo (see
+    ``calibrate.pilot_stats``), so a scheme that drives both rates is drawn
+    once.
+    """
+    memo = {} if memo is None else memo
+    return tuple(cal.pilot_stats(sampler.with_coupling(tag), levels, m, seed, EXP_RATES,
+                                 workers, memo) for tag in RATE_COUPLINGS[sampler.coupling])
 
 
 def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
@@ -306,13 +334,13 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     """Calibrate from pilots, then plan one estimator of ``kind`` ("mlmc" or
     "ml2r") on ``sampler.coupling`` per epsilon.
 
-    The weak rate comes from the bias-driving scheme (nv for the nv and
-    gs-nv couplings) and the variance rate from the variance-driving one;
-    rates passed in replace the fitted ones, and with all four passed no
-    rate pilot is drawn.  The pilots are the rate pilots, v0, v_last per
-    last level (gs-nv), varf (ml2r) and the direct part of the variance
-    table, which replaces the variance model where the rate pilot shows an
-    inflection at or below the last level.  Every pilot level is drawn
+    The rates are fitted on ``rate_pilots``, each on the scheme that drives
+    it (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and
+    with all four passed no rate pilot is drawn.  The pilots are the rate
+    pilots, v0, v_last per last level (gs-nv), varf (ml2r) and the direct
+    part of the variance table, drawn on the variance-rate scheme, which
+    replaces the variance model where its rate pilot shows an inflection at
+    or below the last level.  Every pilot level is drawn
     through the memo ``pilots`` (see ``calibrate.pilot_stats``), so it is
     drawn once across the epsilons, and across calls that share the memo.
     """
@@ -322,14 +350,10 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
         return cal.pilot_stats(s, [level], pilot_m, seed, experiment, workers, pilots)[0].variance
 
     coupling = sampler.coupling
-    weak_coupling = "nv" if coupling in ("nv", "gs-nv") else "gs"
-    var_coupling = "gs" if coupling in ("gs", "gs-nv") else "nv"
     var_stats = var_fit = None
     if None in (alpha, c1, beta, c2):
-        weak = cal.fit_weak_rate(rate_pilot(sampler.with_coupling(weak_coupling), pilot_levels,
-                                            pilot_m, seed, workers, pilots))
-        var_stats = rate_pilot(sampler.with_coupling(var_coupling), pilot_levels,
-                               pilot_m, seed, workers, pilots)
+        weak_stats, var_stats = rate_pilots(sampler, pilot_levels, pilot_m, seed, workers, pilots)
+        weak = cal.fit_weak_rate(weak_stats)
         var_fit = cal.fit_variance_rate(var_stats)
         alpha = weak.order if alpha is None else alpha
         c1 = weak.constant if c1 is None else c1
@@ -355,8 +379,9 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
         table = None
         if inflection is not None and last >= inflection:
             # extrapolates past the break at the caller's beta, else the snapped pilot rate
-            table = cal.variance_table(sampler.with_coupling(var_coupling), last, inflection,
-                                       beta, pilot_m, seed, EXP_TABLE, workers, v0, pilots)
+            var_sampler = sampler.with_coupling(RATE_COUPLINGS[coupling][1])
+            table = cal.variance_table(var_sampler, last, inflection, beta, pilot_m, seed,
+                                       EXP_TABLE, workers, v0, pilots)
         plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last, nv_level0,
                                variance_table=table))
     return plans

@@ -57,3 +57,24 @@ not a docstring"""
     assert bench_record._src_lines(tmp_path) == 21
     # import, class, the two lines of x, def, and the two lines of the return
     assert bench_record._src_code_lines(tmp_path) == 7
+    assert bench_record._src_code_lines_by_module(tmp_path) == {"a.py": 7, "b.py": 0}
+
+
+def test_compare_prints_code_lines_per_module(tmp_path, capsys):
+    def recorded(path, by_module):
+        data = json.loads(bench_file(path, {}).read_text())
+        if by_module is not None:
+            data["src_code_lines_by_module"] = by_module
+        path.write_text(json.dumps(data))
+        return path
+
+    older = recorded(tmp_path / "a.json", None)
+    old = recorded(tmp_path / "b.json", {"cli.py": 351, "gone.py": 3})
+    new = recorded(tmp_path / "c.json", {"cli.py": 346, "new.py": 5})
+    bench_record.compare(older, old)
+    bench_record.compare(old, new)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["cli.py", "not", "recorded", "->", "351"] in lines
+    assert ["cli.py", "351", "->", "346"] in lines
+    assert ["gone.py", "3", "->", "missing"] in lines
+    assert ["new.py", "missing", "->", "5"] in lines

@@ -407,6 +407,59 @@ class TestCommands:
                 == csv_body(tmp_path / "y" / "variance-decay.csv"))
 
 
+class TestCalibrateMatchesRun:
+    """calibrate fits each rate on the scheme that run plans with: for gs-nv
+    the weak rate on nv's pilot and the variance rate on gs's."""
+
+    ARGS = ["--pilot-m", "4000", "--seed", "9"]
+
+    def calibrate_rows(self, coupling, tmp_path):
+        out = tmp_path / coupling
+        assert main(["calibrate", "--coupling", coupling, *self.ARGS, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in csv_body(out / "calibrate.csv")[1:]]
+        return {row[0]: row for row in rows}
+
+    def test_gs_nv_rows_come_from_the_nv_and_gs_pilots(self, tmp_path):
+        mixed, nv, gs = (self.calibrate_rows(c, tmp_path) for c in ("gs-nv", "nv", "gs"))
+        assert mixed["fit"] == nv["fit"]
+        assert mixed["fit-variance"] == gs["fit-variance"]
+        levels = [key for key in mixed if key.isdigit()]
+        assert levels == ["1", "2", "3", "4"]
+        for level in levels:
+            assert mixed[level][1:3] == nv[level][1:3]  # mean, sem
+            assert mixed[level][3] == gs[level][3]  # variance
+
+    def test_gs_nv_fit_is_what_run_plans_with(self, tmp_path, monkeypatch):
+        rates = []
+        plan = estimators.mlmc_plan
+
+        def recorded(coupling, epsilon, alpha, c1, beta, c2, *args, **kwargs):
+            rates.append((alpha, c1, beta, c2))
+            return plan(coupling, epsilon, alpha, c1, beta, c2, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "mlmc_plan", recorded)
+        assert main(["run", "--coupling", "gs-nv", "--eps", "2^-4", *self.ARGS,
+                     "--out", str(tmp_path)]) == 0
+        rows = self.calibrate_rows("gs-nv", tmp_path)
+        (alpha, c1, beta, c2), = rates
+        assert rows["fit"][1:3] == [cli._fmt(alpha), cli._fmt(c1)]
+        assert rows["fit-variance"][1:3] == [cli._fmt(beta), cli._fmt(c2)]
+
+
+class TestPlanTooLarge:
+    """A planned sample size past the int64 range fails the run; it is never
+    wrapped round to a plan of a few samples that claims RMSE eps."""
+
+    @pytest.mark.parametrize("estimator", ["mlmc", "ml2r"])
+    def test_exits_three(self, estimator, tmp_path, capsys):
+        assert main(["run", "--estimator", estimator, "--coupling", "gs", "--payoff",
+                     "u-squared", "--alpha", "1", "--c1", "0.16", "--beta", "2",
+                     "--c2", "1e300", "--eps", "2^-4", "--pilot-m", "100",
+                     "--out", str(tmp_path)]) == 3
+        assert "sampling failure: a planned sample size" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+
 def masked_digest(path):
     """Hash of the data rows with the wall-clock ``seconds`` cells removed."""
     lines = csv_body(path)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmc_sde import estimators
+from mlmc_sde import calibrate, estimators
 from mlmc_sde.estimators import (
+    EXP_RATES,
     EXP_TABLE,
     MissingLastLevelVariance,
     MultilevelPlan,
     NonpositiveVariance,
+    PlanTooLarge,
     SamplingError,
     ZeroWeakConstant,
     calibrated_plans,
@@ -23,6 +25,7 @@ from mlmc_sde.estimators import (
     mlmc_last_level,
     mlmc_plan,
     mlmc_sample_sizes,
+    rate_pilots,
     run_multilevel,
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
@@ -86,6 +89,17 @@ class TestSampleSizes:
             mlmc_sample_sizes(0.5, [0.0, 0.0, 0.0], gs_costs(2)), [1, 1, 1]
         )
 
+    def test_sizes_below_two_to_the_63_are_kept(self):
+        # unit costs: M_l = 2 eps^-2 sqrt(V_l) sum_j sqrt(V_j), exact in powers of 2
+        np.testing.assert_array_equal(
+            mlmc_sample_sizes(1.0, [2.0**60, 2.0**60], [1.0, 1.0]), [2**62, 2**62])
+
+    @pytest.mark.parametrize("epsilon, variance", [(0.5, 2.0**60), (math.nan, 1.0)])
+    def test_size_past_int64_is_refused(self, epsilon, variance):
+        # a cast to int64 would wrap to INT64_MIN and clamp to 1 sample
+        with pytest.raises(PlanTooLarge):
+            mlmc_sample_sizes(epsilon, [variance], [1.0])
+
 
 def level_costs(kind, coupling, last, nv_level0="averaged"):
     return estimators._level_costs(estimators._level_tags(kind, coupling, last, nv_level0))
@@ -133,6 +147,11 @@ class TestMlmcPlan:
         plan = mlmc_plan("nv", 0.05, 2.0, 0.1, 2.0, 0.3, v0=0.4, nv_level0="single")
         assert plan.level_tags[0] == "crude-nv"
         assert path_steps(plan.level_tags[1], 1) == 5.0 * 2.0
+
+    def test_plan_past_int64_is_refused(self):
+        # level 0 alone would be sized at 6.9e17 and levels 1-2 at 1 sample
+        with pytest.raises(PlanTooLarge):
+            mlmc_plan("gs", 2.0**-4, 1.0, 0.16, 2.0, 1e30, v0=0.5)
 
     def test_direct_variance_table_override(self):
         table = np.array([0.4, 0.1, 0.05])
@@ -214,6 +233,11 @@ class TestMl2r:
             [1.0] + [5.0 * 2.0**level for level in range(1, plan.last_level + 1)])
         assert plan.weights[0] == pytest.approx(1.0)
         assert (plan.sizes >= 1).all()
+
+    def test_plan_past_int64_is_refused(self):
+        # every level would be sized at 1 sample
+        with pytest.raises(PlanTooLarge):
+            ml2r_plan("gs", 2.0**-4, 1.0, 2.0, 1e300, 0.8)
 
     def test_rejects_bad_variances(self):
         with pytest.raises(NonpositiveVariance):
@@ -359,6 +383,40 @@ class LadderSampler:
         signs = np.where(index % 2 == 0, 1.0, -1.0)
         values = -(2.0 ** -(level + 1)) + 2.0 ** -min(level, 3) * signs
         return LevelSample(values, level, self.coupling)
+
+
+def record_keys(monkeypatch):
+    """Log (coupling, level, experiment) of every draw made through calibrate."""
+    keys = []
+    draw = estimators.cal.sample_many
+
+    def counted(sampler, level, m, seed, experiment=0, workers=1):
+        keys.append((sampler.coupling, level, experiment))
+        return draw(sampler, level, m, seed, experiment, workers)
+
+    monkeypatch.setattr(estimators.cal, "sample_many", counted)
+    return keys
+
+
+class TestRatePilots:
+    @pytest.mark.parametrize("coupling, weak, var", [
+        ("gs", "gs", "gs"), ("nv", "nv", "nv"), ("gs-nv", "nv", "gs")])
+    def test_each_rate_on_its_scheme(self, coupling, weak, var, monkeypatch):
+        keys = record_keys(monkeypatch)
+        weak_stats, var_stats = rate_pilots(LevelSampler(CC, USQ, coupling), [1, 2], 200, 3)
+        # a scheme that drives both rates is drawn once
+        assert keys == [(scheme, level, EXP_RATES)
+                        for scheme in dict.fromkeys((weak, var)) for level in (1, 2)]
+        for scheme, stats in ((weak, weak_stats), (var, var_stats)):
+            assert stats == calibrate.pilot_stats(LevelSampler(CC, USQ, scheme), [1, 2], 200,
+                                                  3, EXP_RATES)
+
+    def test_memo_is_shared(self, monkeypatch):
+        keys = record_keys(monkeypatch)
+        memo = {}
+        first = rate_pilots(LevelSampler(CC, USQ, "gs-nv"), [1, 2], 200, 3, memo=memo)
+        second = rate_pilots(LevelSampler(CC, USQ, "gs-nv"), [1, 2], 200, 3, memo=memo)
+        assert first == second and len(keys) == 4
 
 
 class TestCalibratedPlans:

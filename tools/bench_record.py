@@ -16,10 +16,12 @@ counts, the Tier-1 wall time with its pass/fail counts and the own time
 of acceptance criterion 3 (the longest test, read from ``--durations``), and
 ``src_lines``, the ``wc -l`` total of ``src/mlmc_sde/*.py``, with
 ``src_code_lines``, those of its lines that are neither blank, nor only a
-comment, nor in a docstring.  ``compare`` prints the Tier-1 results and both
-line counts of both files, then each median of NEW beside OLD's, with the
-ratio and OLD's relative spread; a workload or metric found in only one file
-is printed as missing in the other.
+comment, nor in a docstring, with ``src_code_lines_by_module`` splitting
+that count by file.  ``compare`` prints the Tier-1 results and both line
+counts of both files, each module's code lines in OLD and NEW, then each
+median of NEW beside OLD's, with the ratio and OLD's relative spread; a
+workload or metric found in only one file is printed as missing in the
+other.
 """
 
 from __future__ import annotations
@@ -110,10 +112,14 @@ def _src_lines(root: Path) -> int:
 
 
 def _src_code_lines(root: Path) -> int:
-    """Lines of the package's modules that hold code: not blank, not only a
-    comment, and not in a module, class or function docstring."""
-    total = 0
-    for path in (root / "src" / "mlmc_sde").glob("*.py"):
+    return sum(_src_code_lines_by_module(root).values())
+
+
+def _src_code_lines_by_module(root: Path) -> dict[str, int]:
+    """Lines of each of the package's modules that hold code: not blank, not
+    only a comment, and not in a module, class or function docstring."""
+    counts = {}
+    for path in sorted((root / "src" / "mlmc_sde").glob("*.py")):
         text = path.read_text()
         code = set()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -123,8 +129,8 @@ def _src_code_lines(root: Path) -> int:
             if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
                 doc = node.body[0]
                 code.difference_update(range(doc.lineno, doc.end_lineno + 1))
-        total += len(code)
-    return total
+        counts[path.name] = len(code)
+    return counts
 
 
 def _tier1_line(run: dict | None) -> str:
@@ -165,6 +171,7 @@ def record(root: Path) -> Path:
         "tier1": _tier1(root),
         "src_lines": _src_lines(root),
         "src_code_lines": _src_code_lines(root),
+        "src_code_lines_by_module": _src_code_lines_by_module(root),
     }
     for workload in (w["name"] for w in workloads):
         plain, traced = [], []
@@ -197,6 +204,12 @@ def compare(old_path: Path, new_path: Path) -> None:
           f"{new.get('src_lines', 'not recorded')}, code lines "
           f"{old.get('src_code_lines', 'not recorded')} -> "
           f"{new.get('src_code_lines', 'not recorded')}")
+    modules = [old.get("src_code_lines_by_module"), new.get("src_code_lines_by_module")]
+    print("# code lines per module, old -> new")
+    for name in _union(*(m or {} for m in modules)):
+        old_n, new_n = ("not recorded" if m is None else m.get(name, "missing")
+                        for m in modules)
+        print(f"  {name:36s} {old_n} -> {new_n}")
     print("# medians, new / old, (old IQR / old median)")
     for workload in _union(old["workloads"], new["workloads"]):
         a, b = old["workloads"].get(workload), new["workloads"].get(workload)
