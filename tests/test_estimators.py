@@ -411,13 +411,6 @@ class TestRatePilots:
             assert stats == calibrate.pilot_stats(LevelSampler(CC, USQ, scheme), [1, 2], 200,
                                                   3, EXP_RATES)
 
-    def test_memo_is_shared(self, monkeypatch):
-        keys = record_keys(monkeypatch)
-        memo = {}
-        first = rate_pilots(LevelSampler(CC, USQ, "gs-nv"), [1, 2], 200, 3, memo=memo)
-        second = rate_pilots(LevelSampler(CC, USQ, "gs-nv"), [1, 2], 200, 3, memo=memo)
-        assert first == second and len(keys) == 4
-
 
 class TestCalibratedPlans:
     def test_variance_table_past_the_inflection(self, monkeypatch):
