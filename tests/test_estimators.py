@@ -162,6 +162,35 @@ class TestMlmcPlan:
         )
 
 
+# the rates the heston_call.cfg pilots fit (seed 41, --pilot-m 100000): alpha 2,
+# beta 3 and these c2 and varf
+HESTON_C2, HESTON_VARF = 0.0002416145807501572, 1.2687698876135427
+
+# explicit ml2r_plan inputs (coupling, eps, alpha, beta, c2, varf, horizon) and
+# the sizes of levels 0..L they are planned with
+ML2R_SIZES = [
+    pytest.param(("gs", 2.0**-2, 2.0, 2.0, 0.1, 0.8, 1.0), [58, 14], id="gs-depth1"),
+    pytest.param(("gs", 2.0**-3, 2.0, 2.0, 0.1, 0.8, 0.5), [479, 178], id="gs-depth1-T-half"),
+    pytest.param(("gs", 2.0**-4, 1.0, 2.0, 0.1, 0.8, 1.0), [1417, 166, 235], id="gs-depth2"),
+    pytest.param(("gs", 2.0**-9, 1.0, 2.0, 0.1, 0.8, 1.0),
+                 [1540867, 269135, 104245, 6857, 38789], id="gs-depth4"),
+    pytest.param(("gs", 2.0**-9, 1.0, 2.0, 0.1, 0.8, 0.5),
+                 [3401147, 990056, 127287, 360021], id="gs-depth3-T-half"),
+    pytest.param(("gs", 2.0**-11, 1.0, 2.0, 0.15, 1.2, 2.0),
+                 [19493698, 1964608, 690185, 275199, 9104, 102999], id="gs-depth5-T-2"),
+    pytest.param(("nv", 2.0**-4, 1.0, 2.0, 0.1, 0.8, 0.5), [3678, 1446], id="nv-depth1-T-half"),
+    pytest.param(("nv", 2.0**-5, 2.0, 2.0, 0.1, 0.8, 1.0), [5622, 682, 351], id="nv-depth2"),
+    pytest.param(("nv", 2.0**-8, 1.0, 1.5, 0.3, 0.8, 0.5), [2127810, 362921, 610357],
+                 id="nv-depth2-T-half"),
+    pytest.param(("nv", 2.0**-7, 2.0, 3.0, HESTON_C2, HESTON_VARF, 1.0), [25424, 145, 53],
+                 id="heston-eps-2^-7"),
+    pytest.param(("nv", 2.0**-9, 2.0, 3.0, HESTON_C2, HESTON_VARF, 1.0), [406771, 2318, 843],
+                 id="heston-eps-2^-9"),
+    pytest.param(("nv", 2.0**-9, 2.0, 3.0, HESTON_C2, HESTON_VARF, 0.5), [490558, 10517],
+                 id="heston-eps-2^-9-T-half"),
+]
+
+
 class TestMl2r:
     def test_weights_spot_case(self):
         w, suffix = ml2r_weights(1, 1.0)
@@ -223,6 +252,12 @@ class TestMl2r:
         ratio = plan.sizes * np.sqrt(costs) / s
         assert plan.last_level >= 2 and plan.sizes.min() >= 100
         np.testing.assert_allclose(ratio, ratio[0], rtol=0.01)
+
+    @pytest.mark.parametrize("args, sizes", ML2R_SIZES)
+    def test_pinned_sizes(self, args, sizes):
+        plan = ml2r_plan(*args)
+        assert plan.last_level == len(sizes) - 1
+        np.testing.assert_array_equal(plan.sizes, sizes)
 
     def test_plan_structure(self):
         plan = ml2r_plan("nv", 2.0**-5, 2.0, 2.0, 0.1, 0.8)
