@@ -4,6 +4,7 @@ Plans are built from calibrated rates: the plain multilevel estimator
 weights every level 1 and sizes levels from the variance model; the
 weighted (Richardson-Romberg) variant carries suffix-sum weights that
 cancel successive bias-expansion terms, with fully explicit parameters.
+Both size their levels with one allocation, ``mlmc_sample_sizes``.
 """
 
 from __future__ import annotations
@@ -109,15 +110,21 @@ def mlmc_last_level(epsilon: float, c1: float, alpha: float) -> int:
 
 def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
     """Cost-optimal sizes M_l = ceil(2 eps^-2 sqrt(V_l / C_l) * sum_j sqrt(C_j V_j)),
-    C_l the cost of one sample of level l."""
+    C_l the cost of one sample of level l.
+
+    This is the one allocation of both estimators: ``ml2r_plan`` passes its
+    effective variances.  A size that overflows is refused by ``_round_sizes``.
+    """
     variances = np.asarray(variances, dtype=float)
     costs = np.asarray(costs, dtype=float)
     if variances.ndim != 1 or costs.shape != variances.shape:
         raise ValueError("variances and costs must both cover levels 0..last_level")
     if np.any(variances < 0.0):
         raise ValueError("variances must be nonnegative")
-    budget = np.sum(np.sqrt(costs * variances))
-    return _round_sizes(2.0 / epsilon**2 * np.sqrt(variances / costs) * budget)
+    with np.errstate(over="ignore", invalid="ignore"):
+        budget = np.sum(np.sqrt(costs * variances))
+        raw = 2.0 / epsilon**2 * np.sqrt(variances / costs) * budget
+    return _round_sizes(raw)
 
 
 def _round_sizes(raw: np.ndarray) -> np.ndarray:
@@ -146,6 +153,16 @@ def _level_tags(kind: str, coupling: str, last_level: int, nv_level0: str) -> tu
     raise ValueError(f"unknown coupling {coupling!r}")
 
 
+def _plan(kind: str, coupling: str, epsilon: float, variances: np.ndarray,
+          weights: np.ndarray, nv_level0: str) -> MultilevelPlan:
+    """The plan of ``kind`` on levels 0..len(variances) - 1, each sampled with
+    its coupling tag and sized by ``mlmc_sample_sizes`` at its path steps."""
+    last = variances.size - 1
+    tags = _level_tags(kind, coupling, last, nv_level0)
+    sizes = mlmc_sample_sizes(epsilon, variances, _level_costs(tags))
+    return MultilevelPlan(kind, coupling, epsilon, last, sizes, weights, tags)
+
+
 def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
               beta: float, c2: float, v0: float, v_last: float | None = None,
               nv_level0: str = "averaged",
@@ -158,7 +175,6 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
     variance of its final level.
     """
     last = mlmc_last_level(epsilon, c1, alpha)
-    tags = _level_tags("mlmc", coupling, last, nv_level0)
     if variance_table is not None:
         variances = np.asarray(variance_table, dtype=float).copy()
         if variances.shape != (last + 1,):
@@ -171,16 +187,7 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
             raise MissingLastLevelVariance("gs-nv needs a pilot variance at the last level")
         if v_last is not None:
             variances[last] = v_last
-    sizes = mlmc_sample_sizes(epsilon, variances, _level_costs(tags))
-    return MultilevelPlan(
-        kind="mlmc",
-        coupling=coupling,
-        epsilon=epsilon,
-        last_level=last,
-        sizes=sizes,
-        weights=np.ones(last + 1),
-        level_tags=tags,
-    )
+    return _plan("mlmc", coupling, epsilon, variances, np.ones(last + 1), nv_level0)
 
 
 def ml2r_weights(last_level: int, alpha: float):
@@ -207,7 +214,7 @@ def ml2r_weights(last_level: int, alpha: float):
     return w, suffix
 
 
-def ml2r_last_level(epsilon: float, alpha: float, horizon: float = 1.0) -> int:
+def ml2r_last_level(epsilon: float, alpha: float, horizon: float) -> int:
     """floor of the explicit depth formula, floored at 1; LevelTooDeep past MAX_LEVEL."""
     if epsilon <= 0.0 or alpha <= 0.0:
         raise ValueError("need epsilon > 0 and alpha > 0")
@@ -220,7 +227,7 @@ def ml2r_last_level(epsilon: float, alpha: float, horizon: float = 1.0) -> int:
     return max(1, math.floor(raw))
 
 
-def ml2r_theta(beta: float, c2: float, varf: float, horizon: float = 1.0) -> float:
+def ml2r_theta(beta: float, c2: float, varf: float, horizon: float) -> float:
     """theta = T^(-beta/2) sqrt(c2 / varf), balancing level 0 against the couplings."""
     if varf <= 0.0:
         raise NonpositiveVariance("varf must be positive")
@@ -229,48 +236,28 @@ def ml2r_theta(beta: float, c2: float, varf: float, horizon: float = 1.0) -> flo
     return horizon ** (-0.5 * beta) * math.sqrt(c2 / varf)
 
 
-def _ml2r_fractions(costs, alpha: float, beta: float, theta: float):
-    """The suffix weights W, the normalized sampling fractions q and
-    sum_l s_l sqrt(C_l) of the weighted estimator whose level l costs C_l
-    per sample: q_l is proportional to s_l / sqrt(C_l), with s_0 = 1 + theta
-    and s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)) for l >= 1."""
-    _, suffix = ml2r_weights(costs.size - 1, alpha)
-    levels = np.arange(1, costs.size)
-    decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
-    s = np.concatenate(([1.0 + theta], theta * np.abs(suffix[1:]) * decay))
-    root = np.sqrt(costs)
-    q = s / root
-    return suffix, q / q.sum(), float(np.sum(s * root))
-
-
 def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
-              c2: float, varf: float, horizon: float = 1.0) -> MultilevelPlan:
+              c2: float, varf: float, horizon: float) -> MultilevelPlan:
     """Weighted multilevel plan with fully explicit allocation.
 
     ``varf`` is the payoff variance V(f(X_T)) estimated by a crude run.
-    Level 0 is the single-order crude sampler, and each level is charged
-    its path steps per sample (``path_steps``).
+    Level 0 is the single-order crude sampler.  The levels are sized by
+    ``mlmc_sample_sizes``, each charged its path steps per sample
+    (``path_steps``), on the effective variances
+    V_l = (1/2 + 1/(4 alpha (L+1))) varf s_l^2 with s_0 = 1 + theta and
+    s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)) for l >= 1, W the
+    suffix weights: the allocation M_l proportional to s_l / sqrt(C_l) with
+    the explicit total of the weighted estimator.
     """
     last = ml2r_last_level(epsilon, alpha, horizon)
     theta = ml2r_theta(beta, c2, varf, horizon)
-    tags = _level_tags("ml2r", coupling, last, "single")
-    costs = _level_costs(tags)
-    suffix, q, spread = _ml2r_fractions(costs, alpha, beta, theta)
-    n_star = (
-        (1.0 + 0.5 / (alpha * (last + 1)))
-        * varf * spread**2
-        / (epsilon**2 * np.sum(q * costs))
-    )
-    sizes = _round_sizes(q * n_star)
-    return MultilevelPlan(
-        kind="ml2r",
-        coupling=coupling,
-        epsilon=epsilon,
-        last_level=last,
-        sizes=sizes,
-        weights=suffix,
-        level_tags=tags,
-    )
+    _, suffix = ml2r_weights(last, alpha)
+    levels = np.arange(1, last + 1)
+    decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
+    with np.errstate(over="ignore"):
+        s = np.concatenate(([1.0 + theta], theta * np.abs(suffix[1:]) * decay))
+        variances = (0.5 + 0.25 / (alpha * (last + 1))) * varf * s**2
+    return _plan("ml2r", coupling, epsilon, variances, suffix, "single")
 
 
 def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
