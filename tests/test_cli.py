@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import pkgutil
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -450,13 +451,30 @@ class TestPlanTooLarge:
     """A planned sample size past the int64 range fails the run; it is never
     wrapped round to a plan of a few samples that claims RMSE eps."""
 
+    @staticmethod
+    def argv(estimator, c2, tmp_path):
+        return ["run", "--estimator", estimator, "--coupling", "gs", "--payoff", "u-squared",
+                "--alpha", "1", "--c1", "0.16", "--beta", "2", "--c2", c2, "--eps", "2^-4",
+                "--pilot-m", "100", "--out", str(tmp_path)]
+
     @pytest.mark.parametrize("estimator", ["mlmc", "ml2r"])
     def test_exits_three(self, estimator, tmp_path, capsys):
-        assert main(["run", "--estimator", estimator, "--coupling", "gs", "--payoff",
-                     "u-squared", "--alpha", "1", "--c1", "0.16", "--beta", "2",
-                     "--c2", "1e300", "--eps", "2^-4", "--pilot-m", "100",
-                     "--out", str(tmp_path)]) == 3
+        assert main(self.argv(estimator, "1e300", tmp_path)) == 3
         assert "sampling failure: a planned sample size" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("estimator", ["mlmc", "ml2r"])
+    def test_overflowing_allocation_exits_three(self, estimator, tmp_path, capsys):
+        # c2 = 1e308 overflows the float arithmetic of the allocation itself;
+        # that is a plan too large, not an OverflowError or a RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(self.argv(estimator, "1e308", tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "sampling failure: a planned sample size" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not caught
         assert not (tmp_path / "run.csv").exists()
 
 
@@ -594,6 +612,32 @@ class TestDrawOnce:
         assert keys
         repeated = sorted({k for k in keys if keys.count(k) > 1})
         assert not repeated, f"pilot draws repeated: {repeated}"
+
+
+class TestFixedRates:
+    """A fixed rate replaces its fitted one; the rate pilot is skipped only
+    when all four of --alpha --c1 --beta --c2 are set."""
+
+    @pytest.mark.parametrize("fixed, rate_levels", [
+        (["--alpha", "1"], [1, 2, 3, 4]),
+        (["--alpha", "1", "--c1", "0.16", "--beta", "2", "--c2", "0.15"], []),
+    ], ids=["alpha-alone", "all-four"])
+    def test_rate_pilot_unless_all_four(self, fixed, rate_levels, tmp_path, monkeypatch):
+        log = record_draws(monkeypatch)
+        alphas = []
+        plan = estimators.mlmc_plan
+
+        def recorded(coupling, epsilon, alpha, *args, **kwargs):
+            alphas.append(alpha)
+            return plan(coupling, epsilon, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "mlmc_plan", recorded)
+        assert main(["run", "--payoff", "u-squared", "--coupling", "gs", *fixed, *THREE_EPS,
+                     "--out", str(tmp_path)]) == 0
+        rates = estimators.EXP_RATES
+        rate_keys = [key for epsilon, key in log if epsilon is None and key[4] == rates]
+        assert rate_keys == [("gs", level, 2000, 9, rates) for level in rate_levels]
+        assert alphas == [1.0, 1.0, 1.0]
 
 
 class TestStreamKeys:
