@@ -121,9 +121,10 @@ def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
         raise ValueError("variances and costs must both cover levels 0..last_level")
     if np.any(variances < 0.0):
         raise ValueError("variances must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         budget = np.sum(np.sqrt(costs * variances))
-        raw = 2.0 / epsilon**2 * np.sqrt(variances / costs) * budget
+        # a numpy 2: an eps^2 that underflows to 0 gives inf, not ZeroDivisionError
+        raw = np.float64(2.0) / epsilon**2 * np.sqrt(variances / costs) * budget
     return _round_sizes(raw)
 
 

@@ -94,7 +94,8 @@ class TestSampleSizes:
         np.testing.assert_array_equal(
             mlmc_sample_sizes(1.0, [2.0**60, 2.0**60], [1.0, 1.0]), [2**62, 2**62])
 
-    @pytest.mark.parametrize("epsilon, variance", [(0.5, 2.0**60), (math.nan, 1.0)])
+    @pytest.mark.parametrize("epsilon, variance",
+                             [(0.5, 2.0**60), (math.nan, 1.0), (1e-200, 1.0)])
     def test_size_past_int64_is_refused(self, epsilon, variance):
         # a cast to int64 would wrap to INT64_MIN and clamp to 1 sample
         with pytest.raises(PlanTooLarge):
