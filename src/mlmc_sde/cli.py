@@ -108,17 +108,13 @@ class ExperimentConfig:
                              help="mlmc level-0 splitting sample: both orders averaged or one "
                                   "(ml2r ignores it: its level 0 is always one order)")
     alpha: float | None = _option(None, float, check=POSITIVE,
-                                  help="fixed weak order in place of the fitted one; the rate "
-                                       "pilot is skipped only when --alpha, --c1, --beta and "
-                                       "--c2 are all set")
-    c1: float | None = _option(None, float, check=FINITE,
-                               help="fixed weak constant in place of the fitted one (see --alpha)")
+                                  help="fixed weak order; the rate pilot is skipped only "
+                                       "when all four of --alpha --c1 --beta --c2 are set")
+    c1: float | None = _option(None, float, check=FINITE, help="fixed weak constant (see --alpha)")
     beta: float | None = _option(None, float, check=POSITIVE,
-                                 help="fixed variance order in place of the fitted one "
-                                      "(see --alpha)")
+                                 help="fixed variance order (see --alpha)")
     c2: float | None = _option(None, float, check=POSITIVE,
-                               help="fixed variance constant in place of the fitted one "
-                                    "(see --alpha)")
+                               help="fixed variance constant (see --alpha)")
 
 
 COMMAND_DEFAULTS = {
