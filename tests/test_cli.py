@@ -521,6 +521,12 @@ GOLDEN_RUNS = {
                                   "--eps", "2^-5", "--pilot-m", "4000", "--seed", "17",
                                   "--horizon", "0.5"],
                                  "5ba0cd90009505fe"),
+    # the variance pilots leave their line at level 1, so both eps are sized
+    # from the direct variance table rather than the fitted variance model
+    "heston-variance-table": (["--model", "heston", "--payoff", "heston-call",
+                               "--coupling", "nv", "--levels", "1..6", "--eps", "2^-6",
+                               "--eps", "2^-8", "--pilot-m", "4000", "--seed", "7"],
+                              "85df9272f5224f78"),
 }
 
 # data rows of the commands without a seconds column, at T != 1, by case name:
