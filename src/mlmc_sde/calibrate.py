@@ -151,42 +151,43 @@ def fit_variance_rate(stats: list[LevelStats]) -> RateFit:
     return RateFit(beta, 2.0**intercept, slope, intercept, logs - (slope * levels + intercept))
 
 
-def detect_inflection(stats: list[LevelStats], fit: RateFit,
-                      threshold_log2: float = 0.5):
+# largest distance, in log2, between a level's variance and the raw fitted
+# line before detect_inflection says the level leaves it
+INFLECTION_LOG2 = 0.5
+
+
+def detect_inflection(stats: list[LevelStats], fit: RateFit):
     """Smallest level whose log2 variance leaves the fitted line.
 
-    Returns None when every level stays within ``threshold_log2`` of the
+    Returns None when every level stays within ``INFLECTION_LOG2`` of the
     raw regression line; used to decide whether the asymptotic variance
-    model can size the estimator or direct estimates are needed.
+    model can size the estimator or direct estimates are needed.  The band
+    is a fixed width with no noise model: on Heston ``nv`` pilots of levels
+    1..6 at 100 000 samples it flags level 1, 4, 6 or 6 at seeds 7, 2, 1
+    and 3, and two independent level-1 pilots at seed 7 read 3.07e-5 and
+    2.32e-5, 32% apart.
     """
     for s in stats:
         if s.variance <= 0.0:
             continue
         predicted = fit.intercept + fit.raw_slope * s.level
-        if abs(np.log2(s.variance) - predicted) > threshold_log2:
+        if abs(np.log2(s.variance) - predicted) > INFLECTION_LOG2:
             return s.level
     return None
 
 
-def variance_table(sampler: LevelSampler, last_level: int, inflection: int,
-                   beta_theoretical: float, m: int, seed: int,
-                   experiment: int = 0, workers: int = 1,
-                   v0: float | None = None, memo: dict | None = None) -> np.ndarray:
-    """Per-level variances: direct Monte Carlo up to the inflection level,
-    decaying extrapolation V_hat(inflection) * 2^(-beta (l - inflection)) beyond.
+def variance_table(direct: list[LevelStats], last_level: int, beta: float,
+                   v0: float) -> np.ndarray:
+    """Per-level variances of levels 0..last_level: ``v0`` at level 0, the
+    pilot variances ``direct`` of levels 1..inflection, then the decaying
+    extrapolation V_hat(inflection) * 2^(-beta (l - inflection)) beyond.
 
-    A known level-0 variance ``v0`` takes the place of the level-0 draw;
-    the direct draws go through ``pilot_stats`` and its ``memo``.
+    A pure builder: the inflection is the number of direct levels, and the
+    pilots are drawn by the caller (``estimators.calibrated_plans``).
     """
+    inflection = len(direct)
     if inflection > last_level:
         raise ValueError("inflection level beyond the last level")
-    table = np.zeros(last_level + 1)
-    if v0 is not None:
-        table[0] = v0
-    direct = range(0 if v0 is None else 1, inflection + 1)
-    stats = pilot_stats(sampler, direct, m, seed, experiment, workers, memo)
-    table[direct.start:direct.stop] = [s.variance for s in stats]
-    pivot = table[inflection]
-    for level in range(inflection + 1, last_level + 1):
-        table[level] = pivot * 2.0 ** (-beta_theoretical * (level - inflection))
-    return table
+    head = [v0] + [s.variance for s in direct]
+    tail = [head[-1] * 2.0 ** (-beta * k) for k in range(1, last_level - inflection + 1)]
+    return np.array(head + tail)

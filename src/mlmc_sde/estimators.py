@@ -201,17 +201,14 @@ def ml2r_weights(last_level: int, alpha: float):
     """
     if last_level < 1 or alpha <= 0.0:
         raise ValueError("need last_level >= 1 and alpha > 0")
-    w = np.zeros(last_level + 1)
-    for j in range(last_level + 1):
-        gap = last_level - j
-        num = 2.0 ** (-0.5 * alpha * gap * (gap + 1))
-        den = 1.0
-        for k in range(1, j + 1):
-            den *= 1.0 - 2.0 ** (-k * alpha)
-        for k in range(1, gap + 1):
-            den *= 1.0 - 2.0 ** (-k * alpha)
-        w[j] = (-1.0) ** gap * num / den
-    suffix = np.cumsum(w[::-1])[::-1].copy()
+    factors = [1.0 - 2.0 ** (-k * alpha) for k in range(1, last_level + 1)]
+    gaps = range(last_level, -1, -1)
+    num = [(-1.0) ** gap * 2.0 ** (-0.5 * alpha * gap * (gap + 1)) for gap in gaps]
+    den = [math.prod(factors[:j] + factors[:gap]) for j, gap in enumerate(gaps)]
+    # a factor that rounds to 0 gives non-finite weights, which the plan refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.divide(num, den)
+        suffix = np.cumsum(w[::-1])[::-1].copy()
     return w, suffix
 
 
@@ -322,54 +319,54 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     """Calibrate from pilots, then plan one estimator of ``kind`` ("mlmc" or
     "ml2r") on ``sampler.coupling`` per epsilon.
 
-    The rates are fitted on ``rate_pilots``, each on the scheme that drives
-    it (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and
-    with all four passed no rate pilot is drawn.  The pilots are the rate
-    pilots, v0, v_last per last level (gs-nv), varf (ml2r) and the direct
-    part of the variance table, drawn on the variance-rate scheme, which
-    replaces the variance model where its rate pilot shows an inflection at
-    or below the last level.  Every pilot level is drawn
-    through the memo ``pilots`` (see ``calibrate.pilot_stats``), so it is
-    drawn once across the epsilons, and across calls that share the memo.
+    Every calibration pilot is drawn here, and only here.  The rates are
+    fitted on ``rate_pilots``, each on the scheme that drives it
+    (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and with
+    all four passed no rate pilot is drawn.  The depth of every epsilon is
+    checked before any other pilot.  Then come v0, v_last per last level
+    (gs-nv), varf (ml2r) and the direct part of the variance table, drawn
+    on the variance-rate scheme, which replaces the variance model where
+    its rate pilot shows an inflection at or below the last level.  Every
+    pilot level is drawn through the memo ``pilots`` (see
+    ``calibrate.pilot_stats``), so it is drawn once across the epsilons,
+    and across calls that share the memo.
     """
+    if kind not in ("mlmc", "ml2r"):
+        raise ValueError(f"unknown estimator kind {kind!r}")
     pilots = {} if pilots is None else pilots
 
-    def variance(s: LevelSampler, level: int, experiment: int) -> float:
-        return cal.pilot_stats(s, [level], pilot_m, seed, experiment, workers, pilots)[0].variance
+    def pilot(tag: str, levels, experiment: int) -> list[LevelStats]:
+        return cal.pilot_stats(sampler.with_coupling(tag), levels, pilot_m, seed, experiment,
+                               workers, pilots)
 
-    coupling = sampler.coupling
-    var_stats = var_fit = None
-    if None in (alpha, c1, beta, c2):
+    coupling, horizon = sampler.coupling, sampler.model.horizon
+    rates, inflection = (alpha, c1, beta, c2), None
+    if None in rates:
         weak_stats, var_stats = rate_pilots(sampler, pilot_levels, pilot_m, seed, workers, pilots)
         weak = cal.fit_weak_rate(weak_stats)
         var_fit = cal.fit_variance_rate(var_stats)
-        alpha = weak.order if alpha is None else alpha
-        c1 = weak.constant if c1 is None else c1
-        beta = var_fit.order if beta is None else beta
-        c2 = var_fit.constant if c2 is None else c2
+        inflection = cal.detect_inflection(var_stats, var_fit)
+        fitted = (weak.order, weak.constant, var_fit.order, var_fit.constant)
+        rates = tuple(f if r is None else r for r, f in zip(rates, fitted))
+    alpha, c1, beta, c2 = rates
 
+    # a level past the cap fails before the pilots that depend on it
+    lasts = [mlmc_last_level(epsilon, c1, alpha) if kind == "mlmc"
+             else ml2r_last_level(epsilon, alpha, horizon) for epsilon in epsilons]
     if kind == "ml2r":
-        horizon = sampler.model.horizon
-        for epsilon in epsilons:  # a level past the cap fails before the varf draw
-            ml2r_last_level(epsilon, alpha, horizon)
-        varf = variance(sampler.with_coupling("crude-nv"), 5, EXP_VARF)
+        varf = pilot("crude-nv", [5], EXP_VARF)[0].variance
         return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
                 for epsilon in epsilons]
-    if kind != "mlmc":
-        raise ValueError(f"unknown estimator kind {kind!r}")
-
-    lasts = [mlmc_last_level(epsilon, c1, alpha) for epsilon in epsilons]
-    v0 = variance(sampler.with_coupling(_level_tags(kind, coupling, 1, nv_level0)[0]), 0, EXP_V0)
-    inflection = None if var_fit is None else cal.detect_inflection(var_stats, var_fit)
+    v0 = pilot(_level_tags(kind, coupling, 1, nv_level0)[0], [0], EXP_V0)[0].variance
     plans = []
     for epsilon, last in zip(epsilons, lasts):
-        v_last = variance(sampler, last, EXP_VLAST + last) if coupling == "gs-nv" else None
+        v_last = (pilot(coupling, [last], EXP_VLAST + last)[0].variance
+                  if coupling == "gs-nv" else None)
         table = None
         if inflection is not None and last >= inflection:
             # extrapolates past the break at the caller's beta, else the snapped pilot rate
-            var_sampler = sampler.with_coupling(RATE_COUPLINGS[coupling][1])
-            table = cal.variance_table(var_sampler, last, inflection, beta, pilot_m, seed,
-                                       EXP_TABLE, workers, v0, pilots)
+            direct = pilot(RATE_COUPLINGS[coupling][1], range(1, inflection + 1), EXP_TABLE)
+            table = cal.variance_table(direct, last, beta, v0)
         plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last, nv_level0,
                                variance_table=table))
     return plans

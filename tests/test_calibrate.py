@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmc_sde import calibrate
 from mlmc_sde.calibrate import (
+    INFLECTION_LOG2,
     IllConditioned,
     LevelStats,
     ZeroMean,
@@ -224,9 +226,9 @@ class TestInflection:
             variances=[2.0 ** (-3 * l) for l in range(1, 5)]
             + [2.0 ** (-1.5 * l) for l in (5, 6)],
         )
-        assert detect_inflection(extended, fit, threshold_log2=0.5) == 5
+        assert detect_inflection(extended, fit) == 5
 
-    def test_huge_threshold_sees_nothing(self):
+    def test_huge_threshold_sees_nothing(self, monkeypatch):
         fit = fit_variance_rate(
             stats_for([1, 2, 3, 4], variances=[2.0 ** (-3 * l) for l in range(1, 5)])
         )
@@ -235,25 +237,39 @@ class TestInflection:
             variances=[2.0 ** (-3 * l) for l in range(1, 5)]
             + [2.0 ** (-1.5 * l) for l in (5, 6)],
         )
-        assert detect_inflection(extended, fit, threshold_log2=10.0) is None
+        monkeypatch.setattr(calibrate, "INFLECTION_LOG2", 10.0)
+        assert detect_inflection(extended, fit) is None
+
+    @pytest.mark.parametrize("offset, flagged", [(0.45, None), (-0.45, None), (0.55, 3),
+                                                 (-0.55, 3)])
+    def test_band_is_half_a_log2_unit(self, offset, flagged):
+        assert INFLECTION_LOG2 == 0.5
+        line = [2.0 ** (-2 * l) for l in range(1, 5)]
+        fit = fit_variance_rate(stats_for([1, 2, 3, 4], variances=line))
+        line[2] *= 2.0**offset
+        assert detect_inflection(stats_for([1, 2, 3, 4], variances=line), fit) == flagged
 
 
 class TestVarianceTable:
     def test_pure_monte_carlo_when_inflection_at_top(self):
-        table = variance_table(FakeSampler("normal", 1.0), 3, 3, 2.0, 400, seed=5)
-        assert table.shape == (4,)
-        assert (table > 0.5).all()
+        direct = stats_for([1, 2, 3], variances=[0.5, 0.3, 0.2])
+        table = variance_table(direct, 3, 2.0, v0=0.9)
+        np.testing.assert_array_equal(table, [0.9, 0.5, 0.3, 0.2])
 
     def test_decaying_extrapolation(self):
-        table = variance_table(FakeSampler("normal", 1.0), 4, 2, 2.0, 3000, seed=6)
-        pivot = table[2]
-        assert table[3] == pytest.approx(pivot / 4.0)
-        assert table[4] == pytest.approx(pivot / 16.0)
+        direct = stats_for([1, 2], variances=[0.5, 0.3])
+        table = variance_table(direct, 4, 2.0, v0=0.9)
+        np.testing.assert_array_equal(table, [0.9, 0.5, 0.3, 0.3 / 4.0, 0.3 / 16.0])
+        # an inflection at level 0 extrapolates from v0
+        np.testing.assert_array_equal(variance_table([], 2, 1.5, v0=0.9),
+                                      [0.9, 0.9 * 2.0**-1.5, 0.9 * 2.0**-3])
 
-    def test_constant_sampler_zero_table(self):
-        table = variance_table(FakeSampler("constant", 3.0), 3, 3, 2.0, 100, seed=7)
+    def test_zero_variances_give_a_zero_table(self):
+        table = variance_table(stats_for([1, 2, 3], variances=[0.0] * 3), 3, 2.0, v0=0.0)
         np.testing.assert_array_equal(table, np.zeros(4))
+        assert variance_table(stats_for([1], variances=[0.0]), 3, 2.0, v0=1.0).tolist() == [
+            1.0, 0.0, 0.0, 0.0]
 
     def test_inflection_beyond_top_rejected(self):
         with pytest.raises(ValueError):
-            variance_table(FakeSampler("normal"), 2, 3, 2.0, 100, seed=8)
+            variance_table(stats_for([1, 2, 3]), 2, 2.0, v0=1.0)
