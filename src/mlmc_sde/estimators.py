@@ -102,10 +102,12 @@ def mlmc_last_level(epsilon: float, c1: float, alpha: float) -> int:
         raise ValueError("need epsilon > 0 and alpha > 0")
     if c1 == 0.0:
         raise ZeroWeakConstant("c1 = 0: supply a floor or a fixed last level")
-    raw = math.log2(math.sqrt(2.0) * abs(c1) / epsilon) / alpha - 1e-9
+    ratio = math.sqrt(2.0) * abs(c1) / epsilon
+    # -inf where the ratio underflows to 0 or the quotient overflows: the floor level
+    raw = math.log2(ratio) / alpha - 1e-9 if ratio > 0.0 else -math.inf
     if raw > MAX_LEVEL:
         raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
-    return max(1, math.ceil(raw))
+    return 1 if raw < 1.0 else math.ceil(raw)
 
 
 def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
@@ -123,8 +125,8 @@ def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
         raise ValueError("variances must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         budget = np.sum(np.sqrt(costs * variances))
-        # a numpy 2: an eps^2 that underflows to 0 gives inf, not ZeroDivisionError
-        raw = np.float64(2.0) / epsilon**2 * np.sqrt(variances / costs) * budget
+        # numpy's eps^2 overflows to inf and underflows to 0 without raising
+        raw = 2.0 / np.float64(epsilon) ** 2 * np.sqrt(variances / costs) * budget
     return _round_sizes(raw)
 
 
@@ -181,7 +183,8 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
         if variances.shape != (last + 1,):
             raise ValueError("variance table must cover levels 0..last_level")
     else:
-        variances = c2 * 2.0 ** (-beta * np.arange(last + 1))
+        with np.errstate(over="ignore"):
+            variances = c2 * 2.0 ** (-beta * np.arange(last + 1))
         variances[0] = v0
     if coupling == "gs-nv":
         if v_last is None and variance_table is None:
@@ -218,7 +221,9 @@ def ml2r_last_level(epsilon: float, alpha: float, horizon: float) -> int:
         raise ValueError("need epsilon > 0 and alpha > 0")
     half_log_t = 0.5 + math.log2(horizon)
     inner = half_log_t**2 + 2.0 / alpha * math.log2(math.sqrt(1.0 + 4.0 * alpha) / epsilon)
-    inner = max(inner, 0.0)  # negative for large epsilon: the floor level applies
+    # negative for large epsilon, NaN (inf * 0) once 2 / alpha overflows at
+    # epsilon = 1: the floor level applies
+    inner = max(0.0, inner)
     raw = math.sqrt(inner) + math.log2(horizon) - 0.5 + 1e-9
     if raw >= MAX_LEVEL + 1:
         raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
@@ -231,7 +236,11 @@ def ml2r_theta(beta: float, c2: float, varf: float, horizon: float) -> float:
         raise NonpositiveVariance("varf must be positive")
     if c2 <= 0.0:
         raise NonpositiveVariance("c2 must be positive")
-    return horizon ** (-0.5 * beta) * math.sqrt(c2 / varf)
+    try:
+        scale = horizon ** (-0.5 * beta)
+    except OverflowError:  # refused by the plan as a size that is not finite
+        scale = math.inf
+    return scale * math.sqrt(c2 / varf)
 
 
 def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
@@ -251,8 +260,8 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
     theta = ml2r_theta(beta, c2, varf, horizon)
     _, suffix = ml2r_weights(last, alpha)
     levels = np.arange(1, last + 1)
-    decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))
         s = np.concatenate(([1.0 + theta], theta * np.abs(suffix[1:]) * decay))
         variances = (0.5 + 0.25 / (alpha * (last + 1))) * varf * s**2
     return _plan("ml2r", coupling, epsilon, variances, suffix, "single")

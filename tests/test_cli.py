@@ -477,6 +477,38 @@ class TestPlanTooLarge:
         assert not caught
         assert not (tmp_path / "run.csv").exists()
 
+    GS_USQ = ["run", "--coupling", "gs", "--payoff", "u-squared"]
+
+    @pytest.mark.parametrize("args, code", [
+        # T^(-beta/2) overflows the float range in theta
+        (["--estimator", "ml2r", "--alpha", "1", "--c1", "0.16", "--beta", "100", "--c2", "1",
+          "--eps", "2^-4", "--pilot-m", "100", "--horizon", "1e-10"], 3),
+        # theta overflows while the level decay underflows: inf * 0 in s_l
+        (["--estimator", "ml2r", "--alpha", "1", "--c1", "0.16", "--beta", "2200",
+          "--c2", "1e300", "--horizon", "0.658", "--eps", "2^-8", "--pilot-m", "100"], 3),
+        # eps^2 overflows: every size rounds up to one sample
+        (["--eps", "2e154", "--pilot-m", "200"], 0),
+        # sqrt(2) |c1| / eps underflows to 0: the floor level
+        (["--estimator", "mlmc", "--alpha", "1", "--c1", "5e-324", "--beta", "2", "--c2", "1",
+          "--eps", "4", "--pilot-m", "100"], 0),
+        # 1 - 2^-alpha rounds to 0: the weights are not finite
+        (["--estimator", "ml2r", "--alpha", "1e-17", "--c1", "0.16", "--beta", "2", "--c2", "1",
+          "--eps", "2", "--pilot-m", "100"], 3),
+    ], ids=["theta-overflow", "inf-times-zero", "eps-squared-overflow",
+            "depth-ratio-underflow", "weight-factor-zero"])
+    def test_float_extremes(self, args, code, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*self.GS_USQ, *args, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert not caught
+        if code == 3:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("sampling failure: a planned sample size")
+        else:
+            assert err == ""
+            assert "L=1 M=2 " in out
+
 
 def masked_digest(path):
     """Hash of the data rows with the wall-clock ``seconds`` cells removed."""

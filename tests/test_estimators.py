@@ -1,15 +1,19 @@
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlmc_sde import calibrate, estimators
 from mlmc_sde.estimators import (
     EXP_RATES,
     EXP_TABLE,
+    EXP_V0,
+    EXP_VARF,
+    EXP_VLAST,
     MissingLastLevelVariance,
     MultilevelPlan,
     NonpositiveVariance,
@@ -30,6 +34,7 @@ from mlmc_sde.estimators import (
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
+from mlmc_sde.paths import MAX_LEVEL
 from mlmc_sde.schemes import LevelSample, LevelSampler, path_steps, sample_many
 
 CC = ClarkCameronModel(mu=1.0)
@@ -466,3 +471,86 @@ class TestCalibratedPlans:
 
         assert len(keys) == len(set(keys))
         assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [1, 2, 3]
+
+
+@dataclass(frozen=True)
+class Horizon:
+    horizon: float
+
+
+@dataclass(frozen=True)
+class PilotFreeSampler:
+    """A sampler whose every pilot must come from the memo: drawing fails."""
+
+    coupling: str
+    model: Horizon
+
+    def with_coupling(self, coupling):
+        return replace(self, coupling=coupling)
+
+    def sample(self, level, counts, streams):
+        raise AssertionError("no pilot may be drawn")
+
+
+def pilot_memo(sampler, m, seed, v0, v_last, varf):
+    """The pilots ``calibrated_plans`` reads with all four rates fixed, by
+    memo key, each with the given variance."""
+    def stats(variance, level):
+        return calibrate.LevelStats(level, m, 0.0, variance, variance, 0.0)
+
+    memo = {}
+    for tag in ("crude-gs", "level0-nv-averaged", "crude-nv"):
+        memo[(sampler.with_coupling(tag), 0, m, seed, EXP_V0)] = stats(v0, 0)
+    memo[(sampler.with_coupling("crude-nv"), 5, m, seed, EXP_VARF)] = stats(varf, 5)
+    for last in range(1, MAX_LEVEL + 1):
+        memo[(sampler, last, m, seed, EXP_VLAST + last)] = stats(v_last, last)
+    return memo
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+ONE = dict(alpha=1.0, c1=0.16, beta=2.0, c2=1.0, v0=1.0, v_last=1.0, varf=1.0, horizon=1.0)
+
+
+class TestPlannerInputs:
+    """Every positive finite planner input gives a plan or a SamplingFailure
+    (exit 3): no other exception and no warning, from the planners and from
+    calibrated_plans with all four rates fixed."""
+
+    @given(kind_coupling=st.sampled_from([("mlmc", "gs"), ("mlmc", "nv"), ("mlmc", "gs-nv"),
+                                          ("ml2r", "gs"), ("ml2r", "nv")]),
+           epsilon=POSITIVE, alpha=POSITIVE, c1=POSITIVE, beta=POSITIVE, c2=POSITIVE,
+           v0=POSITIVE, v_last=POSITIVE, varf=POSITIVE, horizon=POSITIVE)
+    # the CLI's five float extremes (tests/test_cli.py, test_float_extremes)
+    @example(**{**ONE, "beta": 100.0, "horizon": 1e-10},
+             kind_coupling=("ml2r", "gs"), epsilon=2.0**-4)
+    @example(**{**ONE, "beta": 2200.0, "c2": 1e300, "horizon": 0.658},
+             kind_coupling=("ml2r", "gs"), epsilon=2.0**-8)
+    @example(**ONE, kind_coupling=("mlmc", "gs"), epsilon=2e154)
+    @example(**{**ONE, "c1": 5e-324}, kind_coupling=("mlmc", "gs"), epsilon=4.0)
+    @example(**{**ONE, "alpha": 1e-17}, kind_coupling=("ml2r", "gs"), epsilon=2.0)
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    def test_plan_or_sampling_failure(self, kind_coupling, epsilon, alpha, c1, beta, c2,
+                                      v0, v_last, varf, horizon):
+        kind, coupling = kind_coupling
+        sampler = PilotFreeSampler(coupling, Horizon(horizon))
+        memo = pilot_memo(sampler, 100, 1, v0, v_last, varf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                if kind == "mlmc":
+                    direct = mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last)
+                else:
+                    direct = ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
+            except calibrate.SamplingFailure as exc:
+                direct = type(exc)
+            try:
+                plan, = calibrated_plans(sampler, kind, [epsilon], 100, 1, alpha=alpha, c1=c1,
+                                         beta=beta, c2=c2, pilots=memo)
+            except calibrate.SamplingFailure as exc:
+                plan = type(exc)
+        if isinstance(plan, type):
+            assert plan is direct
+        else:
+            np.testing.assert_array_equal(plan.sizes, direct.sizes)
+            np.testing.assert_array_equal(plan.weights, direct.weights)
+            assert plan.sizes.min() >= 1
