@@ -211,6 +211,28 @@ class TestMl2r:
         assert suffix[0] == pytest.approx(1.0, abs=1e-12)
         assert suffix[-1] == w[-1] > 0
 
+    @given(last=st.integers(1, MAX_LEVEL), alpha=st.floats(1e-15, 1e3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_weights_match_the_loop_reference(self, last, alpha):
+        # the per-weight loop: the same products, in the same order, bit for bit
+        ref = np.zeros(last + 1)
+        for j in range(last + 1):
+            gap = last - j
+            den = 1.0
+            for k in [*range(1, j + 1), *range(1, gap + 1)]:
+                den *= 1.0 - 2.0 ** (-k * alpha)
+            ref[j] = (-1.0) ** gap * 2.0 ** (-0.5 * alpha * gap * (gap + 1)) / den
+        w, suffix = ml2r_weights(last, alpha)
+        assert w.tobytes() == ref.tobytes()
+        assert suffix.tobytes() == np.cumsum(ref[::-1])[::-1].tobytes()
+
+    def test_vanishing_factor_gives_non_finite_weights(self):
+        # 1 - 2^-alpha rounds to 0: the weights cannot be formed, and the plan is refused
+        w, suffix = ml2r_weights(2, 1e-17)
+        assert not np.isfinite(w).any() and not np.isfinite(suffix[1:]).any()
+        with pytest.raises(PlanTooLarge):
+            ml2r_plan("gs", 2.0, 1e-17, 2.0, 1.0, 1.0, 1.0)
+
     def test_last_level_formula(self):
         assert ml2r_last_level(math.sqrt(5.0) * 2.0**-4, 1.0, 1.0) == 2
 
@@ -499,7 +521,7 @@ def pilot_memo(sampler, m, seed, v0, v_last, varf):
         return calibrate.LevelStats(level, m, 0.0, variance, variance, 0.0)
 
     memo = {}
-    for tag in ("crude-gs", "level0-nv-averaged", "crude-nv"):
+    for tag in ("crude-gs", "level0-nv-averaged"):
         memo[(sampler.with_coupling(tag), 0, m, seed, EXP_V0)] = stats(v0, 0)
     memo[(sampler.with_coupling("crude-nv"), 5, m, seed, EXP_VARF)] = stats(varf, 5)
     for last in range(1, MAX_LEVEL + 1):
