@@ -530,7 +530,8 @@ def pilot_memo(sampler, m, seed, v0, v_last, varf):
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-ONE = dict(alpha=1.0, c1=0.16, beta=2.0, c2=1.0, v0=1.0, v_last=1.0, varf=1.0, horizon=1.0)
+PLAIN_INPUTS = dict(alpha=1.0, c1=0.16, beta=2.0, c2=1.0, v0=1.0, v_last=1.0, varf=1.0,
+                    horizon=1.0)
 
 
 class TestPlannerInputs:
@@ -543,13 +544,13 @@ class TestPlannerInputs:
            epsilon=POSITIVE, alpha=POSITIVE, c1=POSITIVE, beta=POSITIVE, c2=POSITIVE,
            v0=POSITIVE, v_last=POSITIVE, varf=POSITIVE, horizon=POSITIVE)
     # the CLI's five float extremes (tests/test_cli.py, test_float_extremes)
-    @example(**{**ONE, "beta": 100.0, "horizon": 1e-10},
+    @example(**{**PLAIN_INPUTS, "beta": 100.0, "horizon": 1e-10},
              kind_coupling=("ml2r", "gs"), epsilon=2.0**-4)
-    @example(**{**ONE, "beta": 2200.0, "c2": 1e300, "horizon": 0.658},
+    @example(**{**PLAIN_INPUTS, "beta": 2200.0, "c2": 1e300, "horizon": 0.658},
              kind_coupling=("ml2r", "gs"), epsilon=2.0**-8)
-    @example(**ONE, kind_coupling=("mlmc", "gs"), epsilon=2e154)
-    @example(**{**ONE, "c1": 5e-324}, kind_coupling=("mlmc", "gs"), epsilon=4.0)
-    @example(**{**ONE, "alpha": 1e-17}, kind_coupling=("ml2r", "gs"), epsilon=2.0)
+    @example(**PLAIN_INPUTS, kind_coupling=("mlmc", "gs"), epsilon=2e154)
+    @example(**{**PLAIN_INPUTS, "c1": 5e-324}, kind_coupling=("mlmc", "gs"), epsilon=4.0)
+    @example(**{**PLAIN_INPUTS, "alpha": 1e-17}, kind_coupling=("ml2r", "gs"), epsilon=2.0)
     @settings(derandomize=True, deadline=None, max_examples=1500)
     def test_plan_or_sampling_failure(self, kind_coupling, epsilon, alpha, c1, beta, c2,
                                       v0, v_last, varf, horizon):
