@@ -21,7 +21,7 @@ class SamplingFailure(Exception):
 
 
 class ZeroMean(SamplingFailure, ValueError):
-    """All usable level means vanish; log-scale regression is impossible."""
+    """No level statistic is finite and nonzero; log-scale regression is impossible."""
 
 
 class IllConditioned(SamplingFailure, ValueError):
@@ -63,10 +63,12 @@ def stats_from_values(level: int, values: np.ndarray) -> LevelStats:
     aborted = values.size - n
     if n == 0:
         raise NoUsableSamples(f"level {level}: no usable samples")
-    mean = float(finite.mean())
-    # a single sample carries a mean but no variance information
-    variance = float(finite.var(ddof=1)) if n >= 2 else 0.0
-    second = float(np.mean(finite**2))
+    # sums or squares of finite samples that overflow give infinite statistics
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(finite.mean())
+        # a single sample carries a mean but no variance information
+        variance = float(finite.var(ddof=1)) if n >= 2 else 0.0
+        second = float(np.mean(finite**2))
     return LevelStats(level, n, mean, variance, second, float(np.sqrt(variance / n)), aborted)
 
 
@@ -122,7 +124,7 @@ def _usable(stats, values):
     vals = np.asarray(values, dtype=float)
     keep = np.isfinite(vals) & (vals != 0.0)
     if not keep.any():
-        raise ZeroMean("every level statistic is zero")
+        raise ZeroMean("no level statistic is finite and nonzero")
     if keep.sum() < 2:
         raise IllConditioned("need at least two usable levels")
     return levels[keep], vals[keep]

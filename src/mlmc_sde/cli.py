@@ -1,9 +1,10 @@
 """Command-line front end: convergence experiments, calibration and runs.
 
 Every command writes one CSV whose `#`-prefixed header echoes the fully
-resolved configuration plus a provenance hash, so any output file can be
-regenerated from itself.  Bodies are byte-identical across reruns with
-the same configuration and seed.
+resolved configuration as config-file lines plus a provenance hash, so any
+output file can be regenerated from itself: its option lines, given back
+as ``--config``, reproduce its data rows.  Bodies are byte-identical across
+reruns with the same configuration and seed.
 
 Exit codes: 0 pass, 2 configuration error, 3 sampling failure,
 4 acceptance-gate failure.
@@ -46,14 +47,15 @@ def parse_eps(text: str) -> float:
         raise ValueError(f"{text!r} is not a real number") from None
 
 
-def parse_levels(text: str) -> tuple[int, int]:
+def parse_levels(text: str) -> range:
+    """The levels a..b, both ends included, as the range every command iterates over."""
     lo, _, hi = text.partition("..")
     if not hi:
         raise ConfigError(f"levels must look like 'a..b', got {text!r}")
     lo_i, hi_i = int(lo), int(hi)
     if lo_i < 0 or hi_i < lo_i:
         raise ConfigError(f"bad level range {text!r}")
-    return lo_i, hi_i
+    return range(lo_i, hi_i + 1)
 
 
 # the checks an option can declare: (test of one value, what the test requires)
@@ -62,7 +64,7 @@ FINITE = (math.isfinite, "finite")
 AT_LEAST_1 = (lambda n: n >= 1, "at least 1")
 AT_LEAST_2 = (lambda n: n >= 2, "at least 2")
 # every coupled sample and the splitting-scheme errors start at level 1
-LEVEL_RANGE = (lambda r: 1 <= r[0] and r[1] <= MAX_LEVEL, f"a range inside 1..{MAX_LEVEL}")
+LEVEL_RANGE = (lambda r: 1 <= r.start and r[-1] <= MAX_LEVEL, f"a range inside 1..{MAX_LEVEL}")
 
 
 def _option(default, parse=str, choices=None, repeat=False, check=None, help=None):
@@ -88,8 +90,8 @@ class ExperimentConfig:
     seed: int = _option(12345, int, help="root seed of every random stream")
     pilot_m: int = _option(10_000, int, check=AT_LEAST_2,
                            help="samples per level for pilots and experiment estimates")
-    levels: tuple[int, int] | None = _option(None, parse_levels, check=LEVEL_RANGE,
-                                             help="level range a..b")
+    levels: range | None = _option(None, parse_levels, check=LEVEL_RANGE,
+                                   help="level range a..b")
     out: str = _option(".", help="output directory")
     workers: int = _option(1, int, check=AT_LEAST_1,
                            help="sampling processes (results do not depend on it)")
@@ -118,12 +120,12 @@ class ExperimentConfig:
 
 
 COMMAND_DEFAULTS = {
-    "strong-order": {"levels": (2, 7)},
-    "variance-decay": {"levels": (2, 6), "coupling": ("gs-nv", "nv")},
-    "oracle-check": {"levels": (1, 6), "payoff": "u-squared"},
-    "calibrate": {"levels": (1, 4), "coupling": ("gs",)},
-    "run": {"levels": (1, 4), "coupling": ("gs-nv",)},
-    "sweep": {"levels": (1, 4), "coupling": ("gs", "gs-nv")},
+    "strong-order": {"levels": range(2, 8)},
+    "variance-decay": {"levels": range(2, 7), "coupling": ("gs-nv", "nv")},
+    "oracle-check": {"levels": range(1, 7), "payoff": "u-squared"},
+    "calibrate": {"levels": range(1, 5), "coupling": ("gs",)},
+    "run": {"levels": range(1, 5), "coupling": ("gs-nv",)},
+    "sweep": {"levels": range(1, 5), "coupling": ("gs", "gs-nv")},
 }
 
 
@@ -212,13 +214,18 @@ def _validate(cfg: ExperimentConfig, command: str):
 
 
 def config_echo(cfg: ExperimentConfig, command: str) -> list[str]:
-    pairs = [("command", command)]
+    """The command and every set option as config-file lines, each value in
+    the form its option parses; unset options (None, no value) are left out."""
+    lines = [f"command = {command}"]
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
+        if isinstance(value, range):
+            value = f"{value.start}..{value[-1]}"
+        elif isinstance(value, tuple):
             value = " ".join(str(v) for v in value)
-        pairs.append((f.name.replace("_", "-"), value))
-    return [f"{k} = {v}" for k, v in pairs]
+        if value not in (None, ""):
+            lines.append(f"{f.name.replace('_', '-')} = {value}")
+    return lines
 
 
 def _fmt(x) -> str:
@@ -247,11 +254,6 @@ def write_csv(cfg: ExperimentConfig, command: str, columns, rows,
     return path
 
 
-def _level_range(cfg: ExperimentConfig) -> range:
-    lo, hi = cfg.levels
-    return range(lo, hi + 1)
-
-
 def _log2_slope(name: str, levels, values, what: str, warnings: list[str]):
     """The log2_line slope and log2 values of ``values`` over ``levels``; an
     undefined slope appends a warning that says why."""
@@ -263,13 +265,12 @@ def _log2_slope(name: str, levels, values, what: str, warnings: list[str]):
 
 def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level strong errors of the splitting scheme and its pairing"""
-    levels = list(_level_range(cfg))
-    self_mse, pair_mse = coupling_errors(model, levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
+    self_mse, pair_mse = coupling_errors(model, cfg.levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
                                          cfg.workers)
     warnings = []
-    self_slope, self_log = _log2_slope("nv", levels, self_mse, "error", warnings)
-    pair_slope, pair_log = _log2_slope("coupling", levels, pair_mse, "error", warnings)
-    rows = [*zip(levels, self_log, pair_log), ("slope", self_slope, pair_slope)]
+    self_slope, self_log = _log2_slope("nv", cfg.levels, self_mse, "error", warnings)
+    pair_slope, pair_log = _log2_slope("coupling", cfg.levels, pair_mse, "error", warnings)
+    rows = [*zip(cfg.levels, self_log, pair_log), ("slope", self_slope, pair_slope)]
     path = write_csv(cfg, "strong-order", ("l", "log2_strong_error_nv", "log2_coupling_error"),
                      rows, warnings)
     print(f"strong-order: nv slope {self_slope:.3f}, coupling slope {pair_slope:.3f} -> {path}")
@@ -278,14 +279,13 @@ def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
 def cmd_variance_decay(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level second moments of the coupled level samples"""
-    levels = list(_level_range(cfg))
     rows, slope_rows, warnings = [], [], []
     for ci, coupling in enumerate(cfg.coupling):
-        stats = cal.pilot_stats(LevelSampler(model, payoff, coupling), levels, cfg.pilot_m,
+        stats = cal.pilot_stats(LevelSampler(model, payoff, coupling), cfg.levels, cfg.pilot_m,
                                 cfg.seed, EXP_DECAY + ci, cfg.workers)
-        slope, logs = _log2_slope(coupling, levels, [s.second_moment for s in stats],
+        slope, logs = _log2_slope(coupling, cfg.levels, [s.second_moment for s in stats],
                                   "second moment", warnings)
-        rows.extend((coupling, l, logs[i]) for i, l in enumerate(levels))
+        rows.extend((coupling, l, logs[i]) for i, l in enumerate(cfg.levels))
         slope_rows.append((coupling, "slope", slope))
     path = write_csv(cfg, "variance-decay", ("coupling", "l", "log2_second_moment"),
                      rows + slope_rows, warnings)
@@ -300,7 +300,7 @@ def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
     sampler = LevelSampler(model, payoff, "nv")
     rows, warnings, worst = [], [], 0.0
-    for level in _level_range(cfg):
+    for level in cfg.levels:
         sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed, EXP_ORACLE, cfg.workers)
         reference = znv_second_moment(level, model.mu, model.horizon).value
         # an overflow leaves a statistic that is not finite, which fails the gate
@@ -328,7 +328,7 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """pilot level statistics and fitted rates"""
     coupling = cfg.coupling[0]
     warnings = []
-    weak, var = est.rate_pilots(LevelSampler(model, payoff, coupling), _level_range(cfg),
+    weak, var = est.rate_pilots(LevelSampler(model, payoff, coupling), cfg.levels,
                                 cfg.pilot_m, cfg.seed, cfg.workers)
     rows = [(w.level, w.mean, w.sem, v.variance) for w, v in zip(weak, var)]
     try:
@@ -356,7 +356,7 @@ def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
         sampler = LevelSampler(model, payoff, coupling)
         plans = est.calibrated_plans(
             sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
-            cfg.nv_level0, _level_range(cfg),
+            cfg.nv_level0, cfg.levels,
             cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
         )
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):

@@ -174,23 +174,23 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
 
     Intermediate-level variances default to the model c2 2^(-beta l); a
     direct ``variance_table`` (levels 0..L) overrides them when the model
-    is not trusted.  The gs-nv coupling additionally needs the pilot
-    variance of its final level.
+    is not trusted.  The gs-nv coupling always needs the pilot variance
+    ``v_last`` of its final level, which replaces the model's or the
+    table's value there.
     """
     last = mlmc_last_level(epsilon, c1, alpha)
-    if variance_table is not None:
-        variances = np.asarray(variance_table, dtype=float).copy()
-        if variances.shape != (last + 1,):
-            raise ValueError("variance table must cover levels 0..last_level")
-    else:
+    if variance_table is None:
         with np.errstate(over="ignore"):
             variances = c2 * 2.0 ** (-beta * np.arange(last + 1))
         variances[0] = v0
+    else:
+        variances = np.array(variance_table, dtype=float)
+    if variances.shape != (last + 1,):
+        raise ValueError("variance table must cover levels 0..last_level")
     if coupling == "gs-nv":
-        if v_last is None and variance_table is None:
+        if v_last is None:
             raise MissingLastLevelVariance("gs-nv needs a pilot variance at the last level")
-        if v_last is not None:
-            variances[last] = v_last
+        variances[last] = v_last
     return _plan("mlmc", coupling, epsilon, variances, np.ones(last + 1), nv_level0)
 
 
@@ -238,7 +238,7 @@ def ml2r_theta(beta: float, c2: float, varf: float, horizon: float) -> float:
         raise NonpositiveVariance("c2 must be positive")
     try:
         scale = horizon ** (-0.5 * beta)
-    except OverflowError:  # refused by the plan as a size that is not finite
+    except OverflowError:  # ml2r_plan refuses a theta that is not finite
         scale = math.inf
     return scale * math.sqrt(c2 / varf)
 
@@ -254,11 +254,15 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
     V_l = (1/2 + 1/(4 alpha (L+1))) varf s_l^2 with s_0 = 1 + theta and
     s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)) for l >= 1, W the
     suffix weights: the allocation M_l proportional to s_l / sqrt(C_l) with
-    the explicit total of the weighted estimator.
+    the explicit total of the weighted estimator.  A theta or a suffix
+    weight that is not finite fails the plan with ``PlanTooLarge``.
     """
     last = ml2r_last_level(epsilon, alpha, horizon)
     theta = ml2r_theta(beta, c2, varf, horizon)
     _, suffix = ml2r_weights(last, alpha)
+    if not (math.isfinite(theta) and np.isfinite(suffix).all()):
+        raise PlanTooLarge(f"a planned sample size is not finite: theta = {theta:.3g}, max "
+                           f"|suffix weight| at alpha = {alpha:.3g}: {np.max(np.abs(suffix)):.3g}")
     levels = np.arange(1, last + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         decay = 2.0 ** (-0.5 * beta * levels) + 2.0 ** (-0.5 * beta * (levels - 1))

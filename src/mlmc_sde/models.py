@@ -1,14 +1,15 @@
 """SDE test models with closed-form flows for splitting schemes.
 
 A model is one problem instance: its parameters, its start point X_0 and
-its horizon T, on which every grid of step T / 2^l is built.  Each model
-exposes the Ito drift, the diffusion columns sigma^j, their
-pairwise Jacobian products (d sigma^j) sigma^m, the Stratonovich-corrected
-drift sigma^0 and exact flows of the drift / diffusion vector fields.
-Coefficients take and return states as arrays of shape (..., n), so a batch
-of Monte Carlo samples is just a leading axis.  The flows and the Milstein
-terms, which the schemes call once or more per step, take and return a
-tuple of n coordinate arrays instead, so no call builds a new stacked state.
+its horizon T, on which every grid of step T / 2^l is built.  The schemes
+read a model through its Milstein terms and the exact flows of its drift /
+diffusion vector fields, which take and return a tuple of n coordinate
+arrays, so no call builds a new stacked state.  Each concrete model also
+keeps stacked closed forms of its coefficients (states of shape (..., n),
+a batch of Monte Carlo samples being a leading axis): the Ito drift, the
+diffusion columns sigma^j, their Jacobian products and sigma^0.  No scheme
+calls them; they are the independent reference the tests check the
+Milstein terms and flows against.
 A splitting step runs its diffusion flows through one call,
 ``diffusion_orders``, which composes them in both orders; a model may
 override it to share work between flows and orders.
@@ -74,11 +75,15 @@ class Payoff:
 
 
 class SdeModel:
-    """Common interface: coefficients, Jacobian products and exact flows.
+    """Common interface: what the schemes call, the Milstein terms and exact flows.
 
-    Concrete models define every method with closed forms; there is no
-    numerical ODE fallback, because an approximate flow silently changes
-    the weak order of the splitting scheme built on top of it.
+    With b the Ito drift and sigma^j the diffusion columns, (d sigma^j)
+    sigma^m is the directional derivative of sigma^j along sigma^m, and
+    sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j is the Stratonovich-corrected
+    drift whose flow the splitting scheme runs.  Concrete models define
+    every method with closed forms; there is no numerical ODE fallback,
+    because an approximate flow silently changes the weak order of the
+    splitting scheme built on top of it.
     """
 
     n: int
@@ -92,20 +97,6 @@ class SdeModel:
 
     def initial_state(self, m: int) -> np.ndarray:
         """m copies of the start point as an (m, n) batch stored coordinate-major."""
-        raise NotImplementedError
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def diffusion(self, j: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian_product(self, j: int, m: int, x: np.ndarray) -> np.ndarray:
-        """(d sigma^j) sigma^m at x, the directional derivative of sigma^j along sigma^m."""
-        raise NotImplementedError
-
-    def stratonovich_drift(self, x: np.ndarray) -> np.ndarray:
-        """sigma^0 = b - 1/2 sum_j (d sigma^j) sigma^j."""
         raise NotImplementedError
 
     def milstein_terms(self, c: tuple) -> tuple:

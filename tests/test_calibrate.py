@@ -78,6 +78,13 @@ class TestStats:
         with pytest.raises(ValueError):
             stats_from_values(0, np.array([np.nan, np.nan]))
 
+    def test_overflowing_moments_are_infinite(self):
+        # the squares of these finite samples overflow: the statistics read
+        # inf, with no numpy warning (an error under this suite's filter)
+        s = stats_from_values(1, np.array([1e200, -1e200, 3e200]))
+        assert s.mean == pytest.approx(1e200)
+        assert s.variance == s.second_moment == s.sem == np.inf
+
 
 class TestPilot:
     def test_constant_sampler(self):
@@ -198,6 +205,13 @@ class TestVarianceFit:
     def test_constant_positive(self):
         fit = fit_variance_rate(stats_for([1, 2, 3], variances=[0.3, 0.15, 0.075]))
         assert fit.constant > 0
+
+    @pytest.mark.parametrize("value", [0.0, np.inf])
+    def test_refusal_names_both_causes(self, value):
+        # every statistic infinite is refused like every statistic zero, and
+        # the message covers both
+        with pytest.raises(ZeroMean, match="^no level statistic is finite and nonzero$"):
+            fit_variance_rate(stats_for([1, 2, 3], variances=[value] * 3))
 
 
 class TestSnap:

@@ -36,7 +36,7 @@ class TestParsing:
         assert parse_eps("2^3") == 8.0
 
     def test_levels(self):
-        assert parse_levels("2..7") == (2, 7)
+        assert parse_levels("2..7") == range(2, 8)
         with pytest.raises(ConfigError):
             parse_levels("3")
         with pytest.raises(ConfigError):
@@ -316,6 +316,23 @@ class TestCommands:
         assert body[0] == "level,mean,sem,variance"
         assert any(line.startswith("fit,") for line in body)
 
+    @pytest.mark.parametrize("command, levels", [("calibrate", "1..4"),
+                                                 ("variance-decay", "1..3")])
+    def test_overflowing_statistics_raise_no_warning(self, command, levels, tmp_path, capsys):
+        # the pilots' squares overflow; the statistics read inf, silently
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--payoff", "u-squared", "--mu", "1e77", "--levels", levels,
+                         "--pilot-m", "100", "--out", str(tmp_path)]) == 0
+        assert not caught
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+    def test_calibrate_infinite_statistics_name_their_cause(self, tmp_path, capsys):
+        assert main(["calibrate", "--payoff", "u-squared", "--mu", "2e77", "--levels", "1..4",
+                     "--pilot-m", "100", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "rates undefined (no level statistic is finite and nonzero)" in out
+
     def test_calibrate_degenerate_reports_nan(self, tmp_path, zero_noise):
         assert main(["calibrate", "--pilot-m", "64",
                      "--out", str(tmp_path)]) == 0
@@ -510,6 +527,15 @@ class TestPlanTooLarge:
             assert "L=1 M=2 " in out
 
 
+    def test_weight_refusal_names_theta_and_alpha(self, tmp_path, capsys):
+        assert main([*self.GS_USQ, "--estimator", "ml2r", "--alpha", "1e-17", "--c1", "0.16",
+                     "--beta", "2", "--c2", "1", "--eps", "2", "--pilot-m", "100",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sampling failure: a planned sample size is not finite: theta = ")
+        assert "at alpha = 1e-17: nan" in err
+
+
 def masked_digest(path):
     """Hash of the data rows with the wall-clock ``seconds`` cells removed."""
     lines = csv_body(path)
@@ -597,6 +623,34 @@ class TestGolden:
         assert main([command, *args, "--out", str(tmp_path)]) == 0
         body = "\n".join(csv_body(tmp_path / f"{command}.csv"))
         assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
+
+
+class TestConfigEcho:
+    """The option lines of a CSV header are a config file that reproduces it."""
+
+    @pytest.mark.parametrize("args, levels", [
+        # calibrated rates, unset in the echo; two couplings and eps at T = 1/2
+        (["--payoff", "u-squared", "--coupling", "gs", "--coupling", "nv", "--eps", "2^-4",
+          "--eps", "2^-5", "--levels", "1..3", "--horizon", "0.5", "--nv-level0", "single",
+          "--pilot-m", "2000", "--seed", "11"], "1..3"),
+        # every rate fixed, on the weighted estimator
+        (["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
+          "--estimator", "ml2r", "--alpha", "2", "--c1", "-0.03", "--beta", "3",
+          "--c2", "0.00024", "--eps", "2^-5", "--sigma", "0.3", "--pilot-m", "2000",
+          "--seed", "17"], "1..4"),
+    ], ids=["calibrated", "fixed-rates"])
+    def test_run_header_reads_back(self, args, levels, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", *args, "--out", str(first)]) == 0
+        skip = ("command = ", "provenance = ", "generated = ", "warning:")
+        echo = [line[2:] for line in (first / "run.csv").read_text().splitlines()
+                if line.startswith("# ") and not line[2:].startswith(skip)]
+        assert f"levels = {levels}" in echo
+        assert not any(line.endswith("None") for line in echo)
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("\n".join(echo) + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(again)]) == 0
+        assert masked_digest(again / "run.csv") == masked_digest(first / "run.csv")
 
 
 def record_draws(monkeypatch):

@@ -233,6 +233,20 @@ class TestMl2r:
         with pytest.raises(PlanTooLarge):
             ml2r_plan("gs", 2.0, 1e-17, 2.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args, culprit", [
+        # 1 - 2^-alpha rounds to 0: theta is finite, the suffix weights are not
+        (("gs", 2.0, 1e-17, 2.0, 1.0, 1.0, 1.0), "at alpha = 1e-17: nan"),
+        # T^(-beta/2) overflows: theta is not finite
+        (("gs", 2.0**-4, 1.0, 100.0, 1.0, 1.0, 1e-10), "theta = inf, "),
+    ], ids=["weights", "theta"])
+    def test_non_finite_theta_or_weight_is_named(self, args, culprit):
+        with pytest.raises(PlanTooLarge) as exc:
+            ml2r_plan(*args)
+        message = str(exc.value)
+        assert message.startswith("a planned sample size is not finite: theta = ")
+        assert "max |suffix weight| at alpha = " in message
+        assert culprit in message and "\n" not in message
+
     def test_last_level_formula(self):
         assert ml2r_last_level(math.sqrt(5.0) * 2.0**-4, 1.0, 1.0) == 2
 
