@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schemes import LevelSample, LevelSampler, sample_many
+from .schemes import BLOCK_SAMPLES, LevelSample, LevelSampler, sample_many
 
 
 class SamplingFailure(Exception):
@@ -83,16 +83,30 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
 
     ``memo`` maps (sampler, level, m, seed, experiment) to the statistics
     already drawn under that stream key; levels found there are not drawn
-    again, and new ones are added.
+    again, and new ones are added.  It also keeps, under (sampler, level,
+    seed, experiment), the values of the longest whole-block pilot of that
+    stream, so a larger pilot there draws only the blocks after them: its
+    statistics are those of one draw of m samples, and no block is drawn
+    twice.  A pilot of a partial last block keeps no values.
     """
     if m < 2:
         raise ValueError("pilot size must be at least 2")
     memo = {} if memo is None else memo
     out = []
     for level in levels:
-        key = (sampler, level, m, seed, experiment)
+        key, stream = (sampler, level, m, seed, experiment), (sampler, level, seed, experiment)
         if key not in memo:
-            memo[key] = stats_from_sample(sample_many(sampler, level, m, seed, experiment, workers))
+            kept = memo.get(stream, np.zeros(0))
+            values = kept[:m - m % BLOCK_SAMPLES]  # whole blocks only: a prefix of any draw
+            if values.size == 0:
+                values = sample_many(sampler, level, m, seed, experiment, workers).values
+            elif values.size < m:
+                tail = sample_many(sampler, level, m, seed, experiment, workers,
+                                   values.size // BLOCK_SAMPLES)
+                values = np.concatenate((values, tail.values))
+            if m % BLOCK_SAMPLES == 0 and m > kept.size:
+                memo[stream] = values
+            memo[key] = stats_from_values(level, values)
         out.append(memo[key])
     return out
 

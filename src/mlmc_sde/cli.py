@@ -89,7 +89,8 @@ class ExperimentConfig:
                                      help="target RMSE; repeatable; accepts 2^-6 form")
     seed: int = _option(12345, int, help="root seed of every random stream")
     pilot_m: int = _option(10_000, int, check=AT_LEAST_2,
-                           help="samples per level for pilots and experiment estimates")
+                           help="samples per level of every pilot or estimate; for run and sweep, "
+                                "a cap: their pilots grow from 8192 only to the run's path steps")
     levels: range | None = _option(None, parse_levels, check=LEVEL_RANGE,
                                    help="level range a..b")
     out: str = _option(".", help="output directory")
@@ -331,21 +332,23 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     weak, var = est.rate_pilots(LevelSampler(model, payoff, coupling), cfg.levels,
                                 cfg.pilot_m, cfg.seed, cfg.workers)
     rows = [(w.level, w.mean, w.sem, v.variance) for w, v in zip(weak, var)]
-    try:
-        weak_fit = cal.fit_weak_rate(weak)
-        var_fit = cal.fit_variance_rate(var)
-        inflection = cal.detect_inflection(var, var_fit)
-        rows.append(("fit", weak_fit.order, weak_fit.constant, ""))
-        rows.append(("fit-variance", var_fit.order, var_fit.constant,
-                     inflection if inflection is not None else ""))
-        print(f"calibrate {coupling}: alpha={weak_fit.order} c1={weak_fit.constant:.4g} "
-              f"beta={var_fit.order} c2={var_fit.constant:.4g} "
-              f"inflection={'none' if inflection is None else inflection}")
-    except (cal.ZeroMean, cal.IllConditioned) as exc:
-        warnings.append(str(exc))
-        rows.append(("fit", float("nan"), float("nan"), ""))
-        rows.append(("fit-variance", float("nan"), float("nan"), ""))
-        print(f"calibrate {coupling}: rates undefined ({exc})")
+    fits = []
+    # each fit refuses on its own; a refused one reads nan
+    for fit, stats, what in ((cal.fit_weak_rate, weak, "no weak rate from the means"),
+                             (cal.fit_variance_rate, var, "no variance rate from the variances")):
+        try:
+            fits.append(fit(stats))
+        except (cal.ZeroMean, cal.IllConditioned) as exc:
+            warnings.append(f"{what}: {exc}")
+            fits.append(cal.RateFit(*[float("nan")] * 4))
+    weak_fit, var_fit = fits
+    inflection = cal.detect_inflection(var, var_fit)  # None on a nan fit
+    rows.append(("fit", weak_fit.order, weak_fit.constant, ""))
+    rows.append(("fit-variance", var_fit.order, var_fit.constant,
+                 inflection if inflection is not None else ""))
+    print(f"calibrate {coupling}: alpha={weak_fit.order} c1={weak_fit.constant:.4g} "
+          f"beta={var_fit.order} c2={var_fit.constant:.4g} "
+          f"inflection={'none' if inflection is None else inflection}", *warnings, sep="; ")
     write_csv(cfg, "calibrate", ("level", "mean", "sem", "variance"), rows, warnings)
     return 0
 
@@ -359,6 +362,10 @@ def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
             cfg.nv_level0, cfg.levels,
             cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
         )
+        first, cost = plans[0], sum(plan.cost_units for plan in plans)
+        print(f"pilot {coupling}: {first.pilot_samples} samples per level (cap {cfg.pilot_m}), "
+              f"{first.pilot_steps:.4g} path steps for plans of {cost:.4g} cost units; "
+              "alpha={} c1={:.4g} beta={} c2={:.4g}".format(*first.rates))
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
             result = est.run_multilevel(plan, model, payoff, cfg.seed, EXP_RUN + i, cfg.workers)
             rows.append((epsilon, plan.kind, coupling, plan.last_level,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import calibrate as cal
 from .calibrate import LevelStats, stats_from_sample
 from .models import Payoff, SdeModel
 from .paths import MAX_LEVEL
-from .schemes import LevelSampler, path_steps, sample_many
+from .schemes import BLOCK_SAMPLES, LevelSampler, path_steps, sample_many
 
 # experiment ids of the streams of every phase, the pilots' and the commands'
 EXP_RATES = 11
@@ -76,6 +76,11 @@ class MultilevelPlan:
     sizes: np.ndarray         # samples per level
     weights: np.ndarray       # level weights (all ones for mlmc)
     level_tags: tuple[str, ...]  # the coupling each level is sampled with
+    # set by calibrated_plans: samples per pilot level, path steps of every
+    # pilot level the plans read, and the (alpha, c1, beta, c2) planned with
+    pilot_samples: int = 0
+    pilot_steps: float = 0.0
+    rates: tuple[float, ...] = ()
 
     @property
     def cost_units(self) -> float:
@@ -343,43 +348,74 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     pilot level is drawn through the memo ``pilots`` (see
     ``calibrate.pilot_stats``), so it is drawn once across the epsilons,
     and across calls that share the memo.
+
+    The pilot is sized by the run it plans, in whole blocks of
+    ``BLOCK_SAMPLES`` samples, with ``pilot_m`` samples per level as the
+    cap.  Every pilot level is drawn at m0 = min(pilot_m, 2 blocks) and
+    every epsilon planned.  Only if those pilots cost fewer path steps than
+    the plans' ``cost_units`` does every level grow, by its later blocks,
+    to the blocks that cost as much (at most ``pilot_m``), before every
+    epsilon is planned again.  A plan that fails on a pilot below the cap
+    is made again on the pilot at the cap.  Each plan carries its pilot's
+    samples per level, path steps and rates.
     """
     if kind not in ("mlmc", "ml2r"):
         raise ValueError(f"unknown estimator kind {kind!r}")
     pilots = {} if pilots is None else pilots
+    coupling, horizon = sampler.coupling, sampler.model.horizon
+    given = (alpha, c1, beta, c2)
+    read = {}  # (tag, level, experiment) -> path steps of the largest pilot read
+    m = min(pilot_m, 2 * BLOCK_SAMPLES)  # samples per level of every pilot drawn next
 
     def pilot(tag: str, levels, experiment: int) -> list[LevelStats]:
-        return cal.pilot_stats(sampler.with_coupling(tag), levels, pilot_m, seed, experiment,
+        read.update({(tag, level, experiment): m * path_steps(tag, level) for level in levels})
+        return cal.pilot_stats(sampler.with_coupling(tag), levels, m, seed, experiment,
                                workers, pilots)
 
-    coupling, horizon = sampler.coupling, sampler.model.horizon
-    rates, inflection = (alpha, c1, beta, c2), None
-    if None in rates:
-        weak_stats, var_stats = rate_pilots(sampler, pilot_levels, pilot_m, seed, workers, pilots)
-        weak = cal.fit_weak_rate(weak_stats)
-        var_fit = cal.fit_variance_rate(var_stats)
-        inflection = cal.detect_inflection(var_stats, var_fit)
-        fitted = (weak.order, weak.constant, var_fit.order, var_fit.constant)
-        rates = tuple(f if r is None else r for r, f in zip(rates, fitted))
-    alpha, c1, beta, c2 = rates
+    def plan_every_epsilon():
+        rates, inflection = given, None
+        if None in rates:
+            weak_stats, var_stats = rate_pilots(sampler, pilot_levels, m, seed, workers, pilots)
+            read.update({(tag, level, EXP_RATES): m * path_steps(tag, level)
+                         for tag in RATE_COUPLINGS[coupling] for level in pilot_levels})
+            weak = cal.fit_weak_rate(weak_stats)
+            var_fit = cal.fit_variance_rate(var_stats)
+            inflection = cal.detect_inflection(var_stats, var_fit)
+            fitted = (weak.order, weak.constant, var_fit.order, var_fit.constant)
+            rates = tuple(f if r is None else r for r, f in zip(rates, fitted))
+        alpha, c1, beta, c2 = rates
 
-    # a level past the cap fails before the pilots that depend on it
-    lasts = [mlmc_last_level(epsilon, c1, alpha) if kind == "mlmc"
-             else ml2r_last_level(epsilon, alpha, horizon) for epsilon in epsilons]
-    if kind == "ml2r":
-        varf = pilot("crude-nv", [5], EXP_VARF)[0].variance
-        return [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
-                for epsilon in epsilons]
-    v0 = pilot(_level_tags(kind, coupling, 1, nv_level0)[0], [0], EXP_V0)[0].variance
-    plans = []
-    for epsilon, last in zip(epsilons, lasts):
-        v_last = (pilot(coupling, [last], EXP_VLAST + last)[0].variance
-                  if coupling == "gs-nv" else None)
-        table = None
-        if inflection is not None and last >= inflection:
-            # extrapolates past the break at the caller's beta, else the snapped pilot rate
-            direct = pilot(RATE_COUPLINGS[coupling][1], range(1, inflection + 1), EXP_TABLE)
-            table = cal.variance_table(direct, last, beta, v0)
-        plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last, nv_level0,
-                               variance_table=table))
-    return plans
+        # a level past the cap fails before the pilots that depend on it
+        lasts = [mlmc_last_level(epsilon, c1, alpha) if kind == "mlmc"
+                 else ml2r_last_level(epsilon, alpha, horizon) for epsilon in epsilons]
+        if kind == "ml2r":
+            varf = pilot("crude-nv", [5], EXP_VARF)[0].variance
+            return rates, [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
+                           for epsilon in epsilons]
+        v0 = pilot(_level_tags(kind, coupling, 1, nv_level0)[0], [0], EXP_V0)[0].variance
+        plans = []
+        for epsilon, last in zip(epsilons, lasts):
+            v_last = (pilot(coupling, [last], EXP_VLAST + last)[0].variance
+                      if coupling == "gs-nv" else None)
+            table = None
+            if inflection is not None and last >= inflection:
+                # extrapolates past the break at the caller's beta, else the snapped pilot rate
+                direct = pilot(RATE_COUPLINGS[coupling][1], range(1, inflection + 1), EXP_TABLE)
+                table = cal.variance_table(direct, last, beta, v0)
+            plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
+                                   nv_level0, variance_table=table))
+        return rates, plans
+
+    try:
+        rates, plans = plan_every_epsilon()
+        budget, steps = sum(plan.cost_units for plan in plans), sum(read.values())
+        if steps < budget and m < pilot_m:
+            m = min(pilot_m, math.ceil(budget * m / steps / BLOCK_SAMPLES) * BLOCK_SAMPLES)
+            rates, plans = plan_every_epsilon()
+    except cal.SamplingFailure:
+        if m == pilot_m:
+            raise
+        m = pilot_m
+        rates, plans = plan_every_epsilon()
+    return [replace(plan, pilot_samples=m, pilot_steps=sum(read.values()), rates=rates)
+            for plan in plans]

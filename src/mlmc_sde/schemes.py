@@ -271,8 +271,10 @@ class LevelSampler:
         return sample_level(self.model, self.payoff, self.coupling, level, m, stream)
 
 
-def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int, workers: int):
-    """fn((job, level, counts, streams)) over batches of the fixed blocks of m samples.
+def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int, workers: int,
+                first_block: int = 0):
+    """fn((job, level, counts, streams)) over batches of the fixed blocks of m
+    samples, from block ``first_block`` on.
 
     Block boundaries and stream coordinates depend only on (seed,
     experiment, level, block index), and results come back in batch order,
@@ -281,8 +283,8 @@ def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int,
     with several workers a level of two blocks or more makes two tasks or
     more.  The pool never has more processes than the machine has cores.
     """
-    blocks = [(min(BLOCK_SAMPLES, m - start), RngStream(seed, experiment, level, index))
-              for index, start in enumerate(range(0, m, BLOCK_SAMPLES))]
+    blocks = [(min(BLOCK_SAMPLES, m - i * BLOCK_SAMPLES), RngStream(seed, experiment, level, i))
+              for i in range(first_block, -(-m // BLOCK_SAMPLES))]
     workers = min(workers, os.cpu_count() or 1)
     size = max(1, min(BATCH_BLOCKS, BATCH_INCREMENTS // (BLOCK_SAMPLES * d * 2**level),
                       -(-len(blocks) // workers)))
@@ -304,11 +306,16 @@ def _sample_block(task):
 
 
 def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
-                experiment: int = 0, workers: int = 1) -> LevelSample:
+                experiment: int = 0, workers: int = 1, first_block: int = 0) -> LevelSample:
     """Draw m samples of Z^level in fixed blocks with per-block streams,
-    concatenated in block order (identical for any worker count)."""
+    concatenated in block order (identical for any worker count).
+
+    With ``first_block`` = k, only blocks k and later are drawn: appended
+    to the first k whole blocks of any larger draw, they give the m
+    samples bit for bit.
+    """
     arrays = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed,
-                         experiment, workers)
+                         experiment, workers, first_block)
     values = np.concatenate(arrays) if arrays else np.zeros(0)
     return LevelSample(values, level, sampler.coupling)
 

@@ -19,7 +19,7 @@ from mlmc_sde.calibrate import (
     variance_table,
 )
 from mlmc_sde.models import ClarkCameronModel, Payoff
-from mlmc_sde.schemes import LevelSample, LevelSampler
+from mlmc_sde.schemes import BLOCK_SAMPLES, LevelSample, LevelSampler
 
 CC = ClarkCameronModel(mu=1.0)
 
@@ -114,6 +114,33 @@ class TestPilot:
     def test_independent_streams_per_level(self):
         a, b = pilot_stats(FakeSampler("normal", 1.0), [3, 4], 100, seed=4)
         assert a.mean != b.mean
+
+
+class TestPilotGrowth:
+    """A pilot grown through the memo, by its later blocks only, has the
+    statistics of the pilot drawn at its final size."""
+
+    @pytest.mark.parametrize("coupling", ["gs", "nv", "gs-nv", "crude-nv",
+                                          "level0-nv-averaged"])
+    def test_grown_pilot_is_the_pilot_at_its_size(self, coupling):
+        sampler = LevelSampler(CC, Payoff("u-squared"), coupling)
+        cap = 3 * BLOCK_SAMPLES + 100  # a partial last block
+        grown, capped = {}, {}
+        for memo in (grown, capped):
+            pilot_stats(sampler, [1, 2], 2 * BLOCK_SAMPLES, 5, 7, memo=memo)
+        # 2 -> 3 blocks, then on to the cap; and 2 blocks straight to the cap
+        for memo, m in ((grown, 3 * BLOCK_SAMPLES), (grown, cap), (capped, cap)):
+            assert pilot_stats(sampler, [1, 2], m, 5, 7, memo=memo) == \
+                pilot_stats(sampler, [1, 2], m, 5, 7)
+
+    def test_whole_blocks_are_kept_for_growth(self):
+        sampler, memo = FakeSampler("normal"), {}
+        pilot_stats(sampler, [0], 2 * BLOCK_SAMPLES, 1, memo=memo)
+        kept = memo[(sampler, 0, 1, 0)]
+        assert kept.size == 2 * BLOCK_SAMPLES
+        pilot_stats(sampler, [0], 2 * BLOCK_SAMPLES + 10, 1, memo=memo)
+        # a pilot of a partial last block keeps no values
+        assert memo[(sampler, 0, 1, 0)] is kept
 
 
 class TestLog2Line:

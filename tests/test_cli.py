@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 import pkgutil
 import warnings
 from dataclasses import fields
@@ -20,8 +21,9 @@ from mlmc_sde.cli import (
     read_config_file,
     resolve_config,
 )
-from mlmc_sde.models import MODELS, NegativeSqrtArgument
+from mlmc_sde.models import MODELS, ClarkCameronModel, NegativeSqrtArgument, Payoff
 from mlmc_sde.paths import MAX_LEVEL
+from mlmc_sde.schemes import LevelSampler
 
 
 def csv_body(path):
@@ -241,6 +243,21 @@ class TestScriptConfigs:
         resolve_config(build_parser().parse_args([command, "--config", path]))
 
 
+    def test_heston_call_ml2r_keeps_two_levels(self, tmp_path):
+        """The shipped Heston run plans L = 2 from its sized pilot, and each
+        estimate lies within the harness's 4 eps of the Lewis price
+        (perfbench/reference.py, heston_call(), 0.394692)."""
+        assert main(["run", "--config", str(SCRIPTS / "heston_call.cfg"),
+                     "--estimator", "ml2r", "--out", str(tmp_path)]) == 0
+        header, *rows = [line.split(",") for line in csv_body(tmp_path / "run.csv")]
+        column = {name: i for i, name in enumerate(header)}
+        assert len(rows) == 3
+        for row in rows:
+            assert row[column["L"]] == "2"
+            error = abs(float(row[column["estimate"]]) - 0.394692)
+            assert error <= 4.0 * float(row[column["epsilon"]])
+
+
 class TestCommands:
     def test_strong_order_smoke(self, tmp_path):
         assert main(["strong-order", "--levels", "2..4", "--pilot-m", "4000",
@@ -331,7 +348,25 @@ class TestCommands:
         assert main(["calibrate", "--payoff", "u-squared", "--mu", "2e77", "--levels", "1..4",
                      "--pilot-m", "100", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "rates undefined (no level statistic is finite and nonzero)" in out
+        assert "no variance rate from the variances: no level statistic is finite and " \
+            "nonzero" in out
+
+    def test_calibrate_fits_refuse_on_their_own(self, tmp_path):
+        # four finite, nonzero means but infinite variances: the weak fit stands
+        assert main(["calibrate", "--payoff", "u-squared", "--mu", "2e77", "--levels", "1..4",
+                     "--pilot-m", "100", "--out", str(tmp_path)]) == 0
+        weak, var = estimators.rate_pilots(LevelSampler(ClarkCameronModel(mu=2e77),
+                                                        Payoff("u-squared"), "gs"),
+                                           range(1, 5), 100, 12345)
+        assert all(math.isfinite(s.mean) and s.mean != 0.0 for s in weak)
+        fit = calibrate.fit_weak_rate(weak)
+        text = (tmp_path / "calibrate.csv").read_text()
+        body = csv_body(tmp_path / "calibrate.csv")
+        assert body[-2:] == [f"fit,{fit.order:.12g},{fit.constant:.12g},",
+                             "fit-variance,nan,nan,"]
+        notes = [line for line in text.splitlines() if line.startswith("# warning:")]
+        assert notes == ["# warning: no variance rate from the variances: "
+                            "no level statistic is finite and nonzero"]
 
     def test_calibrate_degenerate_reports_nan(self, tmp_path, zero_noise):
         assert main(["calibrate", "--pilot-m", "64",
@@ -394,6 +429,15 @@ class TestCommands:
         body = csv_body(tmp_path / "sweep.csv")
         assert body[0] == "coupling,log2_eps,log2_cost_units,estimate"
         assert any(line.startswith("all,slope") for line in body)
+
+    def test_pilot_line_per_coupling(self, tmp_path, capsys):
+        assert main(["sweep", *TWO_EPS, "--out", str(tmp_path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("pilot ")]
+        assert [line.split(":")[0] for line in lines] == ["pilot gs", "pilot gs-nv"]
+        for line in lines:
+            assert "2000 samples per level (cap 2000)" in line
+            assert " path steps for plans of " in line and " alpha=" in line
 
     def test_sweep_one_eps_has_no_slope(self, tmp_path):
         # one point fixes no line: every slope is undefined and flagged

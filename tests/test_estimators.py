@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlmc_sde import calibrate, estimators
+from mlmc_sde import calibrate, estimators, schemes
 from mlmc_sde.estimators import (
     EXP_RATES,
     EXP_TABLE,
@@ -507,6 +507,138 @@ class TestCalibratedPlans:
 
         assert len(keys) == len(set(keys))
         assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [1, 2, 3]
+
+
+def ladder_sizes(epsilon, last, m):
+    """Sizes of the gs plan that ``calibrated_plans`` makes from LadderSampler
+    pilots of m samples per level: alpha = 1, c1 = 1/2, beta = 3/2 and
+    c2 = 1/2 from the rate pilot, whose variances leave their line at level
+    3 (see TestCalibratedPlans)."""
+    unbiased = m / (m - 1)
+    if last < 3:
+        variances = unbiased * 0.5 * 2.0 ** (-1.5 * np.arange(last + 1))
+        variances[0] = unbiased
+    else:
+        direct = unbiased * np.array([1.0, 2.0**-2, 2.0**-4, 2.0**-6])
+        variances = np.append(direct, direct[3] * 2.0 ** (-1.5 * np.arange(1, last - 2)))
+    return mlmc_sample_sizes(epsilon, variances, gs_costs(last))
+
+
+def record_blocks(monkeypatch):
+    """Log (coupling, seed, experiment, level, block index, samples) of every
+    block drawn through sample_many."""
+    blocks = []
+    sample = schemes._sample_block
+
+    def recorded(task):
+        sampler, level, counts, streams = task
+        blocks.extend((sampler.coupling, s.seed, s.experiment, s.level, s.index, count)
+                      for count, s in zip(counts, streams))
+        return sample(task)
+
+    monkeypatch.setattr(schemes, "_sample_block", recorded)
+    return blocks
+
+
+@dataclass(frozen=True)
+class ZeroHeadSampler(LadderSampler):
+    """LadderSampler whose first two blocks are all zero: no rate can be
+    fitted on them."""
+
+    def sample(self, level, counts, streams):
+        values = super().sample(level, counts, streams).values
+        starts = np.cumsum([0, *counts])
+        for stream, lo, hi in zip(streams, starts, starts[1:]):
+            if stream.index < 2:
+                values[lo:hi] = 0.0
+        return LevelSample(values, level, self.coupling)
+
+
+# LadderSampler plans whose cost_units (about 0.01 M and 4.3 M) lie below and
+# above the 0.91 M path steps of their pilots at two blocks
+CHEAP_EPS = (2.0**-2, 2.0**-3, 2.0**-4)
+DEAR_EPS = (2.0**-7, 2.0**-8)
+BLOCK = schemes.BLOCK_SAMPLES
+
+
+class TestPilotBudget:
+    """Each pilot level starts at two blocks and grows, by whole blocks up to
+    the pilot_m cap, only while it costs fewer path steps than the plans."""
+
+    def test_cheap_run_stops_at_two_blocks(self, monkeypatch):
+        keys = record_keys(monkeypatch)
+        plans = calibrated_plans(LadderSampler(), "mlmc", CHEAP_EPS, 100_000, seed=1)
+        assert plans[0].pilot_samples == 2 * BLOCK
+        assert sum(plan.cost_units for plan in plans) < plans[0].pilot_steps
+        assert len(keys) == len(set(keys)) == 8  # rate levels 1..4, v0, table levels 1..3
+        for plan, last in zip(plans, (2, 3, 4)):
+            np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, 2 * BLOCK))
+
+    @pytest.mark.parametrize("pilot_m", [3 * BLOCK + 1000, 100_000])
+    def test_dear_run_grows_to_its_cost(self, pilot_m, monkeypatch):
+        first = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 2 * BLOCK, seed=1)
+        budget = sum(plan.cost_units for plan in first)
+        per_sample = first[0].pilot_steps / (2 * BLOCK)
+        assert budget > first[0].pilot_steps
+        grown = min(pilot_m, math.ceil(budget / per_sample / BLOCK) * BLOCK)
+        assert grown == (pilot_m if pilot_m < 100_000 else 10 * BLOCK)
+
+        blocks = record_blocks(monkeypatch)
+        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
+        assert plans[0].pilot_samples == grown
+        assert plans[0].pilot_steps == grown * per_sample
+        for plan, last in zip(plans, (7, 8)):
+            assert plan.last_level == last
+            np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, grown))
+        # no block drawn twice, and every pilot level holds its blocks 0..k-1
+        streams = {}
+        for coupling, seed, experiment, level, index, count in blocks:
+            streams.setdefault((coupling, experiment, level), []).append((index, count))
+        assert len(blocks) == len(set(blocks)) and len(streams) == 8
+        whole, part = divmod(grown, BLOCK)
+        expected = [(i, BLOCK) for i in range(whole)] + ([(whole, part)] if part else [])
+        for drawn in streams.values():
+            assert sorted(drawn) == expected
+
+    @pytest.mark.parametrize("pilot_m", [1000, 2 * BLOCK])
+    def test_small_cap_draws_as_before(self, pilot_m, monkeypatch):
+        keys = []
+        draw = estimators.cal.sample_many
+
+        # the parent's signature: a draw of later blocks only would fail here
+        def counted(sampler, level, m, seed, experiment=0, workers=1):
+            keys.append((sampler.coupling, level, m, experiment))
+            return draw(sampler, level, m, seed, experiment, workers)
+
+        monkeypatch.setattr(estimators.cal, "sample_many", counted)
+        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
+        assert len(keys) == len(set(keys)) == 8
+        assert {key[2] for key in keys} == {pilot_m}
+        assert plans[0].pilot_samples == pilot_m
+        for plan, last in zip(plans, (7, 8)):
+            np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, pilot_m))
+
+    def test_plan_failing_below_the_cap_uses_the_cap(self):
+        with pytest.raises(calibrate.ZeroMean):
+            calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 2 * BLOCK, seed=1)
+        plans = calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 3 * BLOCK, seed=1)
+        assert plans[0].pilot_samples == 3 * BLOCK
+
+    def test_both_rounds_use_the_pool(self, monkeypatch):
+        tasks = []
+
+        class Pool:
+            def map(self, fn, batch):
+                batch = list(batch)
+                tasks.append(len(batch))
+                return map(fn, batch)
+
+        monkeypatch.setattr(schemes.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schemes, "_pool", lambda workers: Pool())
+        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1, workers=2)
+        assert plans[0].pilot_samples == 10 * BLOCK
+        # 8 pilot levels at two blocks, then their blocks 2..9
+        assert tasks == [2] * 16
 
 
 @dataclass(frozen=True)
