@@ -84,10 +84,10 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     ``memo`` maps (sampler, level, m, seed, experiment) to the statistics
     already drawn under that stream key; levels found there are not drawn
     again, and new ones are added.  It also keeps, under (sampler, level,
-    seed, experiment), the values of the longest whole-block pilot of that
-    stream, so a larger pilot there draws only the blocks after them: its
-    statistics are those of one draw of m samples, and no block is drawn
-    twice.  A pilot of a partial last block keeps no values.
+    seed, experiment), the values of the most whole blocks drawn on that
+    stream: a pilot of no more whole blocks reads them, and a larger one
+    draws only the blocks after them.  Its statistics are those of one draw
+    of m samples, and no block is drawn twice.
     """
     if m < 2:
         raise ValueError("pilot size must be at least 2")
@@ -104,8 +104,9 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
                 tail = sample_many(sampler, level, m, seed, experiment, workers,
                                    values.size // BLOCK_SAMPLES)
                 values = np.concatenate((values, tail.values))
-            if m % BLOCK_SAMPLES == 0 and m > kept.size:
-                memo[stream] = values
+            whole = values[:m - m % BLOCK_SAMPLES]
+            if whole.size > kept.size:
+                memo[stream] = whole
             memo[key] = stats_from_values(level, values)
         out.append(memo[key])
     return out

@@ -355,13 +355,12 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
 
 def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
     rows, pilots = [], {}  # pilots shared by every coupling
-    for coupling in cfg.coupling:
-        sampler = LevelSampler(model, payoff, coupling)
-        plans = est.calibrated_plans(
-            sampler, cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed, cfg.workers,
-            cfg.nv_level0, cfg.levels,
-            cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
-        )
+    calibrated = [(coupling, est.calibrated_plans(
+        LevelSampler(model, payoff, coupling), cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed,
+        cfg.workers, cfg.nv_level0, cfg.levels, cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
+    )) for coupling in cfg.coupling]
+    pilots.clear()  # the pilot values the memo keeps are not held through the runs
+    for coupling, plans in calibrated:
         first, cost = plans[0], sum(plan.cost_units for plan in plans)
         print(f"pilot {coupling}: {first.pilot_samples} samples per level (cap {cfg.pilot_m}), "
               f"{first.pilot_steps:.4g} path steps for plans of {cost:.4g} cost units; "

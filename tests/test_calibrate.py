@@ -135,12 +135,14 @@ class TestPilotGrowth:
 
     def test_whole_blocks_are_kept_for_growth(self):
         sampler, memo = FakeSampler("normal"), {}
-        pilot_stats(sampler, [0], 2 * BLOCK_SAMPLES, 1, memo=memo)
-        kept = memo[(sampler, 0, 1, 0)]
-        assert kept.size == 2 * BLOCK_SAMPLES
         pilot_stats(sampler, [0], 2 * BLOCK_SAMPLES + 10, 1, memo=memo)
-        # a pilot of a partial last block keeps no values
+        kept = memo[(sampler, 0, 1, 0)]
+        # a partial last block is not kept: it is no prefix of a larger draw
+        assert kept.size == 2 * BLOCK_SAMPLES
+        pilot_stats(sampler, [0], BLOCK_SAMPLES, 1, memo=memo)
         assert memo[(sampler, 0, 1, 0)] is kept
+        pilot_stats(sampler, [0], 3 * BLOCK_SAMPLES + 10, 1, memo=memo)
+        assert memo[(sampler, 0, 1, 0)].size == 3 * BLOCK_SAMPLES
 
 
 class TestLog2Line:

@@ -600,6 +600,20 @@ class TestPilotBudget:
         for drawn in streams.values():
             assert sorted(drawn) == expected
 
+    def test_no_block_drawn_twice_across_calls(self, monkeypatch):
+        blocks, memo = record_blocks(monkeypatch), {}
+        deep = calibrated_plans(LadderSampler(), "mlmc", [2.0**-9], 100_000, seed=1,
+                                pilots=memo)
+        assert deep[0].pilot_samples == 100_000
+        # a later call on the same memo reads its 10 blocks from the 24 whole blocks kept
+        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1,
+                                 pilots=memo)
+        assert plans[0].pilot_samples == 10 * BLOCK
+        assert len(blocks) == len(set(blocks))
+        alone = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1)
+        for plan, own in zip(plans, alone):
+            np.testing.assert_array_equal(plan.sizes, own.sizes)
+
     @pytest.mark.parametrize("pilot_m", [1000, 2 * BLOCK])
     def test_small_cap_draws_as_before(self, pilot_m, monkeypatch):
         keys = []
