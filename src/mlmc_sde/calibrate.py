@@ -96,17 +96,16 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     for level in levels:
         key, stream = (sampler, level, m, seed, experiment), (sampler, level, seed, experiment)
         if key not in memo:
-            kept = memo.get(stream, np.zeros(0))
-            values = kept[:m - m % BLOCK_SAMPLES]  # whole blocks only: a prefix of any draw
+            kept, whole = memo.get(stream, np.zeros(0)), m - m % BLOCK_SAMPLES
+            values = kept[:whole]  # whole blocks are a prefix of any larger draw
             if values.size == 0:
                 values = sample_many(sampler, level, m, seed, experiment, workers).values
             elif values.size < m:
                 tail = sample_many(sampler, level, m, seed, experiment, workers,
                                    values.size // BLOCK_SAMPLES)
                 values = np.concatenate((values, tail.values))
-            whole = values[:m - m % BLOCK_SAMPLES]
-            if whole.size > kept.size:
-                memo[stream] = whole
+            if whole > kept.size:
+                memo[stream] = values[:whole]
             memo[key] = stats_from_values(level, values)
         out.append(memo[key])
     return out
