@@ -615,11 +615,11 @@ class TestPilotBudget:
             np.testing.assert_array_equal(plan.sizes, own.sizes)
 
     @pytest.mark.parametrize("pilot_m", [1000, 2 * BLOCK])
-    def test_small_cap_draws_as_before(self, pilot_m, monkeypatch):
+    def test_cap_within_two_blocks_draws_once_at_the_cap(self, pilot_m, monkeypatch):
         keys = []
         draw = estimators.cal.sample_many
 
-        # the parent's signature: a draw of later blocks only would fail here
+        # sample_many's first-draw signature: a draw of later blocks only would fail here
         def counted(sampler, level, m, seed, experiment=0, workers=1):
             keys.append((sampler.coupling, level, m, experiment))
             return draw(sampler, level, m, seed, experiment, workers)
