@@ -89,8 +89,8 @@ class ExperimentConfig:
                                      help="target RMSE; repeatable; accepts 2^-6 form")
     seed: int = _option(12345, int, help="root seed of every random stream")
     pilot_m: int = _option(10_000, int, check=AT_LEAST_2,
-                           help="samples per level of every pilot or estimate; for run and sweep, "
-                                "a cap: their pilots grow from 8192 only to the run's path steps")
+                           help="samples per level of estimates and calibrate's pilots; a cap for "
+                                "run's and sweep's, which grow from 8192 only to the run's cost")
     levels: range | None = _option(None, parse_levels, check=LEVEL_RANGE,
                                    help="level range a..b")
     out: str = _option(".", help="output directory")
