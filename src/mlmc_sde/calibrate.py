@@ -5,15 +5,23 @@ model is V(Z^l) ~ c2 / 2^(beta l).  Orders are fitted by unweighted least
 squares on log2 scale and snapped to the nearest half-integer (every rate
 this machinery is used to detect is a half-integer); the raw slope is kept
 for diagnostics.
+
+Level statistics are folded from the per-block records of
+``schemes.block_records``, in block order, with the pairwise update of the
+central moments (Chan, Golub & LeVeque 1979; Pebay, Sandia report
+SAND2008-6212).  So they depend only on the stream and the sample size, not
+on the worker count or the batching, and no level's values are ever held
+whole; they differ from one pairwise sum over a level's values in rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schemes import BLOCK_SAMPLES, LevelSample, LevelSampler, sample_many
+from .schemes import BLOCK_SAMPLES, LevelMoments, LevelSampler, block_records, sample_many
 
 
 class SamplingFailure(Exception):
@@ -43,6 +51,7 @@ class LevelStats:
     second_moment: float
     sem: float
     aborted: int = 0
+    kurtosis: float = math.nan  # n M4 / M2^2, nan where M2 = 0
 
 
 @dataclass(frozen=True)
@@ -56,24 +65,62 @@ class RateFit:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def stats_from_values(level: int, values: np.ndarray) -> LevelStats:
-    mask = np.isfinite(values)
-    finite = values if mask.all() else values[mask]  # no copy when all are usable
-    n = finite.size
-    aborted = values.size - n
+def central_moments(records: np.ndarray) -> tuple[float, ...]:
+    """(n, mean, M2, M3, M4) of the finite samples of ``block_records`` rows,
+    folded in row order; n = 0 and nan moments where no sample is finite.
+
+    Python floats: an overflow reads inf, and inf - inf reads nan, with no
+    warning; equal infinite means merge to their value, not to nan.
+    """
+    n, mean, m2, m3, m4 = 0.0, math.nan, math.nan, math.nan, math.nan
+    for _, nb, mb, b2, b3, b4 in records.tolist():
+        if nb == 0.0:
+            continue
+        if n == 0.0:
+            n, mean, m2, m3, m4 = nb, mb, b2, b3, b4
+            continue
+        na, n = n, n + nb
+        delta = mb - mean if mb != mean else 0.0
+        dn = delta / n
+        mean += nb * dn
+        m4 += (b4 + delta * dn * dn * dn * na * nb * (na * na - na * nb + nb * nb)
+               + 6.0 * dn * dn * (na * na * b2 + nb * nb * m2) + 4.0 * dn * (na * b3 - nb * m3))
+        m3 += b3 + delta * dn * dn * na * nb * (na - nb) + 3.0 * dn * (na * b2 - nb * m2)
+        m2 += b2 + delta * dn * na * nb
+    return n, mean, m2, m3, m4
+
+
+def stats_from_records(level: int, records: np.ndarray) -> LevelStats:
+    """``LevelStats`` of the samples behind ``block_records`` rows; the
+    aborted samples are those that are not finite."""
+    n, mean, m2, _, m4 = central_moments(records)
     if n == 0:
         raise NoUsableSamples(f"level {level}: no usable samples")
-    # sums or squares of finite samples that overflow give infinite statistics
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(finite.mean())
-        # a single sample carries a mean but no variance information
-        variance = float(finite.var(ddof=1)) if n >= 2 else 0.0
-        second = float(np.mean(finite**2))
-    return LevelStats(level, n, mean, variance, second, float(np.sqrt(variance / n)), aborted)
+    # a single sample carries a mean but no variance information
+    variance = m2 / (n - 1.0) if n >= 2 else 0.0
+    return LevelStats(level, int(n), mean, variance, mean * mean + m2 / n,
+                      math.sqrt(variance / n), int(records[:, 0].sum() - n),
+                      n * m4 / (m2 * m2) if m2 else math.nan)
 
 
-def stats_from_sample(sample: LevelSample) -> LevelStats:
-    return stats_from_values(sample.level, sample.values)
+def stats_from_sample(sample: LevelMoments) -> LevelStats:
+    return stats_from_records(sample.level, sample.records)
+
+
+def stats_from_values(level: int, values: np.ndarray) -> LevelStats:
+    """The statistics ``sample_many`` would give for these values."""
+    return stats_from_records(level, block_records(values))
+
+
+def square_moments(records: np.ndarray) -> tuple[float, float]:
+    """Mean of Z^2 over the finite samples of ``block_records`` rows,
+    mean^2 + M2/n, and its standard error: sqrt(s^2 / n), where the sample
+    variance of Z^2 is s^2 = (M4 + 4 mean M3 + 4 mean^2 M2 - M2^2 / n) / (n - 1).
+    A statistic that overflows, or has no samples to read, is not finite."""
+    n, mean, m2, m3, m4 = map(np.float64, central_moments(records))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        var = (m4 + 4.0 * mean * m3 + 4.0 * mean * mean * m2 - m2 * m2 / n) / (n - 1.0)
+        return float(mean * mean + m2 / n), float(np.sqrt(var / n))
 
 
 def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
@@ -84,10 +131,10 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     ``memo`` maps (sampler, level, m, seed, experiment) to the statistics
     already drawn under that stream key; levels found there are not drawn
     again, and new ones are added.  It also keeps, under (sampler, level,
-    seed, experiment), the values of the most whole blocks drawn on that
-    stream: a pilot of no more whole blocks reads them, and a larger one
-    draws only the blocks after them.  Its statistics are those of one draw
-    of m samples, and no block is drawn twice.
+    seed, experiment), the block records of the most whole blocks drawn on
+    that stream: a pilot of no more whole blocks reads them, and a larger
+    one draws only the blocks after them.  Its statistics are those of one
+    draw of m samples, and no block is drawn twice.
     """
     if m < 2:
         raise ValueError("pilot size must be at least 2")
@@ -96,17 +143,16 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     for level in levels:
         key, stream = (sampler, level, m, seed, experiment), (sampler, level, seed, experiment)
         if key not in memo:
-            kept, whole = memo.get(stream, np.zeros(0)), m - m % BLOCK_SAMPLES
-            values = kept[:whole]  # whole blocks are a prefix of any larger draw
-            if values.size == 0:
-                values = sample_many(sampler, level, m, seed, experiment, workers).values
-            elif values.size < m:
-                tail = sample_many(sampler, level, m, seed, experiment, workers,
-                                   values.size // BLOCK_SAMPLES)
-                values = np.concatenate((values, tail.values))
-            if whole > kept.size:
-                memo[stream] = values[:whole]
-            memo[key] = stats_from_values(level, values)
+            kept, whole = memo.get(stream, ()), m // BLOCK_SAMPLES
+            records = kept[:whole]  # whole blocks are a prefix of any larger draw
+            if len(records) == 0:
+                records = sample_many(sampler, level, m, seed, experiment, workers).records
+            elif len(records) * BLOCK_SAMPLES < m:
+                tail = sample_many(sampler, level, m, seed, experiment, workers, len(records))
+                records = np.concatenate((records, tail.records))
+            if whole > len(kept):
+                memo[stream] = records[:whole]
+            memo[key] = stats_from_records(level, records)
         out.append(memo[key])
     return out
 

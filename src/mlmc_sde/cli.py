@@ -304,11 +304,11 @@ def cmd_oracle_check(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     for level in cfg.levels:
         sample = sample_many(sampler, level, cfg.pilot_m, cfg.seed, EXP_ORACLE, cfg.workers)
         reference = znv_second_moment(level, model.mu, model.horizon).value
-        # an overflow leaves a statistic that is not finite, which fails the gate
+        mc, se = cal.square_moments(sample.records)
+        # an aborted sample, or an overflow, leaves a statistic that is not
+        # finite (the mean of Z^2 over every sample), which fails the gate
+        mc = math.nan if sample.aborted else mc
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            squares = sample.values**2
-            mc = float(squares.mean())
-            se = float(squares.std(ddof=1) / np.sqrt(squares.size))
             z = float(np.float64(mc - reference) / se)
         if all(map(math.isfinite, (mc, se, z, reference))):
             worst = max(worst, abs(z))
@@ -359,7 +359,6 @@ def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
         LevelSampler(model, payoff, coupling), cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed,
         cfg.workers, cfg.nv_level0, cfg.levels, cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
     )) for coupling in cfg.coupling]
-    pilots.clear()  # the pilot values the memo keeps are not held through the runs
     for coupling, plans in calibrated:
         first, cost = plans[0], sum(plan.cost_units for plan in plans)
         print(f"pilot {coupling}: {first.pilot_samples} samples per level (cap {cfg.pilot_m}), "

@@ -283,7 +283,9 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
     Streams are independent across (level, block), so the estimate is a
     pure function of (seed, plan) whatever the worker count.  A level
     whose aborted-sample fraction exceeds ``ABORT_TOLERANCE`` fails the
-    run.  The cost is the path steps of the samples drawn.
+    run.  The cost is the path steps of the samples drawn.  Each level is
+    read from its block records (``sample_many``), so it holds one batch of
+    values at a time, whatever its size.
     """
     start = time.perf_counter()
     estimate = cost = 0.0
@@ -292,10 +294,8 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
     for level in range(plan.last_level + 1):
         sampler = LevelSampler(model, payoff, plan.level_tags[level])
         sample = sample_many(sampler, level, int(plan.sizes[level]), seed, experiment, workers)
-        if sample.aborted > ABORT_TOLERANCE * sample.values.size:
-            raise SamplingError(
-                f"level {level}: {sample.aborted}/{sample.values.size} samples aborted"
-            )
+        if sample.aborted > ABORT_TOLERANCE * sample.samples:
+            raise SamplingError(f"level {level}: {sample.aborted}/{sample.samples} samples aborted")
         level_stats = stats_from_sample(sample)
         stats.append(level_stats)
         aborted += sample.aborted

@@ -198,14 +198,52 @@ class LevelSample:
     level: int
     coupling: str
 
+
+@dataclass(frozen=True)
+class LevelMoments:
+    """Samples of Z^l for one coupling, reduced per block: ``records`` holds
+    one ``block_records`` row per block, in block order.  The aborted
+    samples are those that are not finite."""
+
+    records: np.ndarray
+    level: int
+    coupling: str
+
+    @property
+    def samples(self) -> int:
+        return int(self.records[:, 0].sum())
+
     @property
     def aborted(self) -> int:
-        return int(np.size(self.values) - np.isfinite(self.values).sum())
+        return self.samples - int(self.records[:, 1].sum())
 
     @property
     def cost_units(self) -> float:
         """Path steps simulated over all samples (``path_steps``)."""
-        return path_steps(self.coupling, self.level) * np.size(self.values)
+        return path_steps(self.coupling, self.level) * self.samples
+
+
+def block_records(values: np.ndarray) -> np.ndarray:
+    """One row [samples, finite samples, mean, M2, M3, M4] per block of
+    ``BLOCK_SAMPLES`` consecutive values, the last block possibly shorter.
+
+    M_k is the sum of the k-th powers of the deviations of the block's
+    finite values from their mean, in two passes.  A block's row is reduced
+    on its values alone, so it is the same in any batch; a statistic that
+    overflows reads inf or nan, with no numpy warning.
+    """
+    whole = values.size - values.size % BLOCK_SAMPLES
+    out = [np.zeros((0, 6))]
+    for x in filter(np.size, (values[:whole].reshape(-1, BLOCK_SAMPLES), values[whole:][None])):
+        finite = np.isfinite(x)
+        n = finite.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.where(finite, x, 0.0).sum(axis=1) / n
+            d = np.where(finite, x - mean[:, None], 0.0)
+            d2 = d * d
+            out.append(np.column_stack((np.full(n.size, x.shape[1]), n, mean, d2.sum(axis=1),
+                                        (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1))))
+    return np.concatenate(out)
 
 
 def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) -> np.ndarray:
@@ -238,7 +276,7 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     level, which at level 0 is the one-step scheme of the level-0 estimator.
     Overflow in the paths or payoffs, and the invalid operations that follow
     it, are not warned about: the non-finite values they leave count as
-    aborted samples (``LevelSample.aborted``).
+    aborted samples (``LevelMoments.aborted``).
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r}")
@@ -302,22 +340,22 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 
 def _sample_block(task):
     sampler, level, counts, streams = task
-    return sampler.sample(level, counts, streams).values
+    return block_records(sampler.sample(level, counts, streams).values)
 
 
 def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
-                experiment: int = 0, workers: int = 1, first_block: int = 0) -> LevelSample:
-    """Draw m samples of Z^level in fixed blocks with per-block streams,
-    concatenated in block order (identical for any worker count).
+                experiment: int = 0, workers: int = 1, first_block: int = 0) -> LevelMoments:
+    """Draw m samples of Z^level in fixed blocks with per-block streams, and
+    keep each block's record (``block_records``) in block order: identical
+    for any worker count, and never more than one batch of values held.
 
     With ``first_block`` = k, only blocks k and later are drawn: appended
-    to the first k whole blocks of any larger draw, they give the m
-    samples bit for bit.
+    to the first k whole blocks of any larger draw, they give the records
+    of the m samples bit for bit.
     """
-    arrays = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed,
-                         experiment, workers, first_block)
-    values = np.concatenate(arrays) if arrays else np.zeros(0)
-    return LevelSample(values, level, sampler.coupling)
+    batches = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed,
+                          experiment, workers, first_block)
+    return LevelMoments(np.concatenate(batches or [np.zeros((0, 6))]), level, sampler.coupling)
 
 
 def _coupling_block(task):

@@ -5,9 +5,15 @@ increments, the antithetic swap and the coarse signs from the fine draw step
 by step.  The tests build them here, independently of those per-step reads,
 and compare the paths simulated on them.  Each keeps the step-major
 (Fortran) order of ``paths.sample_level_path``.
+
+``schemes.sample_many`` keeps no values, only per-block records; the tests
+that pin values read them from the block kernel with ``block_values``.
 """
 
 import numpy as np
+
+from mlmc_sde.paths import RngStream
+from mlmc_sde.schemes import BLOCK_SAMPLES, sample_level
 
 
 class OddStepCount(ValueError):
@@ -38,3 +44,17 @@ def rademacher_coarse(eta: np.ndarray) -> np.ndarray:
     """Odd-position subvector (1st, 3rd, ...) driving the coarse-grid scheme."""
     _require_even(eta.shape[-1])
     return np.asfortranarray(eta[..., 0::2])
+
+
+def block_streams(m, seed, experiment, level):
+    """(count, stream) of each fixed block of m samples."""
+    return [(min(BLOCK_SAMPLES, m - start), RngStream(seed, experiment, level, index))
+            for index, start in enumerate(range(0, m, BLOCK_SAMPLES))]
+
+
+def block_values(sampler, level, m, seed, experiment=0):
+    """The m values of Z^level that ``sample_many`` reduces: one
+    ``sample_level`` call per fixed block, concatenated in block order."""
+    return np.concatenate([
+        sample_level(sampler.model, sampler.payoff, sampler.coupling, level, count, stream).values
+        for count, stream in block_streams(m, seed, experiment, level)])

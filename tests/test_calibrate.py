@@ -3,23 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmc_sde import calibrate
+from mlmc_sde import calibrate, schemes
 from mlmc_sde.calibrate import (
     INFLECTION_LOG2,
     IllConditioned,
     LevelStats,
+    NoUsableSamples,
     ZeroMean,
+    central_moments,
     detect_inflection,
     fit_variance_rate,
     fit_weak_rate,
     log2_line,
     pilot_stats,
     snap_half,
+    stats_from_sample,
     stats_from_values,
     variance_table,
 )
 from mlmc_sde.models import ClarkCameronModel, Payoff
-from mlmc_sde.schemes import BLOCK_SAMPLES, LevelSample, LevelSampler
+from mlmc_sde.schemes import BLOCK_SAMPLES, LevelSample, LevelSampler, block_records, sample_many
+from path_reference import block_values
 
 CC = ClarkCameronModel(mu=1.0)
 
@@ -86,6 +90,88 @@ class TestStats:
         assert s.variance == s.second_moment == s.sem == np.inf
 
 
+def two_pass(values):
+    """(n, mean, M2, M3, M4) of the finite values, each central sum taken
+    over the deviations from the mean of all of them."""
+    finite = values[np.isfinite(values)]
+    d = finite - finite.mean()
+    return finite.size, finite.mean(), np.sum(d**2), np.sum(d**3), np.sum(d**4)
+
+
+def partition_records(values, sizes):
+    """Records of consecutive blocks of the given sizes, each at most a block."""
+    return np.concatenate([block_records(part)
+                           for part in np.split(values, np.cumsum(sizes)[:-1])])
+
+
+def skewed(size):
+    """Shifted lognormal values: a mean far from 0 and a large third moment."""
+    return 3.0 + np.random.default_rng(8).lognormal(0.0, 0.7, size=size)
+
+
+# block sizes of a level's partition into blocks
+PARTITIONS = {
+    "partial-last-block": [BLOCK_SAMPLES] * 3 + [777],
+    "one-sample-blocks": [1] * 300,
+    "mixed": [1, BLOCK_SAMPLES, 3, 1, 2000, 1, 500],
+}
+
+
+class TestBlockFold:
+    """Level statistics are the block-order fold of per-block records."""
+
+    @pytest.mark.parametrize("poisoned", [False, True], ids=["finite", "nan-inf"])
+    @pytest.mark.parametrize("sizes", PARTITIONS.values(), ids=PARTITIONS)
+    def test_fold_matches_two_pass(self, sizes, poisoned):
+        values = skewed(sum(sizes))
+        if poisoned:  # in the one-sample partition, blocks with no finite sample
+            values[[0, 5, 17, 250]] = [np.nan, np.inf, -np.inf, np.nan]
+        n, *moments = central_moments(partition_records(values, sizes))
+        ref_n, *ref = two_pass(values)
+        assert n == ref_n
+        moments[1], ref[1] = moments[1] / (n - 1), ref[1] / (n - 1)  # the variances
+        np.testing.assert_allclose(moments, ref, rtol=1e-13, atol=0.0)
+
+    def test_kurtosis_matches_two_pass(self):
+        values = skewed(3 * BLOCK_SAMPLES + 777)
+        n, _, m2, _, m4 = two_pass(values)
+        assert stats_from_values(0, values).kurtosis == pytest.approx(n * m4 / m2**2, rel=1e-13)
+
+    def test_kurtosis_of_signs_is_one(self):
+        assert stats_from_values(0, np.tile([1.0, -1.0], BLOCK_SAMPLES + 5)).kurtosis == 1.0
+        assert np.isnan(stats_from_values(0, np.full(10, 2.0)).kurtosis)
+
+    def test_overflow_in_a_later_block_leaves_the_variance_infinite(self):
+        # block 1's M3 is inf - inf; it stays out of the variance, silently
+        s = stats_from_values(1, np.append(np.ones(BLOCK_SAMPLES), [1e200, -1e200, 3e200]))
+        assert np.isfinite(s.mean)
+        assert s.variance == s.second_moment == s.sem == np.inf
+
+    def test_no_usable_sample_in_any_block(self):
+        with pytest.raises(NoUsableSamples):
+            stats_from_values(0, np.full(BLOCK_SAMPLES + 3, np.nan))
+
+    def test_values_give_the_streamed_statistics(self):
+        sampler = LevelSampler(CC, Payoff("u-squared"), "nv")
+        m = 2 * BLOCK_SAMPLES + 100
+        streamed = stats_from_sample(sample_many(sampler, 2, m, seed=9, experiment=4))
+        assert stats_from_values(2, block_values(sampler, 2, m, seed=9, experiment=4)) == streamed
+
+    def test_worker_count_invariance(self):
+        sampler = LevelSampler(CC, Payoff("u-squared"), "gs")
+        solo, duo = (stats_from_sample(sample_many(sampler, 2, 3 * BLOCK_SAMPLES + 5, seed=6,
+                                                   workers=workers))
+                     for workers in (1, 2))
+        assert solo == duo
+
+    def test_batching_invariance(self, monkeypatch):
+        sampler = LevelSampler(CC, Payoff("u-squared"), "gs-nv")
+        batched = stats_from_sample(sample_many(sampler, 1, 5 * BLOCK_SAMPLES + 5, seed=6))
+        monkeypatch.setattr(schemes, "BATCH_BLOCKS", 1)
+        alone = stats_from_sample(sample_many(sampler, 1, 5 * BLOCK_SAMPLES + 5, seed=6))
+        assert alone == batched
+
+
 class TestPilot:
     def test_constant_sampler(self):
         stats = pilot_stats(FakeSampler("constant", 2.5), [0, 1, 2], 100, seed=1)
@@ -137,12 +223,13 @@ class TestPilotGrowth:
         sampler, memo = FakeSampler("normal"), {}
         pilot_stats(sampler, [0], 2 * BLOCK_SAMPLES + 10, 1, memo=memo)
         kept = memo[(sampler, 0, 1, 0)]
-        # a partial last block is not kept: it is no prefix of a larger draw
-        assert kept.size == 2 * BLOCK_SAMPLES
+        # one record per whole block; a partial last block is not kept: it is
+        # no prefix of a larger draw
+        assert len(kept) == 2 and (kept[:, 0] == BLOCK_SAMPLES).all()
         pilot_stats(sampler, [0], BLOCK_SAMPLES, 1, memo=memo)
         assert memo[(sampler, 0, 1, 0)] is kept
         pilot_stats(sampler, [0], 3 * BLOCK_SAMPLES + 10, 1, memo=memo)
-        assert memo[(sampler, 0, 1, 0)].size == 3 * BLOCK_SAMPLES
+        assert len(memo[(sampler, 0, 1, 0)]) == 3
 
 
 class TestLog2Line:

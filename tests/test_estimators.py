@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -36,6 +37,7 @@ from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
 from mlmc_sde.paths import MAX_LEVEL
 from mlmc_sde.schemes import LevelSample, LevelSampler, path_steps, sample_many
+from path_reference import block_values
 
 CC = ClarkCameronModel(mu=1.0)
 USQ = Payoff("u-squared")
@@ -324,8 +326,11 @@ class TestRunner:
                               ("crude-gs",))
         result = run_multilevel(plan, CC, USQ, seed=4, experiment=2)
         sampler = LevelSampler(CC, USQ, "crude-gs")
-        direct = sample_many(sampler, 0, 5000, seed=4, experiment=2)
-        assert result.estimate == direct.values.mean()
+        direct = block_values(sampler, 0, 5000, seed=4, experiment=2)
+        # the block means, folded in block order: block 0's mean moved by the
+        # gap to block 1's, weighted by block 1's share of the samples
+        first, second = direct[:4096].mean(), direct[4096:].mean()
+        assert result.estimate == first + 904 * ((second - first) / 5000)
 
     def test_worker_invariance(self):
         plan = small_plan(epsilon=2.0**-5)
@@ -370,8 +375,8 @@ class TestRunner:
         total = 0.0
         for level in range(plan.last_level + 1):
             sampler = LevelSampler(CC, USQ, plan.level_tags[level])
-            sample = sample_many(sampler, level, int(plan.sizes[level]), seed=7, experiment=3)
-            total += plan.weights[level] * sample.values.mean()
+            values = block_values(sampler, level, int(plan.sizes[level]), seed=7, experiment=3)
+            total += plan.weights[level] * values.mean()
         assert result.estimate == pytest.approx(total, rel=1e-12)
 
     def test_fixed_resolution_unbiasedness(self):
@@ -397,6 +402,13 @@ class TestRunner:
         with pytest.raises(SamplingError):
             run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
 
+    def test_aborted_samples_are_counted_from_the_records(self):
+        fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05)
+        sampler = LevelSampler(fragile, Payoff("heston-call", 0.05, 1.0), "gs")
+        sample = sample_many(sampler, 1, 2000, seed=11)
+        values = block_values(sampler, 1, 2000, seed=11)
+        assert sample.aborted == np.count_nonzero(~np.isfinite(values)) > 0
+
     def test_reflect_policy_keeps_running(self):
         fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05,
                               negative_variance="reflect")
@@ -405,6 +417,34 @@ class TestRunner:
         result = run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
         assert np.isfinite(result.estimate)
         assert result.aborted == 0
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated during a second call of
+    fn(); the first makes the imports of a process's first draw."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A level holds one batch of values at a time, whatever its size: 10^6
+    level-0 samples hold 7.6 MiB as values, one batch of them 128 KiB."""
+
+    LIMIT = 2 * 2**20
+
+    def test_sample_many_holds_one_batch(self):
+        sampler = LevelSampler(CC, USQ, "crude-gs")
+        assert traced_peak(lambda: sample_many(sampler, 0, 10**6, seed=1)) < self.LIMIT
+
+    def test_run_holds_one_batch(self):
+        plan = MultilevelPlan("mlmc", "gs", 1.0, 0, np.array([10**6]), np.ones(1),
+                              ("crude-gs",))
+        assert traced_peak(lambda: run_multilevel(plan, CC, USQ, seed=1)) < self.LIMIT
 
 
 class TestCrude:

@@ -7,6 +7,7 @@ receives can leave a per-layer figure at zero or wrong without any failure.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -58,3 +59,24 @@ def test_traced_gs_run_counts_every_gs_row(tmp_path):
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     rows = 1e9 * layers["schemes.gs_step_s"] / layers["schemes.gs_ns_per_sample_step"]
     assert rows == pytest.approx(m + float(row["cost_units"]), rel=1e-9)
+
+
+def test_traced_calibrated_run_reports_its_pilot(tmp_path):
+    # every pilot draw goes through sample_many outside run_multilevel, and
+    # the run's through it inside; so both phases have time, and the pilot
+    # path steps the harness counts are those the run prints
+    result = tmp_path / "result.json"
+    cli_args = ["run", "--coupling", "gs", "--estimator", "mlmc", "--payoff", "u-squared",
+                "--eps", "2^-4", "--pilot-m", "2000", "--workers", "1", "--seed", "3",
+                "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"),
+         repr(time.monotonic()), str(result), "1", *cli_args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["phase.pilot_s"] > 0 and layers["phase.run_s"] > 0
+    printed = re.search(r"^pilot gs: .*?, (\S+) path steps for plans", done.stdout, re.M)
+    assert printed, done.stdout
+    assert f"{layers['calibrate.pilot_units']:.4g}" == printed.group(1)

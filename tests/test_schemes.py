@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mlmc_sde import schemes
+from mlmc_sde.calibrate import stats_from_sample
 from mlmc_sde.estimators import crude_mc
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
@@ -15,15 +16,24 @@ from mlmc_sde.schemes import (
     BLOCK_SAMPLES,
     COUPLING_COSTS,
     COUPLINGS,
+    LevelMoments,
     LevelSampler,
+    block_records,
     coupling_errors,
     gs_step,
     nv_step,
+    path_steps,
     sample_level,
     sample_many,
     simulate_path,
 )
-from path_reference import antithetic_swap, coarsen, rademacher_coarse
+from path_reference import (
+    antithetic_swap,
+    block_streams,
+    block_values,
+    coarsen,
+    rademacher_coarse,
+)
 
 CC = ClarkCameronModel(mu=1.0)
 HESTON = HestonModel()
@@ -429,14 +439,14 @@ class TestLevelSampleAlgebra:
         # the paths used
         assert sorted(grid_levels, reverse=True) == [level] * fine + [level - 1] * coarse
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
-        assert sample.cost_units == expected
+        assert sample.values.size * path_steps(coupling, level) == expected
 
     def test_aborted_counts_nonfinite(self):
         sample = sample_level(CC, COS, "gs", 1, 4, RngStream(3))
-        assert sample.aborted == 0
+        assert LevelMoments(block_records(sample.values), 1, "gs").aborted == 0
         poisoned = sample.values.copy()
         poisoned[1] = np.nan
-        assert type(sample)(poisoned, 1, "gs").aborted == 1
+        assert LevelMoments(block_records(poisoned), 1, "gs").aborted == 1
 
 
 class TestCouplingStatistics:
@@ -490,8 +500,8 @@ class TestCouplingStatistics:
         else:
             fine = crude_mc(CC, COS, scheme, level, m, seed=41, experiment=2)
             coarse = crude_mc(CC, COS, scheme, level - 1, m, seed=41, experiment=3)
-        z_mean = z.values.mean()
-        z_se = z.values.std(ddof=1) / np.sqrt(m)
+        z_stats = stats_from_sample(z)
+        z_mean, z_se = z_stats.mean, z_stats.sem
         gap = fine.mean - coarse.mean
         se = np.sqrt(z_se**2 + fine.sem**2 + coarse.sem**2)
         assert abs(z_mean - gap) < 3 * se
@@ -503,14 +513,14 @@ class TestSampleMany:
         combined = sample_many(sampler, 2, 6000, seed=5, experiment=9)
         first = sampler.sample(2, 4096, RngStream(5, 9, 2, 0))
         second = sampler.sample(2, 6000 - 4096, RngStream(5, 9, 2, 1))
-        np.testing.assert_array_equal(combined.values,
-                                      np.concatenate([first.values, second.values]))
+        np.testing.assert_array_equal(
+            combined.records, block_records(np.concatenate([first.values, second.values])))
 
     def test_worker_count_invariance(self):
         sampler = LevelSampler(CC, USQ, "nv")
         solo = sample_many(sampler, 2, 10_000, seed=6, experiment=9, workers=1)
         duo = sample_many(sampler, 2, 10_000, seed=6, experiment=9, workers=2)
-        np.testing.assert_array_equal(solo.values, duo.values)
+        assert solo.records.tobytes() == duo.records.tobytes()
 
     @pytest.mark.parametrize("cores,pools", [(2, [2]), (None, [])])
     def test_pool_bounded_by_cores(self, cores, pools, monkeypatch):
@@ -534,13 +544,17 @@ class TestSampleMany:
         pooled = sample_many(sampler, 1, 3 * schemes.BLOCK_SAMPLES, seed=6, workers=8)
         assert started == pools
         serial = sample_many(sampler, 1, 3 * schemes.BLOCK_SAMPLES, seed=6, workers=1)
-        np.testing.assert_array_equal(pooled.values, serial.values)
+        np.testing.assert_array_equal(pooled.records, serial.records)
 
     def test_prefix_stability_across_total_size(self):
         sampler = LevelSampler(CC, COS, "gs")
-        small = sample_many(sampler, 1, 2000, seed=7, experiment=9)
-        large = sample_many(sampler, 1, 4096, seed=7, experiment=9)
-        np.testing.assert_array_equal(small.values, large.values[:2000])
+        small = block_values(sampler, 1, 2000, seed=7, experiment=9)
+        large = block_values(sampler, 1, 4096, seed=7, experiment=9)
+        np.testing.assert_array_equal(small, large[:2000])
+        # so the record of a whole block is the same in every draw that holds it
+        short = sample_many(sampler, 1, BLOCK_SAMPLES + 10, seed=7, experiment=9)
+        long = sample_many(sampler, 1, 3 * BLOCK_SAMPLES, seed=7, experiment=9)
+        assert short.records[:1].tobytes() == long.records[:1].tobytes()
 
 
 class TestCouplingErrors:
@@ -579,15 +593,9 @@ def batches(monkeypatch):
     return seen
 
 
-def block_streams(m, seed, experiment, level):
-    """(count, stream) of each fixed block of m samples."""
-    return [(min(BLOCK_SAMPLES, m - start), RngStream(seed, experiment, level, index))
-            for index, start in enumerate(range(0, m, BLOCK_SAMPLES))]
-
-
 class TestBatches:
-    """Consecutive blocks sampled in one kernel call give the values of the
-    blocks sampled one by one."""
+    """Consecutive blocks sampled in one kernel call give the values, and so
+    the records, of the blocks sampled one by one."""
 
     # (level, samples, blocks per batch) at d = 2, each with a short last block
     CASES = [(5, 3 * BLOCK_SAMPLES + 100, [4]), (6, BLOCK_SAMPLES + 100, [2]),
@@ -602,9 +610,12 @@ class TestBatches:
         batched = sample_many(LevelSampler(model, payoff, coupling), level, m, seed=13,
                               experiment=5)
         assert [len(counts) for counts, _ in batches] == sizes
-        alone = [sample_level(model, payoff, coupling, level, count, stream).values
-                 for count, stream in block_streams(m, 13, 5, level)]
-        assert batched.values.tobytes() == np.concatenate(alone).tobytes()
+        blocks = block_streams(m, 13, 5, level)
+        alone = np.concatenate([sample_level(model, payoff, coupling, level, count, stream).values
+                                for count, stream in blocks])
+        together = sample_level(model, payoff, coupling, level, *zip(*blocks)).values
+        assert together.tobytes() == alone.tobytes()
+        assert batched.records.tobytes() == block_records(alone).tobytes()
 
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_coupling_errors_equal_the_blocks(self, model):
@@ -655,14 +666,15 @@ class TestBatches:
         pooled = sample_many(sampler, 1, m, seed=8, workers=2)
         assert tasks and tasks[0] >= 2
         serial = sample_many(sampler, 1, m, seed=8, workers=1)
-        assert pooled.values.tobytes() == serial.values.tobytes()
+        assert pooled.records.tobytes() == serial.records.tobytes()
 
 
 # (seed, experiment, samples): two blocks, the second one short
 GOLDEN_DRAW = (29, 7, 4096 + 64)
 
 GOLDEN_SAMPLES = {
-    # sha256 prefix of sample_many(...).values.tobytes(); crude-* and
+    # sha256 prefix of the bytes of the values sample_many reduces
+    # (path_reference.block_values); crude-* and
     # level0-* at level 0, the level couplings at level 3
     ("clark-cameron", "crude-gs"): "95bfb440b1af4226",
     ("clark-cameron", "crude-nv"): "9069a9429be1c131",
@@ -713,16 +725,19 @@ class TestGoldenSamples:
         model, payoff = GOLDEN_MODELS[model_name]
         level = 0 if coupling.startswith(("crude-", "level0-")) else 3
         seed, experiment, m = GOLDEN_DRAW
-        sample = sample_many(LevelSampler(model, payoff, coupling), level, m, seed, experiment)
-        assert digest(sample.values.tobytes()) == GOLDEN_SAMPLES[model_name, coupling]
+        values = block_values(LevelSampler(model, payoff, coupling), level, m, seed, experiment)
+        assert digest(values.tobytes()) == GOLDEN_SAMPLES[model_name, coupling]
 
     @pytest.mark.parametrize("model_name,coupling,level", sorted(GOLDEN_MULTISTEP))
     def test_multistep_sample_bytes(self, model_name, coupling, level, batches):
         model, payoff = GOLDEN_MODELS[model_name]
         seed, experiment, m = GOLDEN_DRAW
-        sample = sample_many(LevelSampler(model, payoff, coupling), level, m, seed, experiment)
+        sampler = LevelSampler(model, payoff, coupling)
+        sample = sample_many(sampler, level, m, seed, experiment)
         assert [len(counts) for counts, _ in batches] == [2]
-        assert digest(sample.values.tobytes()) == GOLDEN_MULTISTEP[model_name, coupling, level]
+        values = block_values(sampler, level, m, seed, experiment)
+        assert digest(values.tobytes()) == GOLDEN_MULTISTEP[model_name, coupling, level]
+        assert sample.records.tobytes() == block_records(values).tobytes()
 
     @pytest.mark.parametrize("model_name", sorted(GOLDEN_COUPLING_ERRORS))
     def test_coupling_error_bytes(self, model_name):
