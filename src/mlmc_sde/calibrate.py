@@ -6,12 +6,9 @@ squares on log2 scale and snapped to the nearest half-integer (every rate
 this machinery is used to detect is a half-integer); the raw slope is kept
 for diagnostics.
 
-Level statistics are folded from the per-block records of
-``schemes.block_records``, in block order, with the pairwise update of the
-central moments (Chan, Golub & LeVeque 1979; Pebay, Sandia report
-SAND2008-6212).  So they depend only on the stream and the sample size, not
-on the worker count or the batching, and no level's values are ever held
-whole; they differ from one pairwise sum over a level's values in rounding.
+Level statistics are read from the fold ``schemes.central_moments`` of a
+level's per-block records, so they depend only on the stream and the sample
+size, not on the worker count or the batching.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schemes import BLOCK_SAMPLES, LevelMoments, LevelSampler, block_records, sample_many
+from .schemes import BLOCK_SAMPLES, LevelMoments, LevelSampler, central_moments, sample_many
 
 
 class SamplingFailure(Exception):
@@ -65,31 +62,6 @@ class RateFit:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def central_moments(records: np.ndarray) -> tuple[float, ...]:
-    """(n, mean, M2, M3, M4) of the finite samples of ``block_records`` rows,
-    folded in row order; n = 0 and nan moments where no sample is finite.
-
-    Python floats: an overflow reads inf, and inf - inf reads nan, with no
-    warning; equal infinite means merge to their value, not to nan.
-    """
-    n, mean, m2, m3, m4 = 0.0, math.nan, math.nan, math.nan, math.nan
-    for _, nb, mb, b2, b3, b4 in records.tolist():
-        if nb == 0.0:
-            continue
-        if n == 0.0:
-            n, mean, m2, m3, m4 = nb, mb, b2, b3, b4
-            continue
-        na, n = n, n + nb
-        delta = mb - mean if mb != mean else 0.0
-        dn = delta / n
-        mean += nb * dn
-        m4 += (b4 + delta * dn * dn * dn * na * nb * (na * na - na * nb + nb * nb)
-               + 6.0 * dn * dn * (na * na * b2 + nb * nb * m2) + 4.0 * dn * (na * b3 - nb * m3))
-        m3 += b3 + delta * dn * dn * na * nb * (na - nb) + 3.0 * dn * (na * b2 - nb * m2)
-        m2 += b2 + delta * dn * na * nb
-    return n, mean, m2, m3, m4
-
-
 def stats_from_records(level: int, records: np.ndarray) -> LevelStats:
     """``LevelStats`` of the samples behind ``block_records`` rows; the
     aborted samples are those that are not finite."""
@@ -105,11 +77,6 @@ def stats_from_records(level: int, records: np.ndarray) -> LevelStats:
 
 def stats_from_sample(sample: LevelMoments) -> LevelStats:
     return stats_from_records(sample.level, sample.records)
-
-
-def stats_from_values(level: int, values: np.ndarray) -> LevelStats:
-    """The statistics ``sample_many`` would give for these values."""
-    return stats_from_records(level, block_records(values))
 
 
 def square_moments(records: np.ndarray) -> tuple[float, float]:
@@ -224,10 +191,12 @@ def detect_inflection(stats: list[LevelStats], fit: RateFit):
     Returns None when every level stays within ``INFLECTION_LOG2`` of the
     raw regression line; used to decide whether the asymptotic variance
     model can size the estimator or direct estimates are needed.  The band
-    is a fixed width with no noise model: on Heston ``nv`` pilots of levels
-    1..6 at 100 000 samples it flags level 1, 4, 6 or 6 at seeds 7, 2, 1
-    and 3, and two independent level-1 pilots at seed 7 read 3.07e-5 and
-    2.32e-5, 32% apart.
+    is a fixed width with no noise model.  On Heston ``nv`` pilots of levels
+    1..6 at 100 000 samples the bend it detects is real: at seeds 7, 2, 1
+    and 3 the residuals from the raw line have one sign pattern (up at
+    level 1, down at levels 3-4, up at level 6), 2-10 sd from it.  Only
+    which level trips the band is noise: level 1, 4, 6 or 6 at those seeds,
+    because several residuals sit near its width.
     """
     for s in stats:
         if s.variance <= 0.0:

@@ -268,13 +268,16 @@ def cmd_strong_order(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """per-level strong errors of the splitting scheme and its pairing"""
     self_mse, pair_mse = coupling_errors(model, cfg.levels, cfg.pilot_m, cfg.seed, EXP_STRONG,
                                          cfg.workers)
-    warnings = []
+    warnings = [f"level {level}: {name} error {x} is not finite; the {name} slope leaves it out"
+                for level, *errors in zip(cfg.levels, self_mse, pair_mse)
+                for name, x in zip(("nv", "coupling"), errors) if not math.isfinite(x)]
     self_slope, self_log = _log2_slope("nv", cfg.levels, self_mse, "error", warnings)
     pair_slope, pair_log = _log2_slope("coupling", cfg.levels, pair_mse, "error", warnings)
     rows = [*zip(cfg.levels, self_log, pair_log), ("slope", self_slope, pair_slope)]
     path = write_csv(cfg, "strong-order", ("l", "log2_strong_error_nv", "log2_coupling_error"),
                      rows, warnings)
-    print(f"strong-order: nv slope {self_slope:.3f}, coupling slope {pair_slope:.3f} -> {path}")
+    print(f"strong-order: nv slope {self_slope:.3f}, coupling slope {pair_slope:.3f} -> {path}",
+          *warnings, sep="; ")
     return 0
 
 

@@ -308,7 +308,8 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
 def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5,
              m: int = 10_000, seed: int = 0, experiment: int = 0,
              workers: int = 1) -> LevelStats:
-    """Plain Monte Carlo of f at one discretization level (payoff-variance pilot)."""
+    """Plain Monte Carlo of f at one discretization level.  No code in the
+    package calls it: the tests do, and ``perfbench/spans.py`` times it."""
     sampler = LevelSampler(model, payoff, f"crude-{scheme}")
     return cal.pilot_stats(sampler, [level], m, seed, experiment, workers)[0]
 

@@ -23,11 +23,21 @@ Ann. Appl. Probab. 2014, for the antithetic construction).  Level l's grid
 has 2^l steps of the model's horizon over 2^l, and a coarse path is given
 the fine increments themselves: they hold twice its grid's steps, which
 is what makes ``simulate_path`` read them pairwise.
+
+Every sampled statistic, the level statistics and the strong errors alike,
+has one reduction: ``block_records`` reduces each fixed block of values to
+its moments where the block is sampled, and ``central_moments`` folds a
+level's records in block order with the pairwise update of the central
+moments (Chan, Golub & LeVeque 1979; Pebay, Sandia report SAND2008-6212).
+So no level's values are ever held whole, and a statistic depends only on
+the stream and the sample size, not on the worker count or the batching; it
+differs from one pairwise sum over the level's values in rounding.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -187,19 +197,6 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
 
 
 @dataclass(frozen=True)
-class LevelSample:
-    """Realizations of Z^l for one coupling.
-
-    ``values`` holds one realization per entry; non-finite entries mark
-    samples aborted by a scheme-domain error.
-    """
-
-    values: np.ndarray
-    level: int
-    coupling: str
-
-
-@dataclass(frozen=True)
 class LevelMoments:
     """Samples of Z^l for one coupling, reduced per block: ``records`` holds
     one ``block_records`` row per block, in block order.  The aborted
@@ -246,6 +243,31 @@ def block_records(values: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def central_moments(records: np.ndarray) -> tuple[float, ...]:
+    """(n, mean, M2, M3, M4) of the finite samples of ``block_records`` rows,
+    folded in row order; n = 0 and nan moments where no sample is finite.
+
+    Python floats: an overflow reads inf, and inf - inf reads nan, with no
+    warning; equal infinite means merge to their value, not to nan.
+    """
+    n, mean, m2, m3, m4 = 0.0, math.nan, math.nan, math.nan, math.nan
+    for _, nb, mb, b2, b3, b4 in records.tolist():
+        if nb == 0.0:
+            continue
+        if n == 0.0:
+            n, mean, m2, m3, m4 = nb, mb, b2, b3, b4
+            continue
+        na, n = n, n + nb
+        delta = mb - mean if mb != mean else 0.0
+        dn = delta / n
+        mean += nb * dn
+        m4 += (b4 + delta * dn * dn * dn * na * nb * (na * na - na * nb + nb * nb)
+               + 6.0 * dn * dn * (na * na * b2 + nb * nb * m2) + 4.0 * dn * (na * b3 - nb * m3))
+        m3 += b3 + delta * dn * dn * na * nb * (na - nb) + 3.0 * dn * (na * b2 - nb * m2)
+        m2 += b2 + delta * dn * na * nb
+    return n, mean, m2, m3, m4
+
+
 def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) -> np.ndarray:
     """Left-to-right sum of the payoffs of ``paths`` over their count; each
     (scheme, swap) is simulated once, an nv path with its twin only where
@@ -263,8 +285,8 @@ def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) 
 
 
 def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
-                 m, stream) -> LevelSample:
-    """Simulate m coupled samples of Z^level for the requested coupling.
+                 m, stream) -> np.ndarray:
+    """The values of m coupled samples of Z^level for the requested coupling.
 
     ``m`` and ``stream`` may be a batch's (``paths.sample_level_path``): the
     values are those of its blocks sampled one by one, in block order.
@@ -291,7 +313,7 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
         if coarse:
             values = values - _mean_payoff(model, payoff, coarse,
                                            LevelGrid(level - 1, model.horizon), path)
-    return LevelSample(np.asarray(values, dtype=float), level, coupling)
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -305,7 +327,7 @@ class LevelSampler:
     def with_coupling(self, coupling: str) -> "LevelSampler":
         return replace(self, coupling=coupling)
 
-    def sample(self, level: int, m, stream) -> LevelSample:
+    def sample(self, level: int, m, stream) -> np.ndarray:
         return sample_level(self.model, self.payoff, self.coupling, level, m, stream)
 
 
@@ -340,7 +362,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 
 def _sample_block(task):
     sampler, level, counts, streams = task
-    return block_records(sampler.sample(level, counts, streams).values)
+    return block_records(sampler.sample(level, counts, streams))
 
 
 def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
@@ -359,7 +381,7 @@ def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
 
 
 def _coupling_block(task):
-    """(self, pair) sums of squared terminal gaps, one per block of the batch."""
+    """(self, pair) ``block_records`` of the squared terminal gaps of the batch."""
     model, level, counts, streams = task
     grid = LevelGrid(level, model.horizon)
     path = sample_level_path(streams, grid, model.d, counts)
@@ -368,10 +390,8 @@ def _coupling_block(task):
     x_coarse = simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw, eta,
                              twin=False)
     x_gs = simulate_path("gs", model, grid, dw)
-    self_sq = np.sum((x_fine - x_coarse) ** 2, axis=-1)
-    pair_sq = np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)
-    cuts = np.cumsum(counts)[:-1]
-    return [(a.sum(), b.sum()) for a, b in zip(np.split(self_sq, cuts), np.split(pair_sq, cuts))]
+    return (block_records(np.sum((x_fine - x_coarse) ** 2, axis=-1)),
+            block_records(np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)))
 
 
 def coupling_errors(model: SdeModel, levels, m: int, seed: int,
@@ -380,15 +400,17 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
 
     Returns (self_mse, pair_mse): E||X_fine - X_coarse||^2 for the
     splitting scheme refined by one level on the same Brownian path, and
-    E||(X^{eta} + X^{-eta})/2 - X_gs||^2 on the same grid.
+    E||(X^{eta} + X^{-eta})/2 - X_gs||^2 on the same grid.  Each is the
+    mean of the level's block records folded in block order
+    (``central_moments``), and nan at a level where a gap is not finite.
     """
     self_mse, pair_mse = [], []
     for level in levels:
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
-        parts = [part for batch in _map_blocks(_coupling_block, model, model.d, level, m,
-                                               seed, experiment, workers)
-                 for part in batch]
-        self_mse.append(sum(p[0] for p in parts) / m)
-        pair_mse.append(sum(p[1] for p in parts) / m)
+        batches = _map_blocks(_coupling_block, model, model.d, level, m, seed, experiment,
+                              workers)
+        for errors, records in zip((self_mse, pair_mse), zip(*batches)):
+            n, mean, *_ = central_moments(np.concatenate(records))
+            errors.append(mean if n == m else math.nan)
     return np.array(self_mse), np.array(pair_mse)

@@ -56,5 +56,5 @@ def block_values(sampler, level, m, seed, experiment=0):
     """The m values of Z^level that ``sample_many`` reduces: one
     ``sample_level`` call per fixed block, concatenated in block order."""
     return np.concatenate([
-        sample_level(sampler.model, sampler.payoff, sampler.coupling, level, count, stream).values
+        sample_level(sampler.model, sampler.payoff, sampler.coupling, level, count, stream)
         for count, stream in block_streams(m, seed, experiment, level)])

@@ -17,12 +17,12 @@ from mlmc_sde.calibrate import (
     log2_line,
     pilot_stats,
     snap_half,
+    stats_from_records,
     stats_from_sample,
-    stats_from_values,
     variance_table,
 )
 from mlmc_sde.models import ClarkCameronModel, Payoff
-from mlmc_sde.schemes import BLOCK_SAMPLES, LevelSample, LevelSampler, block_records, sample_many
+from mlmc_sde.schemes import BLOCK_SAMPLES, LevelSampler, block_records, sample_many
 from path_reference import block_values
 
 CC = ClarkCameronModel(mu=1.0)
@@ -40,7 +40,7 @@ class FakeSampler:
 
     def sample(self, level, counts, streams):
         values = [self.block(m, stream) for m, stream in zip(counts, streams)]
-        return LevelSample(np.concatenate(values), level, "gs")
+        return np.concatenate(values)
 
     def block(self, m, stream):
         gen = stream.generator()
@@ -66,26 +66,26 @@ def stats_for(levels, means=None, variances=None, m=1000):
 
 class TestStats:
     def test_basic_moments(self):
-        s = stats_from_values(2, np.array([1.0, 3.0, 5.0]))
+        s = stats_from_records(2, block_records(np.array([1.0, 3.0, 5.0])))
         assert s.mean == 3.0
         assert s.variance == 4.0
         assert s.second_moment == pytest.approx(35.0 / 3.0)
         assert s.sem == pytest.approx(np.sqrt(4.0 / 3.0))
 
     def test_nan_counts_as_aborted(self):
-        s = stats_from_values(1, np.array([1.0, np.nan, 2.0, np.inf]))
+        s = stats_from_records(1, block_records(np.array([1.0, np.nan, 2.0, np.inf])))
         assert s.aborted == 2
         assert s.samples == 2
         assert s.mean == 1.5
 
     def test_all_bad_rejected(self):
         with pytest.raises(ValueError):
-            stats_from_values(0, np.array([np.nan, np.nan]))
+            stats_from_records(0, block_records(np.array([np.nan, np.nan])))
 
     def test_overflowing_moments_are_infinite(self):
         # the squares of these finite samples overflow: the statistics read
         # inf, with no numpy warning (an error under this suite's filter)
-        s = stats_from_values(1, np.array([1e200, -1e200, 3e200]))
+        s = stats_from_records(1, block_records(np.array([1e200, -1e200, 3e200])))
         assert s.mean == pytest.approx(1e200)
         assert s.variance == s.second_moment == s.sem == np.inf
 
@@ -135,27 +135,31 @@ class TestBlockFold:
     def test_kurtosis_matches_two_pass(self):
         values = skewed(3 * BLOCK_SAMPLES + 777)
         n, _, m2, _, m4 = two_pass(values)
-        assert stats_from_values(0, values).kurtosis == pytest.approx(n * m4 / m2**2, rel=1e-13)
+        s = stats_from_records(0, block_records(values))
+        assert s.kurtosis == pytest.approx(n * m4 / m2**2, rel=1e-13)
 
     def test_kurtosis_of_signs_is_one(self):
-        assert stats_from_values(0, np.tile([1.0, -1.0], BLOCK_SAMPLES + 5)).kurtosis == 1.0
-        assert np.isnan(stats_from_values(0, np.full(10, 2.0)).kurtosis)
+        signs = np.tile([1.0, -1.0], BLOCK_SAMPLES + 5)
+        assert stats_from_records(0, block_records(signs)).kurtosis == 1.0
+        assert np.isnan(stats_from_records(0, block_records(np.full(10, 2.0))).kurtosis)
 
     def test_overflow_in_a_later_block_leaves_the_variance_infinite(self):
         # block 1's M3 is inf - inf; it stays out of the variance, silently
-        s = stats_from_values(1, np.append(np.ones(BLOCK_SAMPLES), [1e200, -1e200, 3e200]))
+        values = np.append(np.ones(BLOCK_SAMPLES), [1e200, -1e200, 3e200])
+        s = stats_from_records(1, block_records(values))
         assert np.isfinite(s.mean)
         assert s.variance == s.second_moment == s.sem == np.inf
 
     def test_no_usable_sample_in_any_block(self):
         with pytest.raises(NoUsableSamples):
-            stats_from_values(0, np.full(BLOCK_SAMPLES + 3, np.nan))
+            stats_from_records(0, block_records(np.full(BLOCK_SAMPLES + 3, np.nan)))
 
     def test_values_give_the_streamed_statistics(self):
         sampler = LevelSampler(CC, Payoff("u-squared"), "nv")
         m = 2 * BLOCK_SAMPLES + 100
         streamed = stats_from_sample(sample_many(sampler, 2, m, seed=9, experiment=4))
-        assert stats_from_values(2, block_values(sampler, 2, m, seed=9, experiment=4)) == streamed
+        values = block_values(sampler, 2, m, seed=9, experiment=4)
+        assert stats_from_records(2, block_records(values)) == streamed
 
     def test_worker_count_invariance(self):
         sampler = LevelSampler(CC, Payoff("u-squared"), "gs")

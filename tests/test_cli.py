@@ -286,6 +286,21 @@ class TestCommands:
         assert "# warning: nv slope undefined: fewer than two levels with a finite" in text
         assert "# warning: coupling slope undefined" in text
 
+    def test_strong_order_warns_of_each_error_left_out(self, tmp_path, capsys):
+        # the coupling errors of levels 1 and 2 are nan at this sigma
+        # (Milstein-type gs paths go negative in the variance); the nv ones
+        # are finite
+        assert main(["strong-order", "--model", "heston", "--sigma", "0.9", "--levels", "1..2",
+                     "--pilot-m", "1000", "--seed", "1", "--out", str(tmp_path)]) == 0
+        warned = [line for line in (tmp_path / "strong-order.csv").read_text().splitlines()
+                  if line.startswith("# warning:")]
+        assert warned == [
+            *(f"# warning: level {level}: coupling error nan is not finite; the coupling slope "
+              "leaves it out" for level in (1, 2)),
+            "# warning: coupling slope undefined: fewer than two levels with a finite log2 error"]
+        out = capsys.readouterr().out
+        assert all(line[len("# warning: "):] in out for line in warned)
+
     def test_variance_decay_smoke(self, tmp_path):
         assert main(["variance-decay", "--levels", "2..4", "--pilot-m", "4000",
                      "--seed", "7", "--out", str(tmp_path)]) == 0

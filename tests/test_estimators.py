@@ -36,7 +36,7 @@ from mlmc_sde.estimators import (
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
 from mlmc_sde.paths import MAX_LEVEL
-from mlmc_sde.schemes import LevelSample, LevelSampler, path_steps, sample_many
+from mlmc_sde.schemes import LevelSampler, path_steps, sample_many
 from path_reference import block_values
 
 CC = ClarkCameronModel(mu=1.0)
@@ -484,8 +484,7 @@ class LadderSampler:
     def sample(self, level, counts, streams):
         index = np.concatenate([np.arange(m) for m in counts])
         signs = np.where(index % 2 == 0, 1.0, -1.0)
-        values = -(2.0 ** -(level + 1)) + 2.0 ** -min(level, 3) * signs
-        return LevelSample(values, level, self.coupling)
+        return -(2.0 ** -(level + 1)) + 2.0 ** -min(level, 3) * signs
 
 
 def record_keys(monkeypatch):
@@ -586,12 +585,12 @@ class ZeroHeadSampler(LadderSampler):
     fitted on them."""
 
     def sample(self, level, counts, streams):
-        values = super().sample(level, counts, streams).values
+        values = super().sample(level, counts, streams)
         starts = np.cumsum([0, *counts])
         for stream, lo, hi in zip(streams, starts, starts[1:]):
             if stream.index < 2:
                 values[lo:hi] = 0.0
-        return LevelSample(values, level, self.coupling)
+        return values
 
 
 # LadderSampler plans whose cost_units (about 0.01 M and 4.3 M) lie below and

@@ -19,6 +19,7 @@ from mlmc_sde.schemes import (
     LevelMoments,
     LevelSampler,
     block_records,
+    central_moments,
     coupling_errors,
     gs_step,
     nv_step,
@@ -399,8 +400,8 @@ class TestLevelSampleAlgebra:
         ("crude-gs", 0), ("crude-nv", 0), ("level0-nv-averaged", 0),
     ])
     def test_zero_noise_sample_vanishes(self, coupling, level, zero_noise):
-        sample = sample_level(CC, USQ, coupling, level, 8, RngStream(1))
-        np.testing.assert_allclose(sample.values, 0.0, atol=1e-14)
+        values = sample_level(CC, USQ, coupling, level, 8, RngStream(1))
+        np.testing.assert_allclose(values, 0.0, atol=1e-14)
 
     def test_level_couplings_require_level_one(self):
         with pytest.raises(ValueError):
@@ -434,17 +435,17 @@ class TestLevelSampleAlgebra:
             return simulate(kind, model, grid, *args, **kwargs)
 
         monkeypatch.setattr(schemes, "simulate_path", counted)
-        sample = sample_level(CC, COS, coupling, level, 5, RngStream(2))
+        values = sample_level(CC, COS, coupling, level, 5, RngStream(2))
         # the paths simulated per sample, on the fine and the coarse grid, are
         # the paths used
         assert sorted(grid_levels, reverse=True) == [level] * fine + [level - 1] * coarse
         expected = 5 * (fine * 2**level + (coarse * 2 ** (level - 1) if coarse else 0))
-        assert sample.values.size * path_steps(coupling, level) == expected
+        assert values.size * path_steps(coupling, level) == expected
 
     def test_aborted_counts_nonfinite(self):
-        sample = sample_level(CC, COS, "gs", 1, 4, RngStream(3))
-        assert LevelMoments(block_records(sample.values), 1, "gs").aborted == 0
-        poisoned = sample.values.copy()
+        values = sample_level(CC, COS, "gs", 1, 4, RngStream(3))
+        assert LevelMoments(block_records(values), 1, "gs").aborted == 0
+        poisoned = values.copy()
         poisoned[1] = np.nan
         assert LevelMoments(block_records(poisoned), 1, "gs").aborted == 1
 
@@ -514,7 +515,7 @@ class TestSampleMany:
         first = sampler.sample(2, 4096, RngStream(5, 9, 2, 0))
         second = sampler.sample(2, 6000 - 4096, RngStream(5, 9, 2, 1))
         np.testing.assert_array_equal(
-            combined.records, block_records(np.concatenate([first.values, second.values])))
+            combined.records, block_records(np.concatenate([first, second])))
 
     def test_worker_count_invariance(self):
         sampler = LevelSampler(CC, USQ, "nv")
@@ -577,6 +578,24 @@ class TestCouplingErrors:
         with pytest.raises(ValueError):
             coupling_errors(CC, [0], 16, seed=1)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_gap_that_is_not_finite_reads_nan(self, seed):
+        # Milstein-type gs paths go negative in the variance at this sigma,
+        # and the negative-variance policy "error" aborts them; the nv paths
+        # stay positive
+        self_mse, pair_mse = coupling_errors(HestonModel(sigma=0.9), [1, 2], 1000, seed)
+        assert np.isnan(pair_mse).all()
+        assert np.isfinite(self_mse).all()
+
+    @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
+    def test_worker_count_invariance(self, model):
+        # several blocks per level, the last one short; level 3 is one task
+        # for one worker and two for two
+        levels, m = [3, 6], 3 * BLOCK_SAMPLES + 5
+        solo = coupling_errors(model, levels, m, seed=4, experiment=2, workers=1)
+        duo = coupling_errors(model, levels, m, seed=4, experiment=2, workers=2)
+        assert b"".join(a.tobytes() for a in solo) == b"".join(a.tobytes() for a in duo)
+
 
 @pytest.fixture
 def batches(monkeypatch):
@@ -611,9 +630,9 @@ class TestBatches:
                               experiment=5)
         assert [len(counts) for counts, _ in batches] == sizes
         blocks = block_streams(m, 13, 5, level)
-        alone = np.concatenate([sample_level(model, payoff, coupling, level, count, stream).values
+        alone = np.concatenate([sample_level(model, payoff, coupling, level, count, stream)
                                 for count, stream in blocks])
-        together = sample_level(model, payoff, coupling, level, *zip(*blocks)).values
+        together = sample_level(model, payoff, coupling, level, *zip(*blocks))
         assert together.tobytes() == alone.tobytes()
         assert batched.records.tobytes() == block_records(alone).tobytes()
 
@@ -622,10 +641,11 @@ class TestBatches:
         levels, m = [5, 6, 7], BLOCK_SAMPLES + 100
         self_mse, pair_mse = [], []
         for level in levels:
-            parts = [schemes._coupling_block((model, level, (count,), (stream,)))[0]
+            # each block alone, then the block-order fold of its records
+            parts = [schemes._coupling_block((model, level, (count,), (stream,)))
                      for count, stream in block_streams(m, 21, 3, level)]
-            self_mse.append(sum(p[0] for p in parts) / m)
-            pair_mse.append(sum(p[1] for p in parts) / m)
+            self_mse.append(central_moments(np.concatenate([p[0] for p in parts]))[1])
+            pair_mse.append(central_moments(np.concatenate([p[1] for p in parts]))[1])
         got = coupling_errors(model, levels, m, seed=21, experiment=3)
         assert got[0].tobytes() == np.array(self_mse).tobytes()
         assert got[1].tobytes() == np.array(pair_mse).tobytes()
@@ -706,7 +726,7 @@ GOLDEN_MULTISTEP = {
 }
 
 # sha256 prefix of the bytes of coupling_errors(..., [1, 5], ...)'s two arrays
-GOLDEN_COUPLING_ERRORS = {"clark-cameron": "d87378a71f4ea11e", "heston": "c3ef03f20c1ccf7f"}
+GOLDEN_COUPLING_ERRORS = {"clark-cameron": "ad5b46cddf7fc12b", "heston": "b8785e37c3aaebb6"}
 
 GOLDEN_MODELS = {"clark-cameron": (CC, COS),
                  "heston": (HESTON, Payoff("heston-call", rate=HESTON.rate))}
