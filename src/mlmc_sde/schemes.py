@@ -36,10 +36,11 @@ differs from one pairwise sum over the level's values in rounding.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,11 @@ BLOCK_SAMPLES = 4096
 # this many float64 increments (8 MiB)
 BATCH_BLOCKS = 4
 BATCH_INCREMENTS = 2**20
+# path steps (``path_steps``) of one block-dispatch call below which its tasks
+# run in the calling process: from about 2^20 path steps, at levels 1, 3 and 5
+# alike, one Heston nv call paid for starting a pool of 2 workers on 2 cores
+# (README, "Reproducibility and parallelism")
+POOL_PATH_STEPS = 2**20
 
 # one path of a level sample: (scheme, swap increments, twin); the twin of an
 # nv path takes the other composition order at every step, and is simulated
@@ -78,6 +84,8 @@ def path_steps(coupling: str, level: int) -> float:
     """Path steps simulated per sample of ``coupling`` at ``level``: 2^level
     for each fine path and 2^(level-1) for each coarse one.  The one cost of
     a sample that plans are sized with and runs report."""
+    if coupling not in COUPLING_COSTS:
+        raise ValueError(f"unknown coupling {coupling!r}")
     fine, coarse = COUPLING_COSTS[coupling]
     return fine * 2.0**level + coarse * 2.0 ** (level - 1)
 
@@ -332,16 +340,19 @@ class LevelSampler:
 
 
 def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int, workers: int,
-                first_block: int = 0):
+                sample_steps: float, first_block: int = 0):
     """fn((job, level, counts, streams)) over batches of the fixed blocks of m
-    samples, from block ``first_block`` on.
+    samples, from block ``first_block`` on; ``sample_steps`` is the path
+    steps of one sample.
 
     Block boundaries and stream coordinates depend only on (seed,
     experiment, level, block index), and results come back in batch order,
     so they are identical for any worker count.  A batch holds consecutive
     blocks within BATCH_BLOCKS and BATCH_INCREMENTS (d coordinates), and
     with several workers a level of two blocks or more makes two tasks or
-    more.  The pool never has more processes than the machine has cores.
+    more.  Those tasks go to a process pool only where the call draws
+    POOL_PATH_STEPS path steps or more; below that the same tasks run here,
+    in order.  The pool never has more processes than the machine has cores.
     """
     blocks = [(min(BLOCK_SAMPLES, m - i * BLOCK_SAMPLES), RngStream(seed, experiment, level, i))
               for i in range(first_block, -(-m // BLOCK_SAMPLES))]
@@ -349,15 +360,32 @@ def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int,
     size = max(1, min(BATCH_BLOCKS, BATCH_INCREMENTS // (BLOCK_SAMPLES * d * 2**level),
                       -(-len(blocks) // workers)))
     tasks = [(job, level, *zip(*blocks[i:i + size])) for i in range(0, len(blocks), size)]
-    if workers <= 1 or len(tasks) == 1:
+    steps = sample_steps * sum(count for count, _ in blocks)
+    if workers <= 1 or len(tasks) == 1 or steps < POOL_PATH_STEPS:
         return [fn(task) for task in tasks]
     return list(_pool(workers).map(fn, tasks))
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported at its first use: only a pool needs
+    ``concurrent.futures``.  Assigning the name replaces it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor
+
+
 @functools.cache
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     """One executor per worker count, kept for the life of the process."""
-    return ProcessPoolExecutor(max_workers=workers)
+    return sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
+
+
+# Drop the executors at exit, while ``concurrent.futures`` is whole.  Imported
+# after this module, it is torn down before it, and an executor left to the
+# teardown of this module runs its collection callback on a cleared module.
+atexit.register(_pool.cache_clear)
 
 
 def _sample_block(task):
@@ -375,8 +403,8 @@ def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
     to the first k whole blocks of any larger draw, they give the records
     of the m samples bit for bit.
     """
-    batches = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed,
-                          experiment, workers, first_block)
+    batches = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed, experiment,
+                          workers, path_steps(sampler.coupling, level), first_block)
     return LevelMoments(np.concatenate(batches or [np.zeros((0, 6))]), level, sampler.coupling)
 
 
@@ -408,8 +436,9 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
     for level in levels:
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
+        # the nv pair and the gs path on the fine grid, one nv path on the coarse
         batches = _map_blocks(_coupling_block, model, model.d, level, m, seed, experiment,
-                              workers)
+                              workers, 3 * 2.0**level + 2.0 ** (level - 1))
         for errors, records in zip((self_mse, pair_mse), zip(*batches)):
             n, mean, *_ = central_moments(np.concatenate(records))
             errors.append(mean if n == m else math.nan)

@@ -161,11 +161,12 @@ class TestBlockFold:
         values = block_values(sampler, 2, m, seed=9, experiment=4)
         assert stats_from_records(2, block_records(values)) == streamed
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, pooled):
         sampler = LevelSampler(CC, Payoff("u-squared"), "gs")
         solo, duo = (stats_from_sample(sample_many(sampler, 2, 3 * BLOCK_SAMPLES + 5, seed=6,
                                                    workers=workers))
                      for workers in (1, 2))
+        assert pooled == [2]
         assert solo == duo
 
     def test_batching_invariance(self, monkeypatch):

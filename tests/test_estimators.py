@@ -332,10 +332,13 @@ class TestRunner:
         first, second = direct[:4096].mean(), direct[4096:].mean()
         assert result.estimate == first + 904 * ((second - first) / 5000)
 
-    def test_worker_invariance(self):
-        plan = small_plan(epsilon=2.0**-5)
+    def test_worker_invariance(self, pooled):
+        # several blocks at both levels, so each level is two tasks or more
+        plan = small_plan(epsilon=2.0**-6)
+        assert min(plan.sizes) > BLOCK
         solo = run_multilevel(plan, CC, USQ, seed=5, workers=1)
         duo = run_multilevel(plan, CC, USQ, seed=5, workers=2)
+        assert pooled == [2, 2, 2]
         assert solo.estimate == duo.estimate
 
     def test_cost_model_exact(self):
@@ -687,6 +690,7 @@ class TestPilotBudget:
                 return map(fn, batch)
 
         monkeypatch.setattr(schemes.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schemes, "POOL_PATH_STEPS", 0)
         monkeypatch.setattr(schemes, "_pool", lambda workers: Pool())
         plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1, workers=2)
         assert plans[0].pilot_samples == 10 * BLOCK

@@ -517,10 +517,11 @@ class TestSampleMany:
         np.testing.assert_array_equal(
             combined.records, block_records(np.concatenate([first, second])))
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, pooled):
         sampler = LevelSampler(CC, USQ, "nv")
         solo = sample_many(sampler, 2, 10_000, seed=6, experiment=9, workers=1)
         duo = sample_many(sampler, 2, 10_000, seed=6, experiment=9, workers=2)
+        assert pooled == [2]
         assert solo.records.tobytes() == duo.records.tobytes()
 
     @pytest.mark.parametrize("cores,pools", [(2, [2]), (None, [])])
@@ -537,6 +538,7 @@ class TestSampleMany:
                 return map(fn, tasks)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(schemes, "POOL_PATH_STEPS", 0)
         monkeypatch.setattr(schemes, "ProcessPoolExecutor", FakePool)
         # a fresh cache, so neither a pool cached by another test is reused
         # nor the fake one left behind
@@ -546,6 +548,36 @@ class TestSampleMany:
         assert started == pools
         serial = sample_many(sampler, 1, 3 * schemes.BLOCK_SAMPLES, seed=6, workers=1)
         np.testing.assert_array_equal(pooled.records, serial.records)
+
+    def test_a_pool_starts_only_from_the_threshold(self, monkeypatch):
+        # crude-gs draws 64 path steps a sample at level 6, so m samples are
+        # POOL_PATH_STEPS path steps and m - 1 are 64 short; both calls make
+        # two tasks at two workers
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schemes, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(schemes, "_pool", functools.cache(schemes._pool.__wrapped__))
+        sampler = LevelSampler(CC, USQ, "crude-gs")
+        m = schemes.POOL_PATH_STEPS // int(path_steps("crude-gs", 6))
+        below = sample_many(sampler, 6, m - 1, seed=9, workers=2)
+        serial = sample_many(sampler, 6, m - 1, seed=9, workers=1)
+        assert below.records.tobytes() == serial.records.tobytes()
+        # the coupling errors draw 28 path steps a sample at level 3, so three
+        # blocks are below it too
+        errors = coupling_errors(CC, [3], 3 * BLOCK_SAMPLES, seed=9, workers=2)
+        assert b"".join(a.tobytes() for a in errors) == b"".join(
+            a.tobytes() for a in coupling_errors(CC, [3], 3 * BLOCK_SAMPLES, seed=9, workers=1))
+        assert started == []
+        sample_many(sampler, 6, m, seed=9, workers=2)
+        assert started == [2]
 
     def test_prefix_stability_across_total_size(self):
         sampler = LevelSampler(CC, COS, "gs")
@@ -588,12 +620,13 @@ class TestCouplingErrors:
         assert np.isfinite(self_mse).all()
 
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
-    def test_worker_count_invariance(self, model):
+    def test_worker_count_invariance(self, model, pooled):
         # several blocks per level, the last one short; level 3 is one task
         # for one worker and two for two
         levels, m = [3, 6], 3 * BLOCK_SAMPLES + 5
         solo = coupling_errors(model, levels, m, seed=4, experiment=2, workers=1)
         duo = coupling_errors(model, levels, m, seed=4, experiment=2, workers=2)
+        assert pooled == [2, 2]
         assert b"".join(a.tobytes() for a in solo) == b"".join(a.tobytes() for a in duo)
 
 
@@ -679,6 +712,7 @@ class TestBatches:
                 return map(fn, given)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schemes, "POOL_PATH_STEPS", 0)
         monkeypatch.setattr(schemes, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(schemes, "_pool", functools.cache(schemes._pool.__wrapped__))
         sampler = LevelSampler(CC, USQ, "nv")
