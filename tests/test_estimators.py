@@ -333,7 +333,7 @@ class TestRunner:
         assert result.estimate == first + 904 * ((second - first) / 5000)
 
     def test_worker_invariance(self, pooled):
-        # several blocks at both levels, so each level is two tasks or more
+        # several blocks at every level, so each level is two tasks or more
         plan = small_plan(epsilon=2.0**-6)
         assert min(plan.sizes) > BLOCK
         solo = run_multilevel(plan, CC, USQ, seed=5, workers=1)
