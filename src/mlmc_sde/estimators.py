@@ -98,7 +98,6 @@ class EstimatorResult:
     level_stats: list[LevelStats]
     cost_units: float
     seconds: float
-    aborted: int
 
 
 def mlmc_last_level(epsilon: float, c1: float, alpha: float) -> int:
@@ -290,19 +289,18 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
     start = time.perf_counter()
     estimate = cost = 0.0
     stats: list[LevelStats] = []
-    aborted = 0
     for level in range(plan.last_level + 1):
         sampler = LevelSampler(model, payoff, plan.level_tags[level])
-        sample = sample_many(sampler, level, int(plan.sizes[level]), seed, experiment, workers)
-        if sample.aborted > ABORT_TOLERANCE * sample.samples:
-            raise SamplingError(f"level {level}: {sample.aborted}/{sample.samples} samples aborted")
+        m = int(plan.sizes[level])
+        sample = sample_many(sampler, level, m, seed, experiment, workers)
+        if sample.aborted > ABORT_TOLERANCE * m:
+            raise SamplingError(f"level {level}: {sample.aborted}/{m} samples aborted")
         level_stats = stats_from_sample(sample)
         stats.append(level_stats)
-        aborted += sample.aborted
         cost += sample.cost_units
         estimate += plan.weights[level] * level_stats.mean
     seconds = time.perf_counter() - start
-    return EstimatorResult(float(estimate), stats, cost, seconds, aborted)
+    return EstimatorResult(float(estimate), stats, cost, seconds)
 
 
 def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5,
@@ -339,8 +337,8 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     "ml2r") on ``sampler.coupling`` per epsilon.
 
     Every calibration pilot is drawn here, and only here.  The rates are
-    fitted on ``rate_pilots``, each on the scheme that drives it
-    (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and with
+    fitted on the pilots of ``rate_pilots``, each on the scheme that drives
+    it (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and with
     all four passed no rate pilot is drawn.  The depth of every epsilon is
     checked before any other pilot.  Then come v0, v_last per last level
     (gs-nv), varf (ml2r) and the direct part of the variance table, drawn
@@ -376,9 +374,8 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     def plan_every_epsilon():
         rates, inflection = given, None
         if None in rates:
-            weak_stats, var_stats = rate_pilots(sampler, pilot_levels, m, seed, workers, pilots)
-            read.update({(tag, level, EXP_RATES): m * path_steps(tag, level)
-                         for tag in RATE_COUPLINGS[coupling] for level in pilot_levels})
+            weak_stats, var_stats = (pilot(tag, pilot_levels, EXP_RATES)
+                                     for tag in RATE_COUPLINGS[coupling])
             weak = cal.fit_weak_rate(weak_stats)
             var_fit = cal.fit_variance_rate(var_stats)
             inflection = cal.detect_inflection(var_stats, var_fit)

@@ -8,19 +8,12 @@ f(u, s) = u^2, and the exact E[U_T^2] of the SDE itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # exact coefficients of the 2^{-4l}, 2^{-3l}, 2^{-2l} groups
 _C4_MU4, _C4_MU2 = Fraction(3, 16), Fraction(1)
 _C3_MU2, _C3_1 = Fraction(1, 4), Fraction(2)
 _C2_1 = Fraction(5, 8)
-
-
-@dataclass(frozen=True)
-class OracleValue:
-    value: float
-    provenance: str
 
 
 def _rounded(total: Fraction) -> float:
@@ -32,7 +25,7 @@ def _rounded(total: Fraction) -> float:
         return math.inf
 
 
-def znv_second_moment(level: int, mu: float = 1.0, horizon: float = 1.0) -> OracleValue:
+def znv_second_moment(level: int, mu: float = 1.0, horizon: float = 1.0) -> float:
     """Exact E[(Z^l)^2] for the nv coupling on Clark-Cameron with f = u^2.
 
     The closed form,
@@ -60,10 +53,10 @@ def znv_second_moment(level: int, mu: float = 1.0, horizon: float = 1.0) -> Orac
         + quarter**3 * (_C3_MU2 * mu2 * t5 + _C3_1 * t4)
         + quarter**2 * (_C2_1 * t4)
     )
-    return OracleValue(_rounded(total), "appendix-closed-form")
+    return _rounded(total)
 
 
-def cc_exact_usq_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) -> OracleValue:
+def cc_exact_usq_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) -> float:
     """Exact E[U_T^2] for Clark-Cameron via the Ito isometry.
 
     U_T = int_0^T S_t dW^1 with S_t = s0 + mu t + W^2_t, so
@@ -72,4 +65,4 @@ def cc_exact_usq_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) ->
     t = Fraction(horizon)
     mu_f, s0_f = Fraction(mu), Fraction(s0)
     total = s0_f**2 * t + s0_f * mu_f * t**2 + mu_f**2 * t**3 / 3 + t**2 / 2
-    return OracleValue(_rounded(total), "ito-isometry")
+    return _rounded(total)

@@ -76,18 +76,15 @@ COUPLINGS = {
     "crude-nv": ((("nv", False, False),), ()),
 }
 
-# (fine paths, coarse paths) simulated per sample of each coupling
-COUPLING_COSTS = {tag: (len(fine), len(coarse)) for tag, (fine, coarse) in COUPLINGS.items()}
-
 
 def path_steps(coupling: str, level: int) -> float:
     """Path steps simulated per sample of ``coupling`` at ``level``: 2^level
     for each fine path and 2^(level-1) for each coarse one.  The one cost of
     a sample that plans are sized with and runs report."""
-    if coupling not in COUPLING_COSTS:
+    if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r}")
-    fine, coarse = COUPLING_COSTS[coupling]
-    return fine * 2.0**level + coarse * 2.0 ** (level - 1)
+    fine, coarse = COUPLINGS[coupling]
+    return len(fine) * 2.0**level + len(coarse) * 2.0 ** (level - 1)
 
 
 def nv_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray,
@@ -215,17 +212,13 @@ class LevelMoments:
     coupling: str
 
     @property
-    def samples(self) -> int:
-        return int(self.records[:, 0].sum())
-
-    @property
     def aborted(self) -> int:
-        return self.samples - int(self.records[:, 1].sum())
+        return int(self.records[:, 0].sum() - self.records[:, 1].sum())
 
     @property
     def cost_units(self) -> float:
         """Path steps simulated over all samples (``path_steps``)."""
-        return path_steps(self.coupling, self.level) * self.samples
+        return path_steps(self.coupling, self.level) * int(self.records[:, 0].sum())
 
 
 def block_records(values: np.ndarray) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_criterion_02_coupling_order(strong_order_errors):
 
 
 def test_criterion_03_oracle_equivalence():
-    spot = znv_second_moment(1, 1.0, 1.0).value
+    spot = znv_second_moment(1, 1.0, 1.0)
     assert spot == 131.0 / 256.0
     sampler = LevelSampler(CC, Payoff("u-squared"), "nv")
     worst = 0.0
@@ -71,7 +71,7 @@ def test_criterion_03_oracle_equivalence():
         # the mean of Z^2 and its standard error from the block records, as
         # oracle-check reads them
         mc, se = square_moments(sample.records)
-        z = (mc - znv_second_moment(level, 1.0, 1.0).value) / se
+        z = (mc - znv_second_moment(level, 1.0, 1.0)) / se
         worst = max(worst, abs(z))
     _gate("criterion 3 (closed-form second-moment equivalence)",
           worst <= 4.0, f"max |z| = {worst:.2f} over levels 1..6 at M=1e6, gate 4")
@@ -106,7 +106,7 @@ def test_criterion_05_nonsmooth_payoff_rates():
 
 def test_criterion_06_end_to_end_rmse():
     payoff = Payoff("u-squared")
-    truth = cc_exact_usq_mean(1.0, 1.0, 0.0).value
+    truth = cc_exact_usq_mean(1.0, 1.0, 0.0)
     pilot_m = 100_000
     nv = LevelSampler(CC, payoff, "nv")
     gs = LevelSampler(CC, payoff, "gs")
@@ -200,7 +200,7 @@ def test_criterion_09_heston_sanity():
           f"snapped alpha = {weak.order} (raw {weak.raw_slope:.3f})")
 
 
-def test_criterion_10_invariant_suite():
+def test_criterion_10_invariant_suite(pooled):
     checks = []
 
     # antithetic unbiasedness, both models, smooth payoff, 3 combined SE
@@ -224,11 +224,13 @@ def test_criterion_10_invariant_suite():
     swapped = simulate_path("gs", CC, cgrid, coarsen(antithetic_swap(path.dw)))
     checks.append(("coarse-path swap invariance", np.array_equal(direct, swapped)))
 
-    # identical results whatever the worker count
-    plan = mlmc_plan("gs-nv", 2.0**-5, 2.0, 0.08, 2.0, 1.7, v0=0.5, v_last=0.4)
+    # identical results whatever the worker count; every level of this plan
+    # has two blocks or more, so at two workers each goes to the pool
+    plan = mlmc_plan("gs-nv", 2.0**-6, 2.0, 0.08, 2.0, 1.7, v0=0.5, v_last=0.4)
     solo = run_multilevel(plan, CC, Payoff("u-squared"), seed=5, workers=1)
     duo = run_multilevel(plan, CC, Payoff("u-squared"), seed=5, workers=2)
-    checks.append(("worker-count determinism", solo.estimate == duo.estimate))
+    checks.append(("worker-count determinism", solo.estimate == duo.estimate
+                   and pooled == [2] * (plan.last_level + 1)))
 
     # Stratonovich correction identity at random states
     rng = np.random.default_rng(8)

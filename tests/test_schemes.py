@@ -14,7 +14,6 @@ from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
 from mlmc_sde.schemes import (
     BLOCK_SAMPLES,
-    COUPLING_COSTS,
     COUPLINGS,
     LevelMoments,
     LevelSampler,
@@ -417,8 +416,8 @@ class TestLevelSampleAlgebra:
 
     @pytest.mark.parametrize(
         "tag,fine,coarse",
-        sorted([(name, f, c) for name, (f, c) in COUPLING_COSTS.items()]
-               + [(role, *COUPLING_COSTS[c]) for role, c in LEVEL0_ROLES.items()]),
+        sorted([(name, len(f), len(c)) for name, (f, c) in COUPLINGS.items()]
+               + [(role, *map(len, COUPLINGS[c])) for role, c in LEVEL0_ROLES.items()]),
     )
     def test_cost_accounting(self, tag, fine, coarse, monkeypatch, zero_noise):
         coupling = self.LEVEL0_ROLES.get(tag, tag)
@@ -803,4 +802,4 @@ class TestGoldenSamples:
 
     def test_covers_every_coupling(self):
         for model_name in ("clark-cameron", "heston"):
-            assert {c for name, c in GOLDEN_SAMPLES if name == model_name} == set(COUPLING_COSTS)
+            assert {c for name, c in GOLDEN_SAMPLES if name == model_name} == set(COUPLINGS)
