@@ -236,8 +236,13 @@ def block_records(values: np.ndarray) -> np.ndarray:
         finite = np.isfinite(x)
         n = finite.sum(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.where(finite, x, 0.0).sum(axis=1) / n
-            d = np.where(finite, x - mean[:, None], 0.0)
+            # on finite values the masks would return their input
+            if finite.all():
+                mean = x.sum(axis=1) / n
+                d = x - mean[:, None]
+            else:
+                mean = np.where(finite, x, 0.0).sum(axis=1) / n
+                d = np.where(finite, x - mean[:, None], 0.0)
             d2 = d * d
             out.append(np.column_stack((np.full(n.size, x.shape[1]), n, mean, d2.sum(axis=1),
                                         (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1))))

@@ -132,6 +132,21 @@ class TestBlockFold:
         moments[1], ref[1] = moments[1] / (n - 1), ref[1] / (n - 1)  # the variances
         np.testing.assert_allclose(moments, ref, rtol=1e-13, atol=0.0)
 
+    def test_finite_block_reads_alike_beside_a_poisoned_block(self):
+        # alone, the finite block's batch skips the masks; beside a block
+        # with a nan and an inf, one batch holds both and applies them
+        values = skewed(2 * BLOCK_SAMPLES)
+        first, second = values[:BLOCK_SAMPLES], values[BLOCK_SAMPLES:]
+        second[[3, 40]] = [np.nan, np.inf]
+        alone = block_records(first)
+        beside = block_records(values)
+        assert alone.shape == (1, 6)
+        assert beside[0].tobytes() == alone[0].tobytes()
+        size, n, *moments = beside[1]
+        ref_n, *ref = two_pass(second)
+        assert size == BLOCK_SAMPLES and n == ref_n == BLOCK_SAMPLES - 2
+        np.testing.assert_allclose(moments, ref, rtol=1e-13, atol=0.0)
+
     def test_kurtosis_matches_two_pass(self):
         values = skewed(3 * BLOCK_SAMPLES + 777)
         n, _, m2, _, m4 = two_pass(values)

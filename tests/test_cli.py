@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -933,3 +936,31 @@ class TestExceptionContract:
         monkeypatch.setitem(cli.COMMANDS, "calibrate", fail)
         assert main(["calibrate", "--out", str(tmp_path)]) == 3
         assert "sampling failure: injected" in capsys.readouterr().err
+
+
+def fresh_import(env_blas=None):
+    """(OPENBLAS_NUM_THREADS, thread count or None) of a fresh interpreter
+    after it imports mlmc_sde.cli, with the variable preset or unset."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(mlmc_sde.__file__).parents[1])
+    if env_blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_blas
+    code = ("import os, mlmc_sde.cli\n"
+            "task = '/proc/self/task'\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+            " len(os.listdir(task)) if os.path.isdir(task) else None)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    return out[0], None if out[1] == "None" else int(out[1])
+
+
+class TestBlasThreads:
+    def test_import_starts_no_blas_thread(self):
+        blas, threads = fresh_import()
+        assert blas == "1"
+        if threads is None:
+            pytest.skip("no /proc/self/task on this platform")
+        assert threads == 1
+
+    def test_preset_value_is_kept(self):
+        assert fresh_import("2")[0] == "2"
