@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schemes import BLOCK_SAMPLES, LevelMoments, LevelSampler, central_moments, sample_many
+from .schemes import BLOCK_SAMPLES, LevelSampler, central_moments, sample_many
 
 
 class SamplingFailure(Exception):
@@ -48,7 +48,7 @@ class LevelStats:
     second_moment: float
     sem: float
     aborted: int = 0
-    kurtosis: float = math.nan  # n M4 / M2^2, nan where M2 = 0
+    kurtosis: float = math.nan  # n M4 / M2^2, nan where M2^2 is 0
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,10 @@ def stats_from_records(level: int, records: np.ndarray) -> LevelStats:
         raise NoUsableSamples(f"level {level}: no usable samples")
     # a single sample carries a mean but no variance information
     variance = m2 / (n - 1.0) if n >= 2 else 0.0
+    # M2^2 underflows to 0 below M2 of about 1e-162, where M2 itself is not 0
     return LevelStats(level, int(n), mean, variance, mean * mean + m2 / n,
                       math.sqrt(variance / n), int(records[:, 0].sum() - n),
-                      n * m4 / (m2 * m2) if m2 else math.nan)
-
-
-def stats_from_sample(sample: LevelMoments) -> LevelStats:
-    return stats_from_records(sample.level, sample.records)
+                      n * m4 / (m2 * m2) if m2 * m2 else math.nan)
 
 
 def square_moments(records: np.ndarray) -> tuple[float, float]:
@@ -99,9 +96,11 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     already drawn under that stream key; levels found there are not drawn
     again, and new ones are added.  It also keeps, under (sampler, level,
     seed, experiment), the block records of the most whole blocks drawn on
-    that stream: a pilot of no more whole blocks reads them, and a larger
-    one draws only the blocks after them.  Its statistics are those of one
-    draw of m samples, and no block is drawn twice.
+    that stream.  A level not in the memo makes at most one ``sample_many``
+    call, of the blocks after the kept ones it reads: none where the kept
+    blocks hold all m samples, every block where none is kept.  Its
+    statistics are those of one draw of m samples, and no block is drawn
+    twice.
     """
     if m < 2:
         raise ValueError("pilot size must be at least 2")
@@ -110,11 +109,9 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     for level in levels:
         key, stream = (sampler, level, m, seed, experiment), (sampler, level, seed, experiment)
         if key not in memo:
-            kept, whole = memo.get(stream, ()), m // BLOCK_SAMPLES
+            kept, whole = memo.get(stream, np.zeros((0, 6))), m // BLOCK_SAMPLES
             records = kept[:whole]  # whole blocks are a prefix of any larger draw
-            if len(records) == 0:
-                records = sample_many(sampler, level, m, seed, experiment, workers).records
-            elif len(records) * BLOCK_SAMPLES < m:
+            if len(records) * BLOCK_SAMPLES < m:
                 tail = sample_many(sampler, level, m, seed, experiment, workers, len(records))
                 records = np.concatenate((records, tail.records))
             if whole > len(kept):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calibrate as cal
-from .calibrate import LevelStats, stats_from_sample
+from .calibrate import LevelStats, stats_from_records
 from .models import Payoff, SdeModel
 from .paths import MAX_LEVEL
 from .schemes import BLOCK_SAMPLES, LevelSampler, path_steps, sample_many
@@ -295,7 +295,7 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
         sample = sample_many(sampler, level, m, seed, experiment, workers)
         if sample.aborted > ABORT_TOLERANCE * m:
             raise SamplingError(f"level {level}: {sample.aborted}/{m} samples aborted")
-        level_stats = stats_from_sample(sample)
+        level_stats = stats_from_records(level, sample.records)
         stats.append(level_stats)
         cost += sample.cost_units
         estimate += plan.weights[level] * level_stats.mean
@@ -324,7 +324,7 @@ def rate_pilots(sampler: LevelSampler, levels, m: int, seed: int, workers: int =
     once.
     """
     memo = {} if memo is None else memo
-    return tuple(cal.pilot_stats(sampler.with_coupling(tag), levels, m, seed, EXP_RATES,
+    return tuple(cal.pilot_stats(replace(sampler, coupling=tag), levels, m, seed, EXP_RATES,
                                  workers, memo) for tag in RATE_COUPLINGS[sampler.coupling])
 
 
@@ -355,23 +355,26 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     the plans' ``cost_units`` does every level grow, by its later blocks,
     to the blocks that cost as much (at most ``pilot_m``), before every
     epsilon is planned again.  A plan that fails on a pilot below the cap
-    is made again on the pilot at the cap.  Each plan carries its pilot's
-    samples per level, path steps and rates.
+    is made again on the pilot at the cap.  Each plan carries the samples
+    per level, path steps and rates of the round that made it: the path
+    steps of the pilots that round read, not those of an earlier round.
     """
     if kind not in ("mlmc", "ml2r"):
         raise ValueError(f"unknown estimator kind {kind!r}")
     pilots = {} if pilots is None else pilots
     coupling, horizon = sampler.coupling, sampler.model.horizon
     given = (alpha, c1, beta, c2)
-    read = {}  # (tag, level, experiment) -> path steps of the largest pilot read
-    m = min(pilot_m, 2 * BLOCK_SAMPLES)  # samples per level of every pilot drawn next
 
-    def pilot(tag: str, levels, experiment: int) -> list[LevelStats]:
-        read.update({(tag, level, experiment): m * path_steps(tag, level) for level in levels})
-        return cal.pilot_stats(sampler.with_coupling(tag), levels, m, seed, experiment,
-                               workers, pilots)
+    def plan_every_epsilon(m: int):
+        """Rates, plans and the path steps of the pilots read, with m
+        samples per pilot level."""
+        read = {}  # (tag, level, experiment) -> path steps of the pilot read
 
-    def plan_every_epsilon():
+        def pilot(tag: str, levels, experiment: int) -> list[LevelStats]:
+            read.update({(tag, level, experiment): m * path_steps(tag, level) for level in levels})
+            return cal.pilot_stats(replace(sampler, coupling=tag), levels, m, seed, experiment,
+                                   workers, pilots)
+
         rates, inflection = given, None
         if None in rates:
             weak_stats, var_stats = (pilot(tag, pilot_levels, EXP_RATES)
@@ -389,7 +392,7 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
         if kind == "ml2r":
             varf = pilot("crude-nv", [5], EXP_VARF)[0].variance
             return rates, [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
-                           for epsilon in epsilons]
+                           for epsilon in epsilons], sum(read.values())
         v0 = pilot(_level_tags(kind, coupling, 1, nv_level0)[0], [0], EXP_V0)[0].variance
         plans = []
         for epsilon, last in zip(epsilons, lasts):
@@ -402,18 +405,18 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
                 table = cal.variance_table(direct, last, beta, v0)
             plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
                                    nv_level0, variance_table=table))
-        return rates, plans
+        return rates, plans, sum(read.values())
 
+    m = min(pilot_m, 2 * BLOCK_SAMPLES)  # samples per level of every pilot of a round
     try:
-        rates, plans = plan_every_epsilon()
-        budget, steps = sum(plan.cost_units for plan in plans), sum(read.values())
+        rates, plans, steps = plan_every_epsilon(m)
+        budget = sum(plan.cost_units for plan in plans)
         if steps < budget and m < pilot_m:
             m = min(pilot_m, math.ceil(budget * m / steps / BLOCK_SAMPLES) * BLOCK_SAMPLES)
-            rates, plans = plan_every_epsilon()
+            rates, plans, steps = plan_every_epsilon(m)
     except cal.SamplingFailure:
         if m == pilot_m:
             raise
         m = pilot_m
-        rates, plans = plan_every_epsilon()
-    return [replace(plan, pilot_samples=m, pilot_steps=sum(read.values()), rates=rates)
-            for plan in plans]
+        rates, plans, steps = plan_every_epsilon(m)
+    return [replace(plan, pilot_samples=m, pilot_steps=steps, rates=rates) for plan in plans]

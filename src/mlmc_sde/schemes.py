@@ -41,7 +41,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,9 +329,6 @@ class LevelSampler:
     model: SdeModel
     payoff: Payoff
     coupling: str
-
-    def with_coupling(self, coupling: str) -> "LevelSampler":
-        return replace(self, coupling=coupling)
 
     def sample(self, level: int, m, stream) -> np.ndarray:
         return sample_level(self.model, self.payoff, self.coupling, level, m, stream)

@@ -12,7 +12,6 @@ from mlmc_sde.calibrate import (
     fit_weak_rate,
     pilot_stats,
     square_moments,
-    stats_from_sample,
 )
 from mlmc_sde.estimators import (
     ml2r_weights,
@@ -84,7 +83,7 @@ def test_criterion_04_variance_decay_smooth_payoff():
     for coupling in ("gs-nv", "nv"):
         sampler = LevelSampler(CC, payoff, coupling)
         moments = [
-            stats_from_sample(sample_many(sampler, l, 100_000, seed=5, experiment=2)).second_moment
+            pilot_stats(sampler, [l], 100_000, seed=5, experiment=2)[0].second_moment
             for l in levels
         ]
         slopes[coupling] = _slope(levels, moments)
@@ -112,16 +111,13 @@ def test_criterion_06_end_to_end_rmse():
     gs = LevelSampler(CC, payoff, "gs")
     weak = fit_weak_rate(pilot_stats(nv, range(1, 5), pilot_m, seed=101, experiment=11))
     var = fit_variance_rate(pilot_stats(gs, range(1, 5), pilot_m, seed=101, experiment=12))
-    v0 = stats_from_sample(
-        sample_many(gs.with_coupling("crude-gs"), 0, pilot_m, 101, 13)
-    ).variance
+    v0 = pilot_stats(LevelSampler(CC, payoff, "crude-gs"), [0], pilot_m, 101, 13)[0].variance
     ratios, coverage = [], []
     for k in (4, 5, 6):
         epsilon = 2.0**-k
         last = mlmc_last_level(epsilon, weak.constant, weak.order)
-        v_last = stats_from_sample(
-            sample_many(gs.with_coupling("gs-nv"), last, pilot_m, 101, 140 + last)
-        ).variance
+        v_last = pilot_stats(LevelSampler(CC, payoff, "gs-nv"), [last], pilot_m, 101,
+                             140 + last)[0].variance
         plan = mlmc_plan("gs-nv", epsilon, weak.order, weak.constant,
                          var.order, var.constant, v0, v_last)
         errors = np.array([
@@ -144,9 +140,7 @@ def test_criterion_07_complexity_slope():
     weak_gs = fit_weak_rate(pilot_stats(gs, range(1, 5), pilot_m, seed=401, experiment=11))
     weak_nv = fit_weak_rate(pilot_stats(nv, range(1, 5), pilot_m, seed=401, experiment=11))
     var_gs = fit_variance_rate(pilot_stats(gs, range(1, 5), pilot_m, seed=401, experiment=12))
-    v0 = stats_from_sample(
-        sample_many(gs.with_coupling("crude-gs"), 0, pilot_m, 401, 13)
-    ).variance
+    v0 = pilot_stats(LevelSampler(CC, payoff, "crude-gs"), [0], pilot_m, 401, 13)[0].variance
     log_eps, log_cost, per_coupling = [], [], {}
     for coupling, weak in (("gs", weak_gs), ("gs-nv", weak_nv)):
         costs = []
@@ -155,9 +149,8 @@ def test_criterion_07_complexity_slope():
             v_last = None
             if coupling == "gs-nv":
                 last = mlmc_last_level(epsilon, weak.constant, weak.order)
-                v_last = stats_from_sample(
-                    sample_many(gs.with_coupling("gs-nv"), last, 20_000, 401, 140 + last)
-                ).variance
+                v_last = pilot_stats(LevelSampler(CC, payoff, "gs-nv"), [last], 20_000, 401,
+                                     140 + last)[0].variance
             plan = mlmc_plan(coupling, epsilon, weak.order, weak.constant,
                              var_gs.order, var_gs.constant, v0, v_last)
             costs.append(plan.cost_units)

@@ -18,7 +18,6 @@ from mlmc_sde.calibrate import (
     pilot_stats,
     snap_half,
     stats_from_records,
-    stats_from_sample,
     variance_table,
 )
 from mlmc_sde.models import ClarkCameronModel, Payoff
@@ -158,6 +157,11 @@ class TestBlockFold:
         assert stats_from_records(0, block_records(signs)).kurtosis == 1.0
         assert np.isnan(stats_from_records(0, block_records(np.full(10, 2.0))).kurtosis)
 
+    def test_kurtosis_where_the_squared_m2_underflows(self):
+        # M2 = 5e-321 is not 0, but its square is
+        s = stats_from_records(1, block_records(np.array([0.0, 1e-160])))
+        assert s.variance > 0.0 and np.isnan(s.kurtosis)
+
     def test_overflow_in_a_later_block_leaves_the_variance_infinite(self):
         # block 1's M3 is inf - inf; it stays out of the variance, silently
         values = np.append(np.ones(BLOCK_SAMPLES), [1e200, -1e200, 3e200])
@@ -172,23 +176,25 @@ class TestBlockFold:
     def test_values_give_the_streamed_statistics(self):
         sampler = LevelSampler(CC, Payoff("u-squared"), "nv")
         m = 2 * BLOCK_SAMPLES + 100
-        streamed = stats_from_sample(sample_many(sampler, 2, m, seed=9, experiment=4))
+        streamed = stats_from_records(2, sample_many(sampler, 2, m, seed=9, experiment=4).records)
         values = block_values(sampler, 2, m, seed=9, experiment=4)
         assert stats_from_records(2, block_records(values)) == streamed
 
     def test_worker_count_invariance(self, pooled):
         sampler = LevelSampler(CC, Payoff("u-squared"), "gs")
-        solo, duo = (stats_from_sample(sample_many(sampler, 2, 3 * BLOCK_SAMPLES + 5, seed=6,
-                                                   workers=workers))
+        solo, duo = (stats_from_records(2, sample_many(sampler, 2, 3 * BLOCK_SAMPLES + 5, seed=6,
+                                                       workers=workers).records)
                      for workers in (1, 2))
         assert pooled == [2]
         assert solo == duo
 
     def test_batching_invariance(self, monkeypatch):
         sampler = LevelSampler(CC, Payoff("u-squared"), "gs-nv")
-        batched = stats_from_sample(sample_many(sampler, 1, 5 * BLOCK_SAMPLES + 5, seed=6))
+        batched = stats_from_records(1, sample_many(sampler, 1, 5 * BLOCK_SAMPLES + 5,
+                                                    seed=6).records)
         monkeypatch.setattr(schemes, "BATCH_BLOCKS", 1)
-        alone = stats_from_sample(sample_many(sampler, 1, 5 * BLOCK_SAMPLES + 5, seed=6))
+        alone = stats_from_records(1, sample_many(sampler, 1, 5 * BLOCK_SAMPLES + 5,
+                                                  seed=6).records)
         assert alone == batched
 
 

@@ -362,6 +362,15 @@ class TestCommands:
         assert not caught
         assert "RuntimeWarning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["calibrate", "--coupling", "nv"], ["variance-decay"],
+                                         ["run", "--coupling", "nv", "--eps", "2^-4"]])
+    def test_underflowing_kurtosis_exits_zero(self, command, tmp_path, capsys):
+        # level variances near 1e-205, whose squared M2 underflows to 0
+        assert main([*command, "--model", "heston", "--payoff", "u-plus", "--rate", "0",
+                     "--v0", "1e-200", "--theta", "1e-200", "--sigma", "1e-101",
+                     "--levels", "1..3", "--pilot-m", "100", "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_calibrate_infinite_statistics_name_their_cause(self, tmp_path, capsys):
         assert main(["calibrate", "--payoff", "u-squared", "--mu", "2e77", "--levels", "1..4",
                      "--pilot-m", "100", "--out", str(tmp_path)]) == 0
@@ -722,10 +731,10 @@ def record_draws(monkeypatch):
     draw = calibrate.sample_many
     run = estimators.run_multilevel
 
-    def counted(sampler, level, m, seed, experiment=0, workers=1):
+    def counted(sampler, level, m, seed, experiment=0, workers=1, first_block=0):
         epsilon = running[-1] if running else None
         log.append((epsilon, (sampler.coupling, level, m, seed, experiment)))
-        return draw(sampler, level, m, seed, experiment, workers)
+        return draw(sampler, level, m, seed, experiment, workers, first_block)
 
     def counted_run(plan, *a, **kw):
         running.append(plan.epsilon)

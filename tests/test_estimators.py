@@ -482,9 +482,6 @@ class LadderSampler:
     coupling: str = "gs"
     model = CC  # sample_many sizes its batches by model.d
 
-    def with_coupling(self, coupling):
-        return replace(self, coupling=coupling)
-
     def sample(self, level, counts, streams):
         index = np.concatenate([np.arange(m) for m in counts])
         signs = np.where(index % 2 == 0, 1.0, -1.0)
@@ -496,9 +493,9 @@ def record_keys(monkeypatch):
     keys = []
     draw = estimators.cal.sample_many
 
-    def counted(sampler, level, m, seed, experiment=0, workers=1):
+    def counted(sampler, level, m, seed, experiment=0, workers=1, first_block=0):
         keys.append((sampler.coupling, level, experiment))
-        return draw(sampler, level, m, seed, experiment, workers)
+        return draw(sampler, level, m, seed, experiment, workers, first_block)
 
     monkeypatch.setattr(estimators.cal, "sample_many", counted)
     return keys
@@ -524,9 +521,9 @@ class TestCalibratedPlans:
         keys = []
         draw = estimators.sample_many
 
-        def counted(sampler, level, m, seed, experiment=0, workers=1):
+        def counted(sampler, level, m, seed, experiment=0, workers=1, first_block=0):
             keys.append((sampler.coupling, level, experiment))
-            return draw(sampler, level, m, seed, experiment, workers)
+            return draw(sampler, level, m, seed, experiment, workers, first_block)
 
         monkeypatch.setattr(estimators, "sample_many", counted)
         monkeypatch.setattr(estimators.cal, "sample_many", counted)
@@ -597,6 +594,20 @@ class ZeroHeadSampler(LadderSampler):
         return values
 
 
+@dataclass(frozen=True)
+class DoubledTailSampler(LadderSampler):
+    """LadderSampler whose blocks 2 and later are doubled: a pilot grown past
+    two blocks fits a larger weak constant, and so deeper plans."""
+
+    def sample(self, level, counts, streams):
+        values = super().sample(level, counts, streams)
+        starts = np.cumsum([0, *counts])
+        for stream, lo, hi in zip(streams, starts, starts[1:]):
+            if stream.index >= 2:
+                values[lo:hi] *= 2.0
+        return values
+
+
 # LadderSampler plans whose cost_units (about 0.01 M and 4.3 M) lie below and
 # above the 0.91 M path steps of their pilots at two blocks
 CHEAP_EPS = (2.0**-2, 2.0**-3, 2.0**-4)
@@ -662,10 +673,10 @@ class TestPilotBudget:
         keys = []
         draw = estimators.cal.sample_many
 
-        # sample_many's first-draw signature: a draw of later blocks only would fail here
-        def counted(sampler, level, m, seed, experiment=0, workers=1):
+        def counted(sampler, level, m, seed, experiment=0, workers=1, first_block=0):
+            assert first_block == 0  # each level is drawn once, whole, at the cap
             keys.append((sampler.coupling, level, m, experiment))
-            return draw(sampler, level, m, seed, experiment, workers)
+            return draw(sampler, level, m, seed, experiment, workers, first_block)
 
         monkeypatch.setattr(estimators.cal, "sample_many", counted)
         plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
@@ -680,6 +691,26 @@ class TestPilotBudget:
             calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 2 * BLOCK, seed=1)
         plans = calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 3 * BLOCK, seed=1)
         assert plans[0].pilot_samples == 3 * BLOCK
+
+    def test_pilot_steps_are_those_of_the_last_round(self, monkeypatch):
+        read = []
+        pilot = estimators.cal.pilot_stats
+
+        def logged(sampler, levels, m, seed, experiment=0, workers=1, memo=None):
+            read.extend((m, sampler.coupling, level, experiment) for level in levels)
+            return pilot(sampler, levels, m, seed, experiment, workers, memo)
+
+        monkeypatch.setattr(estimators.cal, "pilot_stats", logged)
+        plans = calibrated_plans(DoubledTailSampler("gs-nv"), "mlmc", (2.0**-9, 2.0**-10),
+                                 100_000, seed=1)
+        grown = plans[0].pilot_samples
+        first = {key[1:] for key in read if key[0] == 2 * BLOCK}
+        last = {key[1:] for key in read if key[0] == grown}
+        assert grown == 16 * BLOCK and [plan.last_level for plan in plans] == [10, 11]
+        # the two-block round planned levels 9 and 10; its level-9 v_last is not read again
+        assert ("gs-nv", 9, EXP_VLAST + 9) in first - last
+        assert plans[0].pilot_steps == grown * sum(path_steps(tag, level)
+                                                   for tag, level, _ in last)
 
     def test_both_rounds_use_the_pool(self, monkeypatch):
         tasks = []
@@ -711,9 +742,6 @@ class PilotFreeSampler:
     coupling: str
     model: Horizon
 
-    def with_coupling(self, coupling):
-        return replace(self, coupling=coupling)
-
     def sample(self, level, counts, streams):
         raise AssertionError("no pilot may be drawn")
 
@@ -726,8 +754,8 @@ def pilot_memo(sampler, m, seed, v0, v_last, varf):
 
     memo = {}
     for tag in ("crude-gs", "level0-nv-averaged"):
-        memo[(sampler.with_coupling(tag), 0, m, seed, EXP_V0)] = stats(v0, 0)
-    memo[(sampler.with_coupling("crude-nv"), 5, m, seed, EXP_VARF)] = stats(varf, 5)
+        memo[(replace(sampler, coupling=tag), 0, m, seed, EXP_V0)] = stats(v0, 0)
+    memo[(replace(sampler, coupling="crude-nv"), 5, m, seed, EXP_VARF)] = stats(varf, 5)
     for last in range(1, MAX_LEVEL + 1):
         memo[(sampler, last, m, seed, EXP_VLAST + last)] = stats(v_last, last)
     return memo

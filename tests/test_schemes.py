@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlmc_sde import schemes
-from mlmc_sde.calibrate import stats_from_sample
+from mlmc_sde.calibrate import stats_from_records
 from mlmc_sde.estimators import crude_mc
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
@@ -500,7 +500,7 @@ class TestCouplingStatistics:
         else:
             fine = crude_mc(CC, COS, scheme, level, m, seed=41, experiment=2)
             coarse = crude_mc(CC, COS, scheme, level - 1, m, seed=41, experiment=3)
-        z_stats = stats_from_sample(z)
+        z_stats = stats_from_records(level, z.records)
         z_mean, z_se = z_stats.mean, z_stats.sem
         gap = fine.mean - coarse.mean
         se = np.sqrt(z_se**2 + fine.sem**2 + coarse.sem**2)
