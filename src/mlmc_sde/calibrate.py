@@ -177,45 +177,21 @@ def fit_variance_rate(stats: list[LevelStats]) -> RateFit:
     return RateFit(beta, 2.0**intercept, slope, intercept, logs - (slope * levels + intercept))
 
 
-# largest distance, in log2, between a level's variance and the raw fitted
-# line before detect_inflection says the level leaves it
-INFLECTION_LOG2 = 0.5
-
-
-def detect_inflection(stats: list[LevelStats], fit: RateFit):
-    """Smallest level whose log2 variance leaves the fitted line.
-
-    Returns None when every level stays within ``INFLECTION_LOG2`` of the
-    raw regression line; used to decide whether the asymptotic variance
-    model can size the estimator or direct estimates are needed.  The band
-    is a fixed width with no noise model.  On Heston ``nv`` pilots of levels
-    1..6 at 100 000 samples the bend it detects is real: at seeds 7, 2, 1
-    and 3 the residuals from the raw line have one sign pattern (up at
-    level 1, down at levels 3-4, up at level 6), 2-10 sd from it.  Only
-    which level trips the band is noise: level 1, 4, 6 or 6 at those seeds,
-    because several residuals sit near its width.
-    """
-    for s in stats:
-        if s.variance <= 0.0:
-            continue
-        predicted = fit.intercept + fit.raw_slope * s.level
-        if abs(np.log2(s.variance) - predicted) > INFLECTION_LOG2:
-            return s.level
-    return None
-
-
 def variance_table(direct: list[LevelStats], last_level: int, beta: float,
-                   v0: float) -> np.ndarray:
-    """Per-level variances of levels 0..last_level: ``v0`` at level 0, the
-    pilot variances ``direct`` of levels 1..inflection, then the decaying
-    extrapolation V_hat(inflection) * 2^(-beta (l - inflection)) beyond.
+                   c2: float, v0: float) -> np.ndarray:
+    """Per-level variances of levels 0..last_level, the one rule that sizes
+    every plain multilevel plan: ``v0`` at level 0, a pilot's own variance
+    at each level 1..last_level of ``direct``, and the line c2 2^(-beta l)
+    at every other level.  With no ``direct`` stats it is the line.
 
-    A pure builder: the inflection is the number of direct levels, and the
-    pilots are drawn by the caller (``estimators.calibrated_plans``).
+    A pure builder: the pilots are drawn by the caller
+    (``estimators.calibrated_plans``), and direct levels outside
+    1..last_level are not read.
     """
-    inflection = len(direct)
-    if inflection > last_level:
-        raise ValueError("inflection level beyond the last level")
-    head = [v0] + [s.variance for s in direct]
-    tail = [head[-1] * 2.0 ** (-beta * k) for k in range(1, last_level - inflection + 1)]
-    return np.array(head + tail)
+    with np.errstate(over="ignore"):
+        variances = c2 * 2.0 ** (-beta * np.arange(last_level + 1))
+    variances[0] = v0
+    for s in direct:
+        if 1 <= s.level <= last_level:
+            variances[s.level] = s.variance
+    return variances

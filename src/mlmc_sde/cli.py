@@ -117,7 +117,8 @@ class ExperimentConfig:
     beta: float | None = _option(None, float, check=POSITIVE,
                                  help="fixed variance order (see --alpha)")
     c2: float | None = _option(None, float, check=POSITIVE,
-                               help="fixed variance constant (see --alpha)")
+                               help="fixed variance constant (see --alpha); where it is set, "
+                                    "the line c2 2^(-beta l) sizes every level, not the pilot")
 
 
 COMMAND_DEFAULTS = {
@@ -345,13 +346,10 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
             warnings.append(f"{what}: {exc}")
             fits.append(cal.RateFit(*[float("nan")] * 4))
     weak_fit, var_fit = fits
-    inflection = cal.detect_inflection(var, var_fit)  # None on a nan fit
     rows.append(("fit", weak_fit.order, weak_fit.constant, ""))
-    rows.append(("fit-variance", var_fit.order, var_fit.constant,
-                 inflection if inflection is not None else ""))
+    rows.append(("fit-variance", var_fit.order, var_fit.constant, ""))
     print(f"calibrate {coupling}: alpha={weak_fit.order} c1={weak_fit.constant:.4g} "
-          f"beta={var_fit.order} c2={var_fit.constant:.4g} "
-          f"inflection={'none' if inflection is None else inflection}", *warnings, sep="; ")
+          f"beta={var_fit.order} c2={var_fit.constant:.4g}", *warnings, sep="; ")
     write_csv(cfg, "calibrate", ("level", "mean", "sem", "variance"), rows, warnings)
     return 0
 
@@ -431,6 +429,9 @@ def main(argv=None) -> int:
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a model constant whose square leaves the float range
+        print(f"configuration error: a model parameter is out of range: {exc}", file=sys.stderr)
         return 2
     try:
         return COMMANDS[args.command](cfg, model, payoff)

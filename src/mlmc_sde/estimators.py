@@ -1,7 +1,8 @@
 """Optimal multilevel plans and the estimator runner.
 
 Plans are built from calibrated rates: the plain multilevel estimator
-weights every level 1 and sizes levels from the variance model; the
+weights every level 1 and sizes each level from its pilot variance, or
+from the variance model where no pilot drew it; the
 weighted (Richardson-Romberg) variant carries suffix-sum weights that
 cancel successive bias-expansion terms, with fully explicit parameters.
 Both size their levels with one allocation, ``mlmc_sample_sizes``.
@@ -30,7 +31,6 @@ EXP_STRONG = 21
 EXP_DECAY = 22  # + coupling index
 EXP_ORACLE = 23
 EXP_RUN = 31  # + eps index
-EXP_TABLE = EXP_VLAST + 64
 
 # the schemes whose pilots fit the (weak, variance) rates of each coupling:
 # gs-nv's bias is that of its finest, splitting-scheme level and its level
@@ -172,25 +172,17 @@ def _plan(kind: str, coupling: str, epsilon: float, variances: np.ndarray,
 
 def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
               beta: float, c2: float, v0: float, v_last: float | None = None,
-              nv_level0: str = "averaged",
-              variance_table: np.ndarray | None = None) -> MultilevelPlan:
+              nv_level0: str = "averaged", direct=()) -> MultilevelPlan:
     """Build the plain multilevel plan from calibrated rates and pilots.
 
-    Intermediate-level variances default to the model c2 2^(-beta l); a
-    direct ``variance_table`` (levels 0..L) overrides them when the model
-    is not trusted.  The gs-nv coupling always needs the pilot variance
-    ``v_last`` of its final level, which replaces the model's or the
-    table's value there.
+    The variances of levels 0..L are those of ``calibrate.variance_table``:
+    v0 at level 0, the pilot's own variance at each level of ``direct`` (the
+    variance-rate pilot's stats), the line c2 2^(-beta l) at every other
+    level.  The gs-nv coupling always needs the pilot variance ``v_last`` of
+    its final level, which replaces the value there.
     """
     last = mlmc_last_level(epsilon, c1, alpha)
-    if variance_table is None:
-        with np.errstate(over="ignore"):
-            variances = c2 * 2.0 ** (-beta * np.arange(last + 1))
-        variances[0] = v0
-    else:
-        variances = np.array(variance_table, dtype=float)
-    if variances.shape != (last + 1,):
-        raise ValueError("variance table must cover levels 0..last_level")
+    variances = cal.variance_table(direct, last, beta, c2, v0)
     if coupling == "gs-nv":
         if v_last is None:
             raise MissingLastLevelVariance("gs-nv needs a pilot variance at the last level")
@@ -341,9 +333,10 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     it (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and with
     all four passed no rate pilot is drawn.  The depth of every epsilon is
     checked before any other pilot.  Then come v0, v_last per last level
-    (gs-nv), varf (ml2r) and the direct part of the variance table, drawn
-    on the variance-rate scheme, which replaces the variance model where
-    its rate pilot shows an inflection at or below the last level.  Every
+    (gs-nv) and varf (ml2r).  An mlmc plan sizes each level that the
+    variance-rate pilot drew from that pilot's own variance, where c2 is
+    fitted; every other level of 1..L takes the line c2 2^(-beta l), and a
+    c2 passed in keeps the line at every level (``mlmc_plan``).  Every
     pilot level is drawn through the memo ``pilots`` (see
     ``calibrate.pilot_stats``), so it is drawn once across the epsilons,
     and across calls that share the memo.
@@ -375,13 +368,13 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
             return cal.pilot_stats(replace(sampler, coupling=tag), levels, m, seed, experiment,
                                    workers, pilots)
 
-        rates, inflection = given, None
+        rates, direct = given, ()
         if None in rates:
             weak_stats, var_stats = (pilot(tag, pilot_levels, EXP_RATES)
                                      for tag in RATE_COUPLINGS[coupling])
             weak = cal.fit_weak_rate(weak_stats)
             var_fit = cal.fit_variance_rate(var_stats)
-            inflection = cal.detect_inflection(var_stats, var_fit)
+            direct = var_stats if given[3] is None else ()  # a c2 passed in keeps the line
             fitted = (weak.order, weak.constant, var_fit.order, var_fit.constant)
             rates = tuple(f if r is None else r for r, f in zip(rates, fitted))
         alpha, c1, beta, c2 = rates
@@ -398,13 +391,8 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
         for epsilon, last in zip(epsilons, lasts):
             v_last = (pilot(coupling, [last], EXP_VLAST + last)[0].variance
                       if coupling == "gs-nv" else None)
-            table = None
-            if inflection is not None and last >= inflection:
-                # extrapolates past the break at the caller's beta, else the snapped pilot rate
-                direct = pilot(RATE_COUPLINGS[coupling][1], range(1, inflection + 1), EXP_TABLE)
-                table = cal.variance_table(direct, last, beta, v0)
             plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
-                                   nv_level0, variance_table=table))
+                                   nv_level0, direct))
         return rates, plans, sum(read.values())
 
     m = min(pilot_m, 2 * BLOCK_SAMPLES)  # samples per level of every pilot of a round

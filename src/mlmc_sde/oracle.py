@@ -2,7 +2,7 @@
 
 These are the acceptance truths the Monte Carlo machinery is checked
 against: the exact second moment of the splitting-scheme level sample for
-f(u, s) = u^2, and the exact E[U_T^2] of the SDE itself.
+f(u, s) = u^2, and the exact E[U_T^2] and E[cos U_T] of the SDE itself.
 """
 
 from __future__ import annotations
@@ -66,3 +66,32 @@ def cc_exact_usq_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) ->
     mu_f, s0_f = Fraction(mu), Fraction(s0)
     total = s0_f**2 * t + s0_f * mu_f * t**2 + mu_f**2 * t**3 / 3 + t**2 / 2
     return _rounded(total)
+
+
+def cc_exact_cos_mean(mu: float = 1.0, horizon: float = 1.0, s0: float = 0.0) -> float:
+    """Exact E[cos U_T] for Clark-Cameron started at u0 = 0.
+
+    Given the path of S, U_T = int_0^T S_t dW^1_t is normal with mean 0 and
+    variance I = int_0^T S_t^2 dt, so E[cos U_T] = E[exp(-I / 2)].  As a
+    function of the time left tau and the start s of S_t = s + mu t + W^2_t,
+    f(tau, s) = E[exp(-1/2 int_0^tau S_t^2 dt)] solves the Feynman-Kac
+    equation f_tau = 1/2 f_ss + mu f_s - 1/2 s^2 f with f(0, s) = 1.  The
+    ansatz f = exp(-1/2 a s^2 - b s - c) turns it into the Riccati system
+
+        a' = 1 - a^2,  b' = a (mu - b),  c' = a / 2 + mu b - b^2 / 2,
+
+    all zero at tau = 0.  Its solution is a = tanh tau, b = mu (1 - sech tau)
+    and, as mu b - b^2 / 2 = 1/2 mu^2 tanh^2 tau,
+    c = 1/2 log cosh tau + 1/2 mu^2 (tau - tanh tau).  So
+
+        E[cos U_T] = (cosh T)^(-1/2) exp(-1/2 tanh T s0^2 - mu (1 - sech T) s0
+                                         - 1/2 mu^2 (T - tanh T)),
+
+    which is (cosh T)^(-1/2) at mu = s0 = 0 and 0.7145564080 at mu = T = 1,
+    s0 = 0.  From U_0 = u0 the mean is cos(u0) times this, since U_T - u0
+    is symmetric given S.
+    """
+    cosh, tanh = math.cosh(horizon), math.tanh(horizon)
+    exponent = (-0.5 * tanh * s0 * s0 - mu * (1.0 - 1.0 / cosh) * s0
+                - 0.5 * mu * mu * (horizon - tanh))
+    return math.exp(exponent) / math.sqrt(cosh)

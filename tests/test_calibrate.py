@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from mlmc_sde import calibrate, schemes
 from mlmc_sde.calibrate import (
-    INFLECTION_LOG2,
     IllConditioned,
     LevelStats,
     NoUsableSamples,
     ZeroMean,
     central_moments,
-    detect_inflection,
     fit_variance_rate,
     fit_weak_rate,
     log2_line,
@@ -368,64 +366,28 @@ class TestSnap:
         assert snap_half(0.1) == 0.5
 
 
-class TestInflection:
-    def test_linear_input_has_none(self):
-        stats = stats_for([1, 2, 3, 4], variances=[2.0 ** (-2 * l) for l in range(1, 5)])
-        assert detect_inflection(stats, fit_variance_rate(stats)) is None
-
-    def test_constructed_break_at_five(self):
-        fit = fit_variance_rate(
-            stats_for([1, 2, 3, 4], variances=[2.0 ** (-3 * l) for l in range(1, 5)])
-        )
-        extended = stats_for(
-            [1, 2, 3, 4, 5, 6],
-            variances=[2.0 ** (-3 * l) for l in range(1, 5)]
-            + [2.0 ** (-1.5 * l) for l in (5, 6)],
-        )
-        assert detect_inflection(extended, fit) == 5
-
-    def test_huge_threshold_sees_nothing(self, monkeypatch):
-        fit = fit_variance_rate(
-            stats_for([1, 2, 3, 4], variances=[2.0 ** (-3 * l) for l in range(1, 5)])
-        )
-        extended = stats_for(
-            [1, 2, 3, 4, 5, 6],
-            variances=[2.0 ** (-3 * l) for l in range(1, 5)]
-            + [2.0 ** (-1.5 * l) for l in (5, 6)],
-        )
-        monkeypatch.setattr(calibrate, "INFLECTION_LOG2", 10.0)
-        assert detect_inflection(extended, fit) is None
-
-    @pytest.mark.parametrize("offset, flagged", [(0.45, None), (-0.45, None), (0.55, 3),
-                                                 (-0.55, 3)])
-    def test_band_is_half_a_log2_unit(self, offset, flagged):
-        assert INFLECTION_LOG2 == 0.5
-        line = [2.0 ** (-2 * l) for l in range(1, 5)]
-        fit = fit_variance_rate(stats_for([1, 2, 3, 4], variances=line))
-        line[2] *= 2.0**offset
-        assert detect_inflection(stats_for([1, 2, 3, 4], variances=line), fit) == flagged
-
-
 class TestVarianceTable:
-    def test_pure_monte_carlo_when_inflection_at_top(self):
-        direct = stats_for([1, 2, 3], variances=[0.5, 0.3, 0.2])
-        table = variance_table(direct, 3, 2.0, v0=0.9)
-        np.testing.assert_array_equal(table, [0.9, 0.5, 0.3, 0.2])
+    """One rule: v0 at level 0, a direct level's own variance, else the line."""
 
-    def test_decaying_extrapolation(self):
+    def test_line_without_direct_levels(self):
+        np.testing.assert_array_equal(variance_table([], 3, 2.0, 0.3, v0=0.9),
+                                      [0.9, 0.3 / 4.0, 0.3 / 16.0, 0.3 / 64.0])
+        line = 0.3 * 2.0 ** (-1.5 * np.arange(3))
+        np.testing.assert_array_equal(variance_table([], 2, 1.5, 0.3, v0=0.9)[1:], line[1:])
+
+    def test_direct_levels_take_their_own_variance(self):
         direct = stats_for([1, 2], variances=[0.5, 0.3])
-        table = variance_table(direct, 4, 2.0, v0=0.9)
-        np.testing.assert_array_equal(table, [0.9, 0.5, 0.3, 0.3 / 4.0, 0.3 / 16.0])
-        # an inflection at level 0 extrapolates from v0
-        np.testing.assert_array_equal(variance_table([], 2, 1.5, v0=0.9),
-                                      [0.9, 0.9 * 2.0**-1.5, 0.9 * 2.0**-3])
+        table = variance_table(direct, 4, 2.0, 0.8, v0=0.9)
+        np.testing.assert_array_equal(table, [0.9, 0.5, 0.3, 0.8 / 64.0, 0.8 / 256.0])
+
+    def test_levels_outside_one_to_last_are_not_read(self):
+        # level 1 lies below the pilot and takes the line; levels 4-5 lie above L
+        direct = stats_for([0, 2, 3, 4, 5], variances=[7.0, 0.3, 0.2, 0.1, 0.05])
+        table = variance_table(direct, 3, 2.0, 0.8, v0=0.9)
+        np.testing.assert_array_equal(table, [0.9, 0.2, 0.3, 0.2])
 
     def test_zero_variances_give_a_zero_table(self):
-        table = variance_table(stats_for([1, 2, 3], variances=[0.0] * 3), 3, 2.0, v0=0.0)
+        table = variance_table(stats_for([1, 2, 3], variances=[0.0] * 3), 3, 2.0, 1.0, v0=0.0)
         np.testing.assert_array_equal(table, np.zeros(4))
-        assert variance_table(stats_for([1], variances=[0.0]), 3, 2.0, v0=1.0).tolist() == [
-            1.0, 0.0, 0.0, 0.0]
-
-    def test_inflection_beyond_top_rejected(self):
-        with pytest.raises(ValueError):
-            variance_table(stats_for([1, 2, 3]), 2, 2.0, v0=1.0)
+        assert variance_table(stats_for([1], variances=[0.0]), 3, 2.0, 1.0, v0=1.0).tolist() == [
+            1.0, 0.0, 1.0 / 16.0, 1.0 / 64.0]

@@ -620,15 +620,15 @@ GOLDEN_RUNS = {
     # calibrated gs rates and one v0 pilot
     "gs-mlmc": (["--payoff", "u-squared", "--coupling", "gs", "--eps", "2^-4",
                  "--eps", "2^-5", "--eps", "2^-6", "--pilot-m", "4000", "--seed", "9"],
-                "c621c9481b78c5da"),
+                "9df1a10503fec787"),
     # nv weak rate, gs variance rate and a v_last pilot per distinct last level
     "gs-nv-mlmc": (["--coupling", "gs-nv", "--eps", "2^-4", "--eps", "2^-5",
                     "--eps", "2^-6", "--pilot-m", "4000", "--seed", "9"],
-                   "3a6c1ce93a13bb2b"),
+                   "e51ec345db5de364"),
     # nv coupling with the averaged (two-path) level-0 sampler
     "nv-mlmc-averaged": (["--payoff", "u-squared", "--coupling", "nv", "--eps", "2^-5",
                           "--eps", "2^-7", "--pilot-m", "4000", "--seed", "9"],
-                         "1141b423dc1f0b16"),
+                         "45363c5e95187d0d"),
     # weighted estimator sized from the crude payoff-variance pilot
     "heston-ml2r": (["--model", "heston", "--payoff", "heston-call", "--coupling", "nv",
                      "--estimator", "ml2r", "--eps", "2^-4", "--eps", "2^-5",
@@ -643,19 +643,20 @@ GOLDEN_RUNS = {
     "gs-mlmc-horizon-half": (["--payoff", "u-squared", "--coupling", "gs", "--eps", "2^-4",
                               "--eps", "2^-5", "--eps", "2^-6", "--pilot-m", "4000",
                               "--seed", "9", "--horizon", "0.5"],
-                             "f6cb03339c8125f8"),
+                             "f36a59aadedbd618"),
     # ML2R's depth and theta are formulas in T (at 2^-5, depth 1 here and 2 at T = 1)
     "heston-ml2r-horizon-half": (["--model", "heston", "--payoff", "heston-call",
                                   "--coupling", "nv", "--estimator", "ml2r", "--eps", "2^-4",
                                   "--eps", "2^-5", "--pilot-m", "4000", "--seed", "17",
                                   "--horizon", "0.5"],
                                  "5ba0cd90009505fe"),
-    # the variance pilots leave their line at level 1, so both eps are sized
-    # from the direct variance table rather than the fitted variance model
+    # a rate pilot of levels 1..6 on Heston's bent variance decay: level 1's own
+    # variance is twice the fitted line's, and both eps (L = 1) are sized from
+    # it, as read on the rate pilot's streams
     "heston-variance-table": (["--model", "heston", "--payoff", "heston-call",
                                "--coupling", "nv", "--levels", "1..6", "--eps", "2^-6",
                                "--eps", "2^-8", "--pilot-m", "4000", "--seed", "7"],
-                              "85df9272f5224f78"),
+                              "a193b369baa1c597"),
 }
 
 # data rows of the commands without a seconds column, at T != 1, by case name:
@@ -910,6 +911,20 @@ class TestNonFiniteValues:
     def test_bad_problem_exits_two_before_any_draw(self, argv, tmp_path, no_draws, capsys):
         assert exit_code([*argv, "--out", str(tmp_path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--sigma", "1e155", "--eps", "2^-4"],
+        ["run", "--sigma", "1e300", "--eps", "2^-4"],
+        ["calibrate", "--sigma", "1e155"],
+        ["run", "--kappa", "1e300", "--theta", "1e300", "--sigma", "1e200", "--eps", "2^-4"],
+    ], ids=["run-sigma-1e155", "run-sigma-1e300", "calibrate-sigma-1e155", "run-all-large"])
+    def test_heston_constant_whose_square_overflows_exits_two(self, argv, tmp_path, no_draws,
+                                                              capsys):
+        # finite constants, but sigma^2 leaves the float range as HestonModel checks them
+        assert exit_code([*argv, "--model", "heston", "--payoff", "heston-call",
+                          "--coupling", "nv", "--pilot-m", "100", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 def exception_classes():

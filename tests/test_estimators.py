@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mlmc_sde import calibrate, estimators, schemes
 from mlmc_sde.estimators import (
     EXP_RATES,
-    EXP_TABLE,
     EXP_V0,
     EXP_VARF,
     EXP_VLAST,
@@ -161,12 +160,14 @@ class TestMlmcPlan:
         with pytest.raises(PlanTooLarge):
             mlmc_plan("gs", 2.0**-4, 1.0, 0.16, 2.0, 1e30, v0=0.5)
 
-    def test_direct_variance_table_override(self):
-        table = np.array([0.4, 0.1, 0.05])
-        plan = mlmc_plan("gs", 2.0**-4, 1.0, 0.17, 2.0, 0.3, v0=0.4, variance_table=table)
+    def test_pilot_levels_take_their_own_variance(self):
+        # level 2 of the pilot sizes level 2, level 1 takes the line, level 3 lies above L
+        direct = [calibrate.LevelStats(level, 100, 0.0, variance, variance, 0.0)
+                  for level, variance in ((2, 0.05), (3, 0.01))]
+        plan = mlmc_plan("gs", 2.0**-4, 1.0, 0.17, 2.0, 0.3, v0=0.4, direct=direct)
         assert plan.last_level == 2
         np.testing.assert_array_equal(
-            plan.sizes, mlmc_sample_sizes(2.0**-4, table, gs_costs(2))
+            plan.sizes, mlmc_sample_sizes(2.0**-4, [0.4, 0.3 / 4.0, 0.05], gs_costs(2))
         )
 
 
@@ -516,51 +517,74 @@ class TestRatePilots:
 
 
 class TestCalibratedPlans:
-    def test_variance_table_past_the_inflection(self, monkeypatch):
-        m = 1000
-        keys = []
-        draw = estimators.sample_many
+    """An mlmc plan takes v0 at level 0, the variance-rate pilot's own
+    variance at each pilot level of 1..L, and the fitted line elsewhere."""
 
-        def counted(sampler, level, m, seed, experiment=0, workers=1, first_block=0):
-            keys.append((sampler.coupling, level, experiment))
-            return draw(sampler, level, m, seed, experiment, workers, first_block)
+    M = 1000
+    EPS = (2.0**-2, 2.0**-5)
 
-        monkeypatch.setattr(estimators, "sample_many", counted)
-        monkeypatch.setattr(estimators.cal, "sample_many", counted)
-        epsilons = (2.0**-2, 2.0**-3, 2.0**-4)
-        plans = calibrated_plans(LadderSampler(), "mlmc", epsilons, m, seed=1)
+    def variance_fit(self, pilot_levels=range(1, 5)):
+        """The variance-rate pilot's stats and fit, from LadderSampler."""
+        _, var_stats = rate_pilots(LadderSampler(), pilot_levels, self.M, 1)
+        return var_stats, calibrate.fit_variance_rate(var_stats)
 
-        # alpha = 1 and c1 = 1/2 from the means put the last levels at 2, 3, 4;
-        # the pilot variances leave their line at level 3 and snap beta to 3/2
-        assert [p.last_level for p in plans] == [2, 3, 4]
-        unbiased = m / (m - 1)
-        direct = unbiased * np.array([1.0, 2.0**-2, 2.0**-4, 2.0**-6])
-        table = np.append(direct, direct[3] * 2.0**-1.5)
-        for plan, last in zip(plans[1:], (3, 4)):
-            expected = mlmc_sample_sizes(plan.epsilon, table[:last + 1], gs_costs(last))
-            np.testing.assert_array_equal(plan.sizes, expected)
-        # below the inflection the fitted variance model sizes the levels
-        model = unbiased * np.array([1.0, 0.5 * 2.0**-1.5, 0.5 * 2.0**-3])
-        np.testing.assert_array_equal(
-            plans[0].sizes,
-            mlmc_sample_sizes(2.0**-2, model, gs_costs(2)))
+    def expected_sizes(self, plan, pilot_levels=range(1, 5), c2=None):
+        """The sizes of ``plan`` under that rule, or under the line at every
+        level where ``c2`` is given."""
+        var_stats, fit = self.variance_fit(pilot_levels)
+        last = plan.last_level
+        line = fit.constant if c2 is None else c2
+        variances = line * 2.0 ** (-fit.order * np.arange(last + 1))
+        variances[0] = calibrate.pilot_stats(LadderSampler("crude-gs"), [0], self.M, 1,
+                                             EXP_V0)[0].variance
+        for s in var_stats if c2 is None else ():
+            if s.level <= last:
+                variances[s.level] = s.variance
+        return mlmc_sample_sizes(plan.epsilon, variances, gs_costs(last))
 
-        assert len(keys) == len(set(keys))
-        assert sorted(k[1] for k in keys if k[2] == EXP_TABLE) == [1, 2, 3]
+    def test_pilot_levels_then_the_line(self, monkeypatch):
+        keys = record_keys(monkeypatch)
+        plans = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1)
+        # the rate pilot and v0, each drawn once: no second pilot of the variances
+        assert len(keys) == len(set(keys)) == 5
+        assert {k[2] for k in keys} == {EXP_RATES, EXP_V0}
+        # alpha = 1 and c1 = 1/2 from the means put the last levels at 2 and 5: level 5
+        # lies above the pilot's levels 1..4 and takes the line
+        assert [p.last_level for p in plans] == [2, 5]
+        for plan in plans:
+            np.testing.assert_array_equal(plan.sizes, self.expected_sizes(plan))
+
+    def test_level_below_the_pilot_takes_the_line(self):
+        plan, = calibrated_plans(LadderSampler(), "mlmc", [2.0**-3], self.M, seed=1,
+                                 pilot_levels=range(2, 5))
+        assert plan.last_level == 3
+        expected = self.expected_sizes(plan, range(2, 5))
+        np.testing.assert_array_equal(plan.sizes, expected)
+        # level 1 takes the line fitted on levels 2..4 (beta 1), not its own 1/4
+        assert self.variance_fit(range(2, 5))[1].order == 1.0
+        assert expected[1] != self.expected_sizes(plan)[1]
+
+    def test_given_c2_keeps_the_line_at_every_level(self):
+        c2 = self.variance_fit()[1].constant  # the fitted constant, passed in
+        fitted = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1)
+        given = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1, c2=c2)
+        for plan, own in zip(given, fitted):
+            assert plan.rates == own.rates
+            np.testing.assert_array_equal(plan.sizes, self.expected_sizes(plan, c2=c2))
+        # the pilot's level 3 and 4 variances (1/64) lie off the line (1/2 2^-4.5, 1/2 2^-6)
+        assert (given[1].sizes != fitted[1].sizes).any()
 
 
 def ladder_sizes(epsilon, last, m):
     """Sizes of the gs plan that ``calibrated_plans`` makes from LadderSampler
-    pilots of m samples per level: alpha = 1, c1 = 1/2, beta = 3/2 and
-    c2 = 1/2 from the rate pilot, whose variances leave their line at level
-    3 (see TestCalibratedPlans)."""
+    pilots of m samples per level: alpha = 1 and c1 = 1/2 from the rate
+    pilot's means, v0 and the pilot's own variances 4^-min(l, 3) at levels
+    0..4, and above level 4 the line with beta = 3/2 and c2 = 1/2 (see
+    TestCalibratedPlans)."""
     unbiased = m / (m - 1)
-    if last < 3:
-        variances = unbiased * 0.5 * 2.0 ** (-1.5 * np.arange(last + 1))
-        variances[0] = unbiased
-    else:
-        direct = unbiased * np.array([1.0, 2.0**-2, 2.0**-4, 2.0**-6])
-        variances = np.append(direct, direct[3] * 2.0 ** (-1.5 * np.arange(1, last - 2)))
+    levels = np.arange(last + 1)
+    variances = unbiased * np.where(levels <= 4, 4.0 ** -np.minimum(levels, 3),
+                                    0.5 * 2.0 ** (-1.5 * levels))
     return mlmc_sample_sizes(epsilon, variances, gs_costs(last))
 
 
@@ -608,8 +632,8 @@ class DoubledTailSampler(LadderSampler):
         return values
 
 
-# LadderSampler plans whose cost_units (about 0.01 M and 4.3 M) lie below and
-# above the 0.91 M path steps of their pilots at two blocks
+# LadderSampler plans whose cost_units (about 0.01 M and 5.3 M) lie below and
+# above the 0.62 M path steps of their pilots at two blocks
 CHEAP_EPS = (2.0**-2, 2.0**-3, 2.0**-4)
 DEAR_EPS = (2.0**-7, 2.0**-8)
 BLOCK = schemes.BLOCK_SAMPLES
@@ -624,7 +648,7 @@ class TestPilotBudget:
         plans = calibrated_plans(LadderSampler(), "mlmc", CHEAP_EPS, 100_000, seed=1)
         assert plans[0].pilot_samples == 2 * BLOCK
         assert sum(plan.cost_units for plan in plans) < plans[0].pilot_steps
-        assert len(keys) == len(set(keys)) == 8  # rate levels 1..4, v0, table levels 1..3
+        assert len(keys) == len(set(keys)) == 5  # rate levels 1..4, v0
         for plan, last in zip(plans, (2, 3, 4)):
             np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, 2 * BLOCK))
 
@@ -635,7 +659,7 @@ class TestPilotBudget:
         per_sample = first[0].pilot_steps / (2 * BLOCK)
         assert budget > first[0].pilot_steps
         grown = min(pilot_m, math.ceil(budget / per_sample / BLOCK) * BLOCK)
-        assert grown == (pilot_m if pilot_m < 100_000 else 10 * BLOCK)
+        assert grown == (pilot_m if pilot_m < 100_000 else 17 * BLOCK)
 
         blocks = record_blocks(monkeypatch)
         plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
@@ -648,7 +672,7 @@ class TestPilotBudget:
         streams = {}
         for coupling, seed, experiment, level, index, count in blocks:
             streams.setdefault((coupling, experiment, level), []).append((index, count))
-        assert len(blocks) == len(set(blocks)) and len(streams) == 8
+        assert len(blocks) == len(set(blocks)) and len(streams) == 5
         whole, part = divmod(grown, BLOCK)
         expected = [(i, BLOCK) for i in range(whole)] + ([(whole, part)] if part else [])
         for drawn in streams.values():
@@ -659,10 +683,10 @@ class TestPilotBudget:
         deep = calibrated_plans(LadderSampler(), "mlmc", [2.0**-9], 100_000, seed=1,
                                 pilots=memo)
         assert deep[0].pilot_samples == 100_000
-        # a later call on the same memo reads its 10 blocks from the 24 whole blocks kept
+        # a later call on the same memo reads its 17 blocks from the 24 whole blocks kept
         plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1,
                                  pilots=memo)
-        assert plans[0].pilot_samples == 10 * BLOCK
+        assert plans[0].pilot_samples == 17 * BLOCK
         assert len(blocks) == len(set(blocks))
         alone = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1)
         for plan, own in zip(plans, alone):
@@ -680,7 +704,7 @@ class TestPilotBudget:
 
         monkeypatch.setattr(estimators.cal, "sample_many", counted)
         plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
-        assert len(keys) == len(set(keys)) == 8
+        assert len(keys) == len(set(keys)) == 5
         assert {key[2] for key in keys} == {pilot_m}
         assert plans[0].pilot_samples == pilot_m
         for plan, last in zip(plans, (7, 8)):
@@ -706,7 +730,7 @@ class TestPilotBudget:
         grown = plans[0].pilot_samples
         first = {key[1:] for key in read if key[0] == 2 * BLOCK}
         last = {key[1:] for key in read if key[0] == grown}
-        assert grown == 16 * BLOCK and [plan.last_level for plan in plans] == [10, 11]
+        assert grown == 18 * BLOCK and [plan.last_level for plan in plans] == [10, 11]
         # the two-block round planned levels 9 and 10; its level-9 v_last is not read again
         assert ("gs-nv", 9, EXP_VLAST + 9) in first - last
         assert plans[0].pilot_steps == grown * sum(path_steps(tag, level)
@@ -725,9 +749,9 @@ class TestPilotBudget:
         monkeypatch.setattr(schemes, "POOL_PATH_STEPS", 0)
         monkeypatch.setattr(schemes, "_pool", lambda workers: Pool())
         plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1, workers=2)
-        assert plans[0].pilot_samples == 10 * BLOCK
-        # 8 pilot levels at two blocks, then their blocks 2..9
-        assert tasks == [2] * 16
+        assert plans[0].pilot_samples == 17 * BLOCK
+        # 5 pilot levels at two blocks, then their blocks 2..16 in batches of 4
+        assert tasks == [2] * 5 + [4] * 5
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
+import csv
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmc_sde.cli import main
 from mlmc_sde.models import ClarkCameronModel, Payoff
-from mlmc_sde.oracle import cc_exact_usq_mean, znv_second_moment
+from mlmc_sde.oracle import cc_exact_cos_mean, cc_exact_usq_mean, znv_second_moment
 from mlmc_sde.calibrate import square_moments
 from mlmc_sde.schemes import LevelSampler, sample_many
 
@@ -77,3 +80,60 @@ class TestExactSquareMean:
 
     def test_overflow_rounds_to_inf(self):
         assert cc_exact_usq_mean(1e200, 1.0, 0.0) == math.inf
+
+
+def riccati_cos_mean(mu, horizon, s0, steps=2000):
+    """E[cos U_T] from an RK4 solution of the Riccati system of the
+    Feynman-Kac equation of E[exp(-1/2 int S^2 dt)]: f = exp(-a s0^2 / 2 -
+    b s0 - c) with a' = 1 - a^2, b' = a (mu - b), c' = a / 2 + mu b - b^2 / 2
+    from zero."""
+    def rates(y):
+        a, b, _ = y
+        return (1.0 - a * a, a * (mu - b), 0.5 * a + mu * b - 0.5 * b * b)
+
+    y, h = (0.0, 0.0, 0.0), horizon / steps
+    for _ in range(steps):
+        k1 = rates(y)
+        k2 = rates([v + 0.5 * h * k for v, k in zip(y, k1)])
+        k3 = rates([v + 0.5 * h * k for v, k in zip(y, k2)])
+        k4 = rates([v + h * k for v, k in zip(y, k3)])
+        y = tuple(v + h / 6.0 * (p + 2.0 * q + 2.0 * r + w)
+                  for v, p, q, r, w in zip(y, k1, k2, k3, k4))
+    a, b, c = y
+    return math.exp(-0.5 * a * s0 * s0 - b * s0 - c)
+
+
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "clark_cameron_benchmark.cfg"
+
+
+class TestExactCosMean:
+    @pytest.mark.parametrize("horizon", [0.25, 1.0, 3.0])
+    def test_zero_drift_identity(self, horizon):
+        assert cc_exact_cos_mean(0.0, horizon, 0.0) == pytest.approx(
+            math.cosh(horizon) ** -0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("mu, horizon, s0", [(1.0, 1.0, 0.0), (0.5, 2.0, -0.7),
+                                                 (-1.5, 0.5, 1.2), (0.0, 1.0, 0.8)])
+    def test_matches_the_riccati_solution(self, mu, horizon, s0):
+        assert cc_exact_cos_mean(mu, horizon, s0) == pytest.approx(
+            riccati_cos_mean(mu, horizon, s0), rel=1e-12)
+
+    def test_paper_value(self):
+        assert cc_exact_cos_mean(1.0, 1.0, 0.0) == pytest.approx(0.7145564080, abs=5e-11)
+
+    def test_paper_sweep_against_the_closed_form(self, tmp_path, capsys):
+        # the shipped config at its own seed 401: every estimate within 4 eps of
+        # the truth, and the splitting scheme at the finest level never deeper
+        assert main(["run", "--config", str(PAPER_CONFIG), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = [line for line in (tmp_path / "run.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        truth = cc_exact_cos_mean(1.0, 1.0, 0.0)
+        assert {row["coupling"] for row in rows} == {"gs", "gs-nv"} and len(rows) == 10
+        for row in rows:
+            assert abs(float(row["estimate"]) - truth) <= 4.0 * float(row["epsilon"]), row
+        depth = {(row["coupling"], row["epsilon"]): int(row["L"]) for row in rows}
+        for (coupling, epsilon), last in depth.items():
+            if coupling == "gs-nv":
+                assert last <= depth[("gs", epsilon)]
