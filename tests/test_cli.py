@@ -678,6 +678,26 @@ GOLDEN_COMMANDS = {
                                           "--seed", "5"], "743b5e6b29b319d0"),
 }
 
+# the `pilot` stdout lines of the calibrated commands, by case name: (arguments, lines)
+GOLDEN_PILOT_LINES = {
+    "sweep-benchmark": (
+        ["sweep", "--config", str(SCRIPTS / "clark_cameron_benchmark.cfg")],
+        ["pilot gs: 8192 samples per level (cap 100000), 6.226e+05 path steps for plans of "
+         "3.406e+05 cost units; alpha=1.0 c1=0.1605 beta=2.0 c2=0.1487",
+         "pilot gs-nv: 8192 samples per level (cap 100000), 2.367e+06 path steps for plans of "
+         "3.184e+05 cost units; alpha=2.0 c1=0.08061 beta=2.0 c2=0.1487"]),
+    "heston-ml2r": (
+        ["run", "--config", str(SCRIPTS / "heston_call.cfg"), "--estimator", "ml2r"],
+        ["pilot nv: 8192 samples per level (cap 100000), 1.491e+06 path steps for plans of "
+         "5.278e+05 cost units; alpha=2.0 c1=-0.0003182 beta=3.5 c2=0.0002163"]),
+    # the first round's pilots cost less than its plans, so the pilot grows
+    "grown-round": (
+        ["run", "--payoff", "u-squared", "--coupling", "gs", "--eps", "2^-7",
+         "--pilot-m", "100000", "--seed", "9"],
+        ["pilot gs: 12288 samples per level (cap 100000), 9.339e+05 path steps for plans of "
+         "9.194e+05 cost units; alpha=1.0 c1=-0.4408 beta=2.0 c2=1.565"]),
+}
+
 
 class TestGolden:
     """Pin the run data rows: plans, costs and estimates are exact functions
@@ -695,6 +715,13 @@ class TestGolden:
         assert main([command, *args, "--out", str(tmp_path)]) == 0
         body = "\n".join(csv_body(tmp_path / f"{command}.csv"))
         assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_PILOT_LINES))
+    def test_pilot_lines(self, case, tmp_path, capsys):
+        args, lines = GOLDEN_PILOT_LINES[case]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("pilot ")] == lines
 
 
 class TestConfigEcho:
