@@ -360,15 +360,15 @@ def _run_rows(cfg: ExperimentConfig, model, payoff: Payoff) -> list[tuple]:
         LevelSampler(model, payoff, coupling), cfg.estimator, cfg.eps, cfg.pilot_m, cfg.seed,
         cfg.workers, cfg.nv_level0, cfg.levels, cfg.alpha, cfg.c1, cfg.beta, cfg.c2, pilots,
     )) for coupling in cfg.coupling]
-    for coupling, plans in calibrated:
-        first, cost = plans[0], sum(plan.cost_units for plan in plans)
-        print(f"pilot {coupling}: {first.pilot_samples} samples per level (cap {cfg.pilot_m}), "
-              f"{first.pilot_steps:.4g} path steps for plans of {cost:.4g} cost units; "
-              "alpha={} c1={:.4g} beta={} c2={:.4g}".format(*first.rates))
+    for coupling, (calibration, plans) in calibrated:
+        cost = sum(plan.cost_units for plan in plans)
+        print(f"pilot {coupling}: {calibration.samples} samples per level (cap {cfg.pilot_m}), "
+              f"{calibration.steps:.4g} path steps for plans of {cost:.4g} cost units; "
+              "alpha={} c1={:.4g} beta={} c2={:.4g}".format(*calibration.rates))
         for i, (epsilon, plan) in enumerate(zip(cfg.eps, plans)):
             result = est.run_multilevel(plan, model, payoff, cfg.seed, EXP_RUN + i, cfg.workers)
             rows.append((epsilon, plan.kind, coupling, plan.last_level,
-                         plan.total_samples, result.cost_units, result.seconds,
+                         int(plan.sizes.sum()), result.cost_units, result.seconds,
                          result.estimate))
     return rows
 

@@ -67,29 +67,33 @@ class PlanTooLarge(cal.SamplingFailure, ValueError):
 
 @dataclass(frozen=True)
 class MultilevelPlan:
-    """Levels, sample sizes, estimator weights and level samplers of one run."""
+    """Levels, sample sizes, estimator weights and level samplers of one run.
+
+    A plan holds only what the run needs; how the rates it was made from
+    were found is the ``Calibration`` that ``calibrated_plans`` returns.
+    """
 
     kind: str                 # "mlmc" | "ml2r"
-    coupling: str             # "gs" | "nv" | "gs-nv"
     epsilon: float
     last_level: int
     sizes: np.ndarray         # samples per level
     weights: np.ndarray       # level weights (all ones for mlmc)
     level_tags: tuple[str, ...]  # the coupling each level is sampled with
-    # set by calibrated_plans: samples per pilot level, path steps of every
-    # pilot level the plans read, and the (alpha, c1, beta, c2) planned with
-    pilot_samples: int = 0
-    pilot_steps: float = 0.0
-    rates: tuple[float, ...] = ()
 
     @property
     def cost_units(self) -> float:
         """Path steps of the planned samples."""
         return float(np.sum(self.sizes * _level_costs(self.level_tags)))
 
-    @property
-    def total_samples(self) -> int:
-        return int(np.sum(self.sizes))
+
+@dataclass(frozen=True)
+class Calibration:
+    """The pilot round that made the plans of ``calibrated_plans``: what it
+    read and the rates it planned with."""
+
+    samples: int                # samples per pilot level
+    steps: float                # path steps of every pilot level the round read
+    rates: tuple[float, ...]    # the (alpha, c1, beta, c2) planned with
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ def _plan(kind: str, coupling: str, epsilon: float, variances: np.ndarray,
     last = variances.size - 1
     tags = _level_tags(kind, coupling, last, nv_level0)
     sizes = mlmc_sample_sizes(epsilon, variances, _level_costs(tags))
-    return MultilevelPlan(kind, coupling, epsilon, last, sizes, weights, tags)
+    return MultilevelPlan(kind, epsilon, last, sizes, weights, tags)
 
 
 def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
@@ -320,11 +324,11 @@ def rate_pilots(sampler: LevelSampler, levels, m: int, seed: int, workers: int =
                                  workers, memo) for tag in RATE_COUPLINGS[sampler.coupling])
 
 
-def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
-                     seed: int, workers: int = 1, nv_level0: str = "averaged",
-                     pilot_levels=range(1, 5), alpha: float | None = None,
-                     c1: float | None = None, beta: float | None = None,
-                     c2: float | None = None, pilots: dict | None = None) -> list[MultilevelPlan]:
+def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int, seed: int,
+                     workers: int = 1, nv_level0: str = "averaged", pilot_levels=range(1, 5),
+                     alpha: float | None = None, c1: float | None = None,
+                     beta: float | None = None, c2: float | None = None,
+                     pilots: dict | None = None) -> tuple[Calibration, list[MultilevelPlan]]:
     """Calibrate from pilots, then plan one estimator of ``kind`` ("mlmc" or
     "ml2r") on ``sampler.coupling`` per epsilon.
 
@@ -348,9 +352,10 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     the plans' ``cost_units`` does every level grow, by its later blocks,
     to the blocks that cost as much (at most ``pilot_m``), before every
     epsilon is planned again.  A plan that fails on a pilot below the cap
-    is made again on the pilot at the cap.  Each plan carries the samples
-    per level, path steps and rates of the round that made it: the path
-    steps of the pilots that round read, not those of an earlier round.
+    is made again on the pilot at the cap.  Returns the ``Calibration`` of
+    the round that made the plans, beside them: its samples per level, the
+    path steps of the pilots that round read (not those of an earlier
+    round), and its rates.
     """
     if kind not in ("mlmc", "ml2r"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -358,9 +363,8 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
     coupling, horizon = sampler.coupling, sampler.model.horizon
     given = (alpha, c1, beta, c2)
 
-    def plan_every_epsilon(m: int):
-        """Rates, plans and the path steps of the pilots read, with m
-        samples per pilot level."""
+    def plan_every_epsilon(m: int) -> tuple[Calibration, list[MultilevelPlan]]:
+        """The round's calibration and plans, with m samples per pilot level."""
         read = {}  # (tag, level, experiment) -> path steps of the pilot read
 
         def pilot(tag: str, levels, experiment: int) -> list[LevelStats]:
@@ -384,27 +388,28 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int,
                  else ml2r_last_level(epsilon, alpha, horizon) for epsilon in epsilons]
         if kind == "ml2r":
             varf = pilot("crude-nv", [5], EXP_VARF)[0].variance
-            return rates, [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
-                           for epsilon in epsilons], sum(read.values())
-        v0 = pilot(_level_tags(kind, coupling, 1, nv_level0)[0], [0], EXP_V0)[0].variance
-        plans = []
-        for epsilon, last in zip(epsilons, lasts):
-            v_last = (pilot(coupling, [last], EXP_VLAST + last)[0].variance
-                      if coupling == "gs-nv" else None)
-            plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
-                                   nv_level0, direct))
-        return rates, plans, sum(read.values())
+            plans = [ml2r_plan(coupling, epsilon, alpha, beta, c2, varf, horizon)
+                     for epsilon in epsilons]
+        else:
+            v0 = pilot(_level_tags(kind, coupling, 1, nv_level0)[0], [0], EXP_V0)[0].variance
+            plans = []
+            for epsilon, last in zip(epsilons, lasts):
+                v_last = (pilot(coupling, [last], EXP_VLAST + last)[0].variance
+                          if coupling == "gs-nv" else None)
+                plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
+                                       nv_level0, direct))
+        return Calibration(m, sum(read.values()), rates), plans
 
     m = min(pilot_m, 2 * BLOCK_SAMPLES)  # samples per level of every pilot of a round
     try:
-        rates, plans, steps = plan_every_epsilon(m)
+        calibration, plans = plan_every_epsilon(m)
         budget = sum(plan.cost_units for plan in plans)
-        if steps < budget and m < pilot_m:
-            m = min(pilot_m, math.ceil(budget * m / steps / BLOCK_SAMPLES) * BLOCK_SAMPLES)
-            rates, plans, steps = plan_every_epsilon(m)
+        if calibration.steps < budget and m < pilot_m:
+            blocks = math.ceil(budget * m / calibration.steps / BLOCK_SAMPLES)
+            m = min(pilot_m, blocks * BLOCK_SAMPLES)
+            calibration, plans = plan_every_epsilon(m)
     except cal.SamplingFailure:
         if m == pilot_m:
             raise
-        m = pilot_m
-        rates, plans, steps = plan_every_epsilon(m)
-    return [replace(plan, pilot_samples=m, pilot_steps=steps, rates=rates) for plan in plans]
+        calibration, plans = plan_every_epsilon(pilot_m)
+    return calibration, plans

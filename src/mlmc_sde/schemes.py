@@ -409,12 +409,14 @@ def _coupling_block(task):
     grid = LevelGrid(level, model.horizon)
     path = sample_level_path(streams, grid, model.d, counts)
     dw, eta = path.dw, path.eta
-    x_fine, x_neg = np.split(simulate_path("nv", model, grid, dw, eta), 2)
-    x_coarse = simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw, eta,
-                             twin=False)
-    x_gs = simulate_path("gs", model, grid, dw)
-    return (block_records(np.sum((x_fine - x_coarse) ** 2, axis=-1)),
-            block_records(np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)))
+    # as in sample_level, an overflow leaves a gap that is not finite, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_fine, x_neg = np.split(simulate_path("nv", model, grid, dw, eta), 2)
+        x_coarse = simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw, eta,
+                                 twin=False)
+        x_gs = simulate_path("gs", model, grid, dw)
+        return (block_records(np.sum((x_fine - x_coarse) ** 2, axis=-1)),
+                block_records(np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)))
 
 
 def coupling_errors(model: SdeModel, levels, m: int, seed: int,

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import math
 import os
 import pkgutil
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlmc_sde
 from mlmc_sde import calibrate, cli, estimators, schemes
@@ -24,7 +28,13 @@ from mlmc_sde.cli import (
     read_config_file,
     resolve_config,
 )
-from mlmc_sde.models import MODELS, ClarkCameronModel, NegativeSqrtArgument, Payoff
+from mlmc_sde.models import (
+    MODELS,
+    PAYOFF_LABELS,
+    ClarkCameronModel,
+    NegativeSqrtArgument,
+    Payoff,
+)
 from mlmc_sde.paths import MAX_LEVEL
 from mlmc_sde.schemes import LevelSampler
 
@@ -351,13 +361,16 @@ class TestCommands:
         assert body[0] == "level,mean,sem,variance"
         assert any(line.startswith("fit,") for line in body)
 
-    @pytest.mark.parametrize("command, levels", [("calibrate", "1..4"),
-                                                 ("variance-decay", "1..3")])
-    def test_overflowing_statistics_raise_no_warning(self, command, levels, tmp_path, capsys):
-        # the pilots' squares overflow; the statistics read inf, silently
+    @pytest.mark.parametrize("command, levels, mu", [("calibrate", "1..4", "1e77"),
+                                                     ("variance-decay", "1..3", "1e77"),
+                                                     ("strong-order", "1..3", "1e200")])
+    def test_overflowing_statistics_raise_no_warning(self, command, levels, mu, tmp_path,
+                                                     capsys):
+        # the pilots' squares (or the paths' gaps) overflow; the statistics
+        # read inf or nan, silently
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, "--payoff", "u-squared", "--mu", "1e77", "--levels", levels,
+            assert main([command, "--payoff", "u-squared", "--mu", mu, "--levels", levels,
                          "--pilot-m", "100", "--out", str(tmp_path)]) == 0
         assert not caught
         assert "RuntimeWarning" not in capsys.readouterr().err
@@ -952,6 +965,50 @@ class TestNonFiniteValues:
                           "--coupling", "nv", "--pilot-m", "100", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+# the model options and the fixed rates, each drawn near 0, at a subnormal, near
+# the float's smallest normal, where a square or a cube leaves the float range,
+# at its largest values, or not finite
+EXTREME = st.one_of(st.floats(-1e-6, 1e-6),
+                    st.floats(1e154, 1e155),
+                    st.sampled_from([5e-324, -5e-324, 1e-308, 1e200, 1e300, 1.7e308,
+                                     math.inf, -math.inf, math.nan]))
+EXTREME_OPTIONS = ("horizon", "mu", "u0", "s0", "rate", "kappa", "theta", "sigma", "v0",
+                   "alpha", "c1", "beta", "c2")
+# the commands whose draws --pilot-m bounds; run and sweep plan their own sizes
+BOUNDED_COMMANDS = (["calibrate", "--coupling", "gs"], ["calibrate", "--coupling", "nv"],
+                    ["calibrate", "--coupling", "gs-nv"], ["variance-decay"],
+                    ["strong-order"], ["oracle-check"])
+
+
+class TestCommandInputs:
+    """Extreme model constants and rates at every command that --pilot-m
+    bounds: an exit code of the documented ones, no traceback, no warning."""
+
+    @pytest.mark.parametrize("command", BOUNDED_COMMANDS, ids=" ".join)
+    @given(model=st.sampled_from(sorted(MODELS)),
+           payoff=st.sampled_from(PAYOFF_LABELS),
+           options=st.dictionaries(st.sampled_from(EXTREME_OPTIONS), EXTREME, max_size=4),
+           levels=st.sampled_from(["1..2", "2..3"]),
+           pilot_m=st.integers(2, 60))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_exit_code_without_traceback_or_warning(self, command, model, payoff, options,
+                                                   levels, pilot_m, tmp_path_factory):
+        if command[0] != "oracle-check":  # defined for one model and payoff only
+            command = [*command, "--model", model, "--payoff", payoff]
+        # the --flag=value form, so that argparse reads a negative value as a value
+        argv = [*command, *(f"--{name}={value!r}" for name, value in options.items()),
+                "--levels", levels, "--pilot-m", str(pilot_m), "--workers", "1",
+                "--out", str(tmp_path_factory.getbasetemp() / "inputs")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = exit_code(argv)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
 
 
 def exception_classes():

@@ -323,7 +323,7 @@ class TestRunner:
         assert sum(s.aborted for s in result.level_stats) == 0
 
     def test_single_level_plan_is_plain_average(self):
-        plan = MultilevelPlan("mlmc", "gs", 1.0, 0, np.array([5000]), np.ones(1),
+        plan = MultilevelPlan("mlmc", 1.0, 0, np.array([5000]), np.ones(1),
                               ("crude-gs",))
         result = run_multilevel(plan, CC, USQ, seed=4, experiment=2)
         sampler = LevelSampler(CC, USQ, "crude-gs")
@@ -386,7 +386,7 @@ class TestRunner:
     def test_fixed_resolution_unbiasedness(self):
         # averaged over repetitions, the estimator matches a direct Monte
         # Carlo of the finest-level scheme within 3 combined standard errors
-        plan = MultilevelPlan("mlmc", "gs", 0.1, 2,
+        plan = MultilevelPlan("mlmc", 0.1, 2,
                               np.array([4000, 2000, 1000]), np.ones(3),
                               ("crude-gs", "gs", "gs"))
         estimates = np.array([
@@ -401,7 +401,7 @@ class TestRunner:
         # starting above the mean with vol-of-vol at the Feller bound drives
         # the explicit scheme negative often
         fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05)
-        plan = MultilevelPlan("mlmc", "gs", 1.0, 1, np.array([4000, 2000]),
+        plan = MultilevelPlan("mlmc", 1.0, 1, np.array([4000, 2000]),
                               np.ones(2), ("crude-gs", "gs"))
         # the count is over the level's planned size
         with pytest.raises(SamplingError, match=r"^level 1: \d+/2000 samples aborted$"):
@@ -417,7 +417,7 @@ class TestRunner:
     def test_reflect_policy_keeps_running(self):
         fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05,
                               negative_variance="reflect")
-        plan = MultilevelPlan("mlmc", "gs", 1.0, 1, np.array([4000, 2000]),
+        plan = MultilevelPlan("mlmc", 1.0, 1, np.array([4000, 2000]),
                               np.ones(2), ("crude-gs", "gs"))
         result = run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
         assert np.isfinite(result.estimate)
@@ -447,7 +447,7 @@ class TestMemory:
         assert traced_peak(lambda: sample_many(sampler, 0, 10**6, seed=1)) < self.LIMIT
 
     def test_run_holds_one_batch(self):
-        plan = MultilevelPlan("mlmc", "gs", 1.0, 0, np.array([10**6]), np.ones(1),
+        plan = MultilevelPlan("mlmc", 1.0, 0, np.array([10**6]), np.ones(1),
                               ("crude-gs",))
         assert traced_peak(lambda: run_multilevel(plan, CC, USQ, seed=1)) < self.LIMIT
 
@@ -544,7 +544,7 @@ class TestCalibratedPlans:
 
     def test_pilot_levels_then_the_line(self, monkeypatch):
         keys = record_keys(monkeypatch)
-        plans = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1)
+        _, plans = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1)
         # the rate pilot and v0, each drawn once: no second pilot of the variances
         assert len(keys) == len(set(keys)) == 5
         assert {k[2] for k in keys} == {EXP_RATES, EXP_V0}
@@ -555,8 +555,8 @@ class TestCalibratedPlans:
             np.testing.assert_array_equal(plan.sizes, self.expected_sizes(plan))
 
     def test_level_below_the_pilot_takes_the_line(self):
-        plan, = calibrated_plans(LadderSampler(), "mlmc", [2.0**-3], self.M, seed=1,
-                                 pilot_levels=range(2, 5))
+        _, (plan,) = calibrated_plans(LadderSampler(), "mlmc", [2.0**-3], self.M, seed=1,
+                                      pilot_levels=range(2, 5))
         assert plan.last_level == 3
         expected = self.expected_sizes(plan, range(2, 5))
         np.testing.assert_array_equal(plan.sizes, expected)
@@ -566,10 +566,11 @@ class TestCalibratedPlans:
 
     def test_given_c2_keeps_the_line_at_every_level(self):
         c2 = self.variance_fit()[1].constant  # the fitted constant, passed in
-        fitted = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1)
-        given = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1, c2=c2)
-        for plan, own in zip(given, fitted):
-            assert plan.rates == own.rates
+        own, fitted = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1)
+        calibration, given = calibrated_plans(LadderSampler(), "mlmc", self.EPS, self.M, seed=1,
+                                              c2=c2)
+        assert calibration.rates == own.rates
+        for plan in given:
             np.testing.assert_array_equal(plan.sizes, self.expected_sizes(plan, c2=c2))
         # the pilot's level 3 and 4 variances (1/64) lie off the line (1/2 2^-4.5, 1/2 2^-6)
         assert (given[1].sizes != fitted[1].sizes).any()
@@ -645,26 +646,26 @@ class TestPilotBudget:
 
     def test_cheap_run_stops_at_two_blocks(self, monkeypatch):
         keys = record_keys(monkeypatch)
-        plans = calibrated_plans(LadderSampler(), "mlmc", CHEAP_EPS, 100_000, seed=1)
-        assert plans[0].pilot_samples == 2 * BLOCK
-        assert sum(plan.cost_units for plan in plans) < plans[0].pilot_steps
+        calibration, plans = calibrated_plans(LadderSampler(), "mlmc", CHEAP_EPS, 100_000, seed=1)
+        assert calibration.samples == 2 * BLOCK
+        assert sum(plan.cost_units for plan in plans) < calibration.steps
         assert len(keys) == len(set(keys)) == 5  # rate levels 1..4, v0
         for plan, last in zip(plans, (2, 3, 4)):
             np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, 2 * BLOCK))
 
     @pytest.mark.parametrize("pilot_m", [3 * BLOCK + 1000, 100_000])
     def test_dear_run_grows_to_its_cost(self, pilot_m, monkeypatch):
-        first = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 2 * BLOCK, seed=1)
-        budget = sum(plan.cost_units for plan in first)
-        per_sample = first[0].pilot_steps / (2 * BLOCK)
-        assert budget > first[0].pilot_steps
+        first, plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 2 * BLOCK, seed=1)
+        budget = sum(plan.cost_units for plan in plans)
+        per_sample = first.steps / (2 * BLOCK)
+        assert budget > first.steps
         grown = min(pilot_m, math.ceil(budget / per_sample / BLOCK) * BLOCK)
         assert grown == (pilot_m if pilot_m < 100_000 else 17 * BLOCK)
 
         blocks = record_blocks(monkeypatch)
-        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
-        assert plans[0].pilot_samples == grown
-        assert plans[0].pilot_steps == grown * per_sample
+        calibration, plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
+        assert calibration.samples == grown
+        assert calibration.steps == grown * per_sample
         for plan, last in zip(plans, (7, 8)):
             assert plan.last_level == last
             np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, grown))
@@ -680,15 +681,15 @@ class TestPilotBudget:
 
     def test_no_block_drawn_twice_across_calls(self, monkeypatch):
         blocks, memo = record_blocks(monkeypatch), {}
-        deep = calibrated_plans(LadderSampler(), "mlmc", [2.0**-9], 100_000, seed=1,
-                                pilots=memo)
-        assert deep[0].pilot_samples == 100_000
+        deep, _ = calibrated_plans(LadderSampler(), "mlmc", [2.0**-9], 100_000, seed=1,
+                                   pilots=memo)
+        assert deep.samples == 100_000
         # a later call on the same memo reads its 17 blocks from the 24 whole blocks kept
-        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1,
-                                 pilots=memo)
-        assert plans[0].pilot_samples == 17 * BLOCK
+        calibration, plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000,
+                                              seed=1, pilots=memo)
+        assert calibration.samples == 17 * BLOCK
         assert len(blocks) == len(set(blocks))
-        alone = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1)
+        _, alone = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1)
         for plan, own in zip(plans, alone):
             np.testing.assert_array_equal(plan.sizes, own.sizes)
 
@@ -703,18 +704,18 @@ class TestPilotBudget:
             return draw(sampler, level, m, seed, experiment, workers, first_block)
 
         monkeypatch.setattr(estimators.cal, "sample_many", counted)
-        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
+        calibration, plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, pilot_m, seed=1)
         assert len(keys) == len(set(keys)) == 5
         assert {key[2] for key in keys} == {pilot_m}
-        assert plans[0].pilot_samples == pilot_m
+        assert calibration.samples == pilot_m
         for plan, last in zip(plans, (7, 8)):
             np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, pilot_m))
 
     def test_plan_failing_below_the_cap_uses_the_cap(self):
         with pytest.raises(calibrate.ZeroMean):
             calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 2 * BLOCK, seed=1)
-        plans = calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 3 * BLOCK, seed=1)
-        assert plans[0].pilot_samples == 3 * BLOCK
+        calibration, _ = calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 3 * BLOCK, seed=1)
+        assert calibration.samples == 3 * BLOCK
 
     def test_pilot_steps_are_those_of_the_last_round(self, monkeypatch):
         read = []
@@ -725,16 +726,16 @@ class TestPilotBudget:
             return pilot(sampler, levels, m, seed, experiment, workers, memo)
 
         monkeypatch.setattr(estimators.cal, "pilot_stats", logged)
-        plans = calibrated_plans(DoubledTailSampler("gs-nv"), "mlmc", (2.0**-9, 2.0**-10),
-                                 100_000, seed=1)
-        grown = plans[0].pilot_samples
+        calibration, plans = calibrated_plans(DoubledTailSampler("gs-nv"), "mlmc",
+                                              (2.0**-9, 2.0**-10), 100_000, seed=1)
+        grown = calibration.samples
         first = {key[1:] for key in read if key[0] == 2 * BLOCK}
         last = {key[1:] for key in read if key[0] == grown}
         assert grown == 18 * BLOCK and [plan.last_level for plan in plans] == [10, 11]
         # the two-block round planned levels 9 and 10; its level-9 v_last is not read again
         assert ("gs-nv", 9, EXP_VLAST + 9) in first - last
-        assert plans[0].pilot_steps == grown * sum(path_steps(tag, level)
-                                                   for tag, level, _ in last)
+        assert calibration.steps == grown * sum(path_steps(tag, level)
+                                                for tag, level, _ in last)
 
     def test_both_rounds_use_the_pool(self, monkeypatch):
         tasks = []
@@ -748,8 +749,9 @@ class TestPilotBudget:
         monkeypatch.setattr(schemes.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(schemes, "POOL_PATH_STEPS", 0)
         monkeypatch.setattr(schemes, "_pool", lambda workers: Pool())
-        plans = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1, workers=2)
-        assert plans[0].pilot_samples == 17 * BLOCK
+        calibration, _ = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1,
+                                          workers=2)
+        assert calibration.samples == 17 * BLOCK
         # 5 pilot levels at two blocks, then their blocks 2..16 in batches of 4
         assert tasks == [2] * 5 + [4] * 5
 
@@ -823,8 +825,8 @@ class TestPlannerInputs:
             except calibrate.SamplingFailure as exc:
                 direct = type(exc)
             try:
-                plan, = calibrated_plans(sampler, kind, [epsilon], 100, 1, alpha=alpha, c1=c1,
-                                         beta=beta, c2=c2, pilots=memo)
+                _, (plan,) = calibrated_plans(sampler, kind, [epsilon], 100, 1, alpha=alpha,
+                                              c1=c1, beta=beta, c2=c2, pilots=memo)
             except calibrate.SamplingFailure as exc:
                 plan = type(exc)
         if isinstance(plan, type):
