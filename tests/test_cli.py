@@ -361,9 +361,11 @@ class TestCommands:
         assert body[0] == "level,mean,sem,variance"
         assert any(line.startswith("fit,") for line in body)
 
+    # each id names the command and its levels; mu is fixed per command
     @pytest.mark.parametrize("command, levels, mu", [("calibrate", "1..4", "1e77"),
                                                      ("variance-decay", "1..3", "1e77"),
-                                                     ("strong-order", "1..3", "1e200")])
+                                                     ("strong-order", "1..3", "1e200")],
+                             ids=["calibrate-1..4", "variance-decay-1..3", "strong-order-1..3"])
     def test_overflowing_statistics_raise_no_warning(self, command, levels, mu, tmp_path,
                                                      capsys):
         # the pilots' squares (or the paths' gaps) overflow; the statistics
