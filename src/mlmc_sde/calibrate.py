@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .paths import RngStream
 from .schemes import BLOCK_SAMPLES, LevelSampler, central_moments, sample_many
 
 
@@ -92,13 +93,13 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
                 memo: dict | None = None) -> list[LevelStats]:
     """Estimate mean and variance of Z^l with independent streams per level.
 
-    ``memo`` maps (sampler, level, m, seed, experiment) to the statistics
-    already drawn under that stream key; levels found there are not drawn
-    again, and new ones are added.  It also keeps, under (sampler, level,
-    seed, experiment), the block records of the most whole blocks drawn on
-    that stream.  A level not in the memo makes at most one ``sample_many``
-    call, of the blocks after the kept ones it reads: none where the kept
-    blocks hold all m samples, every block where none is kept.  Its
+    ``memo`` maps (sampler, block stream, block samples) to the record
+    (``block_records`` row) drawn under that key: a pure function of the
+    key, whatever the draw it came from.  A read of m samples looks up the
+    keys of its blocks; since whole blocks are prefixes of any larger draw
+    and a short last block is found only by a read of the same size, those
+    missing are the last ones.  A level draws them, and only them, in at
+    most one ``sample_many`` call and adds them to the memo.  Its
     statistics are those of one draw of m samples, and no block is drawn
     twice.
     """
@@ -107,17 +108,13 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     memo = {} if memo is None else memo
     out = []
     for level in levels:
-        key, stream = (sampler, level, m, seed, experiment), (sampler, level, seed, experiment)
-        if key not in memo:
-            kept, whole = memo.get(stream, np.zeros((0, 6))), m // BLOCK_SAMPLES
-            records = kept[:whole]  # whole blocks are a prefix of any larger draw
-            if len(records) * BLOCK_SAMPLES < m:
-                tail = sample_many(sampler, level, m, seed, experiment, workers, len(records))
-                records = np.concatenate((records, tail.records))
-            if whole > len(kept):
-                memo[stream] = records[:whole]
-            memo[key] = stats_from_records(level, records)
-        out.append(memo[key])
+        keys = [(sampler, RngStream(seed, experiment, level, i),
+                 min(BLOCK_SAMPLES, m - i * BLOCK_SAMPLES)) for i in range(-(-m // BLOCK_SAMPLES))]
+        first = next((i for i, key in enumerate(keys) if key not in memo), len(keys))
+        if first < len(keys):
+            tail = sample_many(sampler, level, m, seed, experiment, workers, first)
+            memo.update(zip(keys[first:], tail.records))
+        out.append(stats_from_records(level, np.array([memo[key] for key in keys])))
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import estimators as est
-from .estimators import EXP_DECAY, EXP_ORACLE, EXP_RUN, EXP_STRONG
+from .estimators import EXP_DECAY, EXP_ORACLE, EXP_RATES, EXP_RUN, EXP_STRONG, RATE_COUPLINGS
 from .models import MODELS, PAYOFF_LABELS, Payoff, build_model
 from .paths import MAX_LEVEL
 from .schemes import COUPLINGS, LevelSampler, coupling_errors, sample_many
@@ -111,8 +111,8 @@ class ExperimentConfig:
                              help="mlmc level-0 splitting sample: both orders averaged or one "
                                   "(ml2r ignores it: its level 0 is always one order)")
     alpha: float | None = _option(None, float, check=POSITIVE,
-                                  help="fixed weak order; the rate pilot is skipped only "
-                                       "when all four of --alpha --c1 --beta --c2 are set")
+                                  help="fixed weak order; a rate pilot is skipped where both "
+                                       "its rates are set (--alpha --c1; --beta --c2)")
     c1: float | None = _option(None, float, check=FINITE, help="fixed weak constant (see --alpha)")
     beta: float | None = _option(None, float, check=POSITIVE,
                                  help="fixed variance order (see --alpha)")
@@ -206,6 +206,8 @@ def _validate(cfg: ExperimentConfig, command: str):
             raise ConfigError(f"{f.name.replace('_', '-')} must be {check[1]}")
     if command == "calibrate" and len(cfg.coupling) > 1:
         raise ConfigError("calibrate takes one --coupling")
+    if command in ("run", "sweep") and len(set(cfg.coupling)) < len(cfg.coupling):
+        raise ConfigError(f"{command} takes each --coupling once")
     if command in ("run", "sweep") and not cfg.eps:
         raise ConfigError(f"{command} needs at least one --eps")
     if command in ("run", "sweep") and cfg.estimator == "ml2r" and "gs-nv" in cfg.coupling:
@@ -333,8 +335,10 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
     """pilot level statistics and fitted rates"""
     coupling = cfg.coupling[0]
     warnings = []
-    weak, var = est.rate_pilots(LevelSampler(model, payoff, coupling), cfg.levels,
-                                cfg.pilot_m, cfg.seed, cfg.workers)
+    memo = {}  # a scheme that drives both rates is drawn once
+    weak, var = (cal.pilot_stats(LevelSampler(model, payoff, tag), cfg.levels, cfg.pilot_m,
+                                 cfg.seed, EXP_RATES, cfg.workers, memo)
+                 for tag in RATE_COUPLINGS[coupling])
     rows = [(w.level, w.mean, w.sem, v.variance) for w, v in zip(weak, var)]
     fits = []
     # each fit refuses on its own; a refused one reads nan

@@ -308,22 +308,6 @@ def crude_mc(model: SdeModel, payoff: Payoff, scheme: str = "nv", level: int = 5
     return cal.pilot_stats(sampler, [level], m, seed, experiment, workers)[0]
 
 
-def rate_pilots(sampler: LevelSampler, levels, m: int, seed: int, workers: int = 1,
-                memo: dict | None = None) -> tuple[list[LevelStats], list[LevelStats]]:
-    """Pilot level statistics for the weak rate and for the variance rate of
-    ``sampler.coupling``.
-
-    Each is drawn on the ``EXP_RATES`` streams with its scheme from
-    ``RATE_COUPLINGS``, so gs-nv fits its weak rate on nv and its variance
-    rate on gs.  Both draws go through the memo (see
-    ``calibrate.pilot_stats``), so a scheme that drives both rates is drawn
-    once.
-    """
-    memo = {} if memo is None else memo
-    return tuple(cal.pilot_stats(replace(sampler, coupling=tag), levels, m, seed, EXP_RATES,
-                                 workers, memo) for tag in RATE_COUPLINGS[sampler.coupling])
-
-
 def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int, seed: int,
                      workers: int = 1, nv_level0: str = "averaged", pilot_levels=range(1, 5),
                      alpha: float | None = None, c1: float | None = None,
@@ -332,18 +316,20 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int, s
     """Calibrate from pilots, then plan one estimator of ``kind`` ("mlmc" or
     "ml2r") on ``sampler.coupling`` per epsilon.
 
-    Every calibration pilot is drawn here, and only here.  The rates are
-    fitted on the pilots of ``rate_pilots``, each on the scheme that drives
-    it (``RATE_COUPLINGS``); rates passed in replace the fitted ones, and with
-    all four passed no rate pilot is drawn.  The depth of every epsilon is
-    checked before any other pilot.  Then come v0, v_last per last level
+    Every calibration pilot is drawn here, and only here.  Each rate is
+    fitted on the ``EXP_RATES`` pilot of the scheme that drives it
+    (``RATE_COUPLINGS``), a scheme that drives both being drawn once.  Rates
+    passed in replace the fitted ones: the weak-rate pilot is drawn only
+    where alpha or c1 is not passed in, and the variance-rate pilot only
+    where beta or c2 is not.  The depth of every epsilon is checked before
+    any other pilot.  Then come v0, v_last per last level
     (gs-nv) and varf (ml2r).  An mlmc plan sizes each level that the
     variance-rate pilot drew from that pilot's own variance, where c2 is
     fitted; every other level of 1..L takes the line c2 2^(-beta l), and a
     c2 passed in keeps the line at every level (``mlmc_plan``).  Every
-    pilot level is drawn through the memo ``pilots`` (see
-    ``calibrate.pilot_stats``), so it is drawn once across the epsilons,
-    and across calls that share the memo.
+    pilot level is read through ``calibrate.pilot_stats`` on the one memo
+    ``pilots`` of block records, so no block is drawn twice: not across the
+    epsilons, nor across the rounds, nor across calls that share the memo.
 
     The pilot is sized by the run it plans, in whole blocks of
     ``BLOCK_SAMPLES`` samples, with ``pilot_m`` samples per level as the
@@ -372,16 +358,18 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int, s
             return cal.pilot_stats(replace(sampler, coupling=tag), levels, m, seed, experiment,
                                    workers, pilots)
 
-        rates, direct = given, ()
-        if None in rates:
-            weak_stats, var_stats = (pilot(tag, pilot_levels, EXP_RATES)
-                                     for tag in RATE_COUPLINGS[coupling])
-            weak = cal.fit_weak_rate(weak_stats)
-            var_fit = cal.fit_variance_rate(var_stats)
-            direct = var_stats if given[3] is None else ()  # a c2 passed in keeps the line
-            fitted = (weak.order, weak.constant, var_fit.order, var_fit.constant)
-            rates = tuple(f if r is None else r for r, f in zip(rates, fitted))
-        alpha, c1, beta, c2 = rates
+        alpha, c1, beta, c2 = given
+        weak_tag, var_tag = RATE_COUPLINGS[coupling]
+        # each rate pilot is drawn only for a rate that is not passed in
+        weak = pilot(weak_tag, pilot_levels, EXP_RATES) if None in (alpha, c1) else None
+        var = pilot(var_tag, pilot_levels, EXP_RATES) if None in (beta, c2) else None
+        if weak is not None:
+            fit = cal.fit_weak_rate(weak)
+            alpha, c1 = fit.order if alpha is None else alpha, fit.constant if c1 is None else c1
+        if var is not None:
+            fit = cal.fit_variance_rate(var)
+            beta, c2 = fit.order if beta is None else beta, fit.constant if c2 is None else c2
+        direct = var if given[3] is None else ()  # a c2 passed in keeps the line
 
         # a level past the cap fails before the pilots that depend on it
         lasts = [mlmc_last_level(epsilon, c1, alpha) if kind == "mlmc"
@@ -398,7 +386,7 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int, s
                           if coupling == "gs-nv" else None)
                 plans.append(mlmc_plan(coupling, epsilon, alpha, c1, beta, c2, v0, v_last,
                                        nv_level0, direct))
-        return Calibration(m, sum(read.values()), rates), plans
+        return Calibration(m, sum(read.values()), (alpha, c1, beta, c2)), plans
 
     m = min(pilot_m, 2 * BLOCK_SAMPLES)  # samples per level of every pilot of a round
     try:

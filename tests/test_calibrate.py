@@ -243,17 +243,23 @@ class TestPilotGrowth:
             assert pilot_stats(sampler, [1, 2], m, 5, 7, memo=memo) == \
                 pilot_stats(sampler, [1, 2], m, 5, 7)
 
-    def test_whole_blocks_are_kept_for_growth(self):
-        sampler, memo = FakeSampler("normal"), {}
-        pilot_stats(sampler, [0], 2 * BLOCK_SAMPLES + 10, 1, memo=memo)
-        kept = memo[(sampler, 0, 1, 0)]
-        # one record per whole block; a partial last block is not kept: it is
-        # no prefix of a larger draw
-        assert len(kept) == 2 and (kept[:, 0] == BLOCK_SAMPLES).all()
-        pilot_stats(sampler, [0], BLOCK_SAMPLES, 1, memo=memo)
-        assert memo[(sampler, 0, 1, 0)] is kept
-        pilot_stats(sampler, [0], 3 * BLOCK_SAMPLES + 10, 1, memo=memo)
-        assert len(memo[(sampler, 0, 1, 0)]) == 3
+    def test_each_block_is_drawn_once(self, monkeypatch):
+        sampler, memo, draws = FakeSampler("normal"), {}, []
+        sizes = [2 * BLOCK_SAMPLES + 10, BLOCK_SAMPLES, 3 * BLOCK_SAMPLES + 10,
+                 2 * BLOCK_SAMPLES + 10, 2 * BLOCK_SAMPLES + 20]
+        alone = [pilot_stats(sampler, [0], m, 1) for m in sizes]
+        draw = calibrate.sample_many
+
+        def counted(sampler, level, m, seed, experiment=0, workers=1, first_block=0):
+            draws.append((m, first_block))
+            return draw(sampler, level, m, seed, experiment, workers, first_block)
+
+        monkeypatch.setattr(calibrate, "sample_many", counted)
+        assert [pilot_stats(sampler, [0], m, 1, memo=memo) for m in sizes] == alone
+        # whole blocks serve any read that covers them; a short last block is
+        # no prefix of a larger draw, so only a read of its own size finds it
+        assert draws == [(2 * BLOCK_SAMPLES + 10, 0), (3 * BLOCK_SAMPLES + 10, 2),
+                         (2 * BLOCK_SAMPLES + 20, 2)]
 
 
 class TestLog2Line:

@@ -91,6 +91,19 @@ def no_draws(monkeypatch):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_repeated_coupling_exits_two(self, command, tmp_path, no_draws, capsys):
+        assert main([command, "--coupling", "gs", "--coupling", "gs", "--eps", "2^-4",
+                     "--out", str(tmp_path)]) == 2
+        assert f"{command} takes each --coupling once" in capsys.readouterr().err
+
+    def test_variance_decay_keeps_a_repeated_coupling(self, tmp_path):
+        # each repeat draws its own stream, EXP_DECAY + its index
+        assert main(["variance-decay", "--coupling", "nv", "--coupling", "nv", "--levels", "1..2",
+                     "--pilot-m", "100", "--out", str(tmp_path)]) == 0
+        rows = csv_body(tmp_path / "variance-decay.csv")[1:]
+        assert len(rows) == 6 and rows[0] != rows[2]
+
     def test_run_needs_eps(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2
 
@@ -397,9 +410,9 @@ class TestCommands:
         # four finite, nonzero means but infinite variances: the weak fit stands
         assert main(["calibrate", "--payoff", "u-squared", "--mu", "2e77", "--levels", "1..4",
                      "--pilot-m", "100", "--out", str(tmp_path)]) == 0
-        weak, var = estimators.rate_pilots(LevelSampler(ClarkCameronModel(mu=2e77),
-                                                        Payoff("u-squared"), "gs"),
-                                           range(1, 5), 100, 12345)
+        weak = calibrate.pilot_stats(LevelSampler(ClarkCameronModel(mu=2e77),
+                                                  Payoff("u-squared"), "gs"),
+                                     range(1, 5), 100, 12345, estimators.EXP_RATES)
         assert all(math.isfinite(s.mean) and s.mean != 0.0 for s in weak)
         fit = calibrate.fit_weak_rate(weak)
         text = (tmp_path / "calibrate.csv").read_text()
@@ -821,14 +834,18 @@ class TestDrawOnce:
 
 
 class TestFixedRates:
-    """A fixed rate replaces its fitted one; the rate pilot is skipped only
-    when all four of --alpha --c1 --beta --c2 are set."""
+    """A fixed rate replaces its fitted one; the weak-rate pilot is skipped
+    when --alpha and --c1 are set, the variance-rate pilot when --beta and
+    --c2 are."""
 
-    @pytest.mark.parametrize("fixed, rate_levels", [
-        (["--alpha", "1"], [1, 2, 3, 4]),
-        (["--alpha", "1", "--c1", "0.16", "--beta", "2", "--c2", "0.15"], []),
-    ], ids=["alpha-alone", "all-four"])
-    def test_rate_pilot_unless_all_four(self, fixed, rate_levels, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("coupling, fixed, rate_keys", [
+        ("gs", ["--alpha", "1"], [("gs", level) for level in (1, 2, 3, 4)]),
+        ("gs", ["--alpha", "1", "--c1", "0.16", "--beta", "2", "--c2", "0.15"], []),
+        # gs-nv fits its weak rate on nv, which its fixed weak rates leave undrawn
+        ("gs-nv", ["--alpha", "2", "--c1", "0.08"], [("gs", level) for level in (1, 2, 3, 4)]),
+    ], ids=["alpha-alone", "all-four", "gs-nv-weak-pair"])
+    def test_rate_pilot_only_for_unset_rates(self, coupling, fixed, rate_keys, tmp_path,
+                                             monkeypatch):
         log = record_draws(monkeypatch)
         alphas = []
         plan = estimators.mlmc_plan
@@ -838,12 +855,12 @@ class TestFixedRates:
             return plan(coupling, epsilon, alpha, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "mlmc_plan", recorded)
-        assert main(["run", "--payoff", "u-squared", "--coupling", "gs", *fixed, *THREE_EPS,
+        assert main(["run", "--payoff", "u-squared", "--coupling", coupling, *fixed, *THREE_EPS,
                      "--out", str(tmp_path)]) == 0
         rates = estimators.EXP_RATES
-        rate_keys = [key for epsilon, key in log if epsilon is None and key[4] == rates]
-        assert rate_keys == [("gs", level, 2000, 9, rates) for level in rate_levels]
-        assert alphas == [1.0, 1.0, 1.0]
+        drawn = [key for epsilon, key in log if epsilon is None and key[4] == rates]
+        assert drawn == [(tag, level, 2000, 9, rates) for tag, level in rate_keys]
+        assert alphas == [float(fixed[1])] * 3  # fixed[0] is --alpha
 
 
 class TestStreamKeys:
@@ -984,9 +1001,28 @@ BOUNDED_COMMANDS = (["calibrate", "--coupling", "gs"], ["calibrate", "--coupling
                     ["strong-order"], ["oracle-check"])
 
 
+# the target RMSEs of run and sweep: the range the planner sizes, and refused values
+EPS_VALUES = st.one_of(st.floats(2.0**-6, 1e308),
+                       st.sampled_from([0.0, -0.0, -2.0**-4, math.inf, -math.inf, math.nan]))
+# the largest plan run_multilevel runs under TestCommandInputs, in path steps
+RUN_PATH_STEPS = 1e7
+
+
+def assert_documented_exit(argv):
+    """argv exits with a documented code, with no traceback and no warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = exit_code(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+
+
 class TestCommandInputs:
-    """Extreme model constants and rates at every command that --pilot-m
-    bounds: an exit code of the documented ones, no traceback, no warning."""
+    """Extreme model constants and rates at every command: an exit code of
+    the documented ones, no traceback, no warning."""
 
     @pytest.mark.parametrize("command", BOUNDED_COMMANDS, ids=" ".join)
     @given(model=st.sampled_from(sorted(MODELS)),
@@ -1000,17 +1036,41 @@ class TestCommandInputs:
         if command[0] != "oracle-check":  # defined for one model and payoff only
             command = [*command, "--model", model, "--payoff", payoff]
         # the --flag=value form, so that argparse reads a negative value as a value
-        argv = [*command, *(f"--{name}={value!r}" for name, value in options.items()),
-                "--levels", levels, "--pilot-m", str(pilot_m), "--workers", "1",
-                "--out", str(tmp_path_factory.getbasetemp() / "inputs")]
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = exit_code(argv)
-        assert code in (0, 2, 3, 4), argv
-        assert "Traceback" not in err.getvalue(), argv
-        assert not caught, (argv, [str(w.message) for w in caught])
+        assert_documented_exit([
+            *command, *(f"--{name}={value!r}" for name, value in options.items()),
+            "--levels", levels, "--pilot-m", str(pilot_m), "--workers", "1",
+            "--out", str(tmp_path_factory.getbasetemp() / "inputs")])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @given(model=st.sampled_from(sorted(MODELS)),
+           payoff=st.sampled_from(PAYOFF_LABELS),
+           couplings=st.lists(st.sampled_from(cli.LEVEL_COUPLINGS), min_size=1, max_size=2,
+                              unique=True),
+           estimator=st.sampled_from(["mlmc", "ml2r"]),
+           eps=st.lists(EPS_VALUES, min_size=1, max_size=2),
+           options=st.dictionaries(st.sampled_from(EXTREME_OPTIONS), EXTREME, max_size=4),
+           pilot_m=st.integers(2, 200))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_planned_commands(self, command, model, payoff, couplings, estimator, eps, options,
+                              pilot_m, tmp_path_factory):
+        """run and sweep, each plan run only up to RUN_PATH_STEPS: a larger
+        plan is skipped, and its row reads a nan estimate at no cost."""
+        run = estimators.run_multilevel
+
+        def bounded(plan, *args, **kwargs):
+            if plan.cost_units <= RUN_PATH_STEPS:
+                return run(plan, *args, **kwargs)
+            return estimators.EstimatorResult(math.nan, [], 0.0, 0.0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "run_multilevel", bounded)
+            assert_documented_exit([
+                command, "--model", model, "--payoff", payoff, "--estimator", estimator,
+                *(f"--coupling={coupling}" for coupling in couplings),
+                *(f"--eps={value!r}" for value in eps),
+                *(f"--{name}={value!r}" for name, value in options.items()),
+                "--levels", "1..2", "--pilot-m", str(pilot_m), "--workers", "1",
+                "--out", str(tmp_path_factory.getbasetemp() / "planned")])
 
 
 def exception_classes():

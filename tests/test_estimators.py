@@ -29,12 +29,11 @@ from mlmc_sde.estimators import (
     mlmc_last_level,
     mlmc_plan,
     mlmc_sample_sizes,
-    rate_pilots,
     run_multilevel,
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
-from mlmc_sde.paths import MAX_LEVEL
+from mlmc_sde.paths import MAX_LEVEL, RngStream
 from mlmc_sde.schemes import LevelSampler, path_steps, sample_many
 from path_reference import block_values
 
@@ -506,14 +505,24 @@ class TestRatePilots:
     @pytest.mark.parametrize("coupling, weak, var", [
         ("gs", "gs", "gs"), ("nv", "nv", "nv"), ("gs-nv", "nv", "gs")])
     def test_each_rate_on_its_scheme(self, coupling, weak, var, monkeypatch):
-        keys = record_keys(monkeypatch)
-        weak_stats, var_stats = rate_pilots(LevelSampler(CC, USQ, coupling), [1, 2], 200, 3)
+        keys, fitted = record_keys(monkeypatch), []
+
+        def recording(fit):
+            def recorded(stats):
+                fitted.append(stats)
+                return fit(stats)
+            return recorded
+
+        for name in ("fit_weak_rate", "fit_variance_rate"):
+            monkeypatch.setattr(calibrate, name, recording(getattr(calibrate, name)))
+        calibrated_plans(LevelSampler(CC, USQ, coupling), "mlmc", [2.0**-3], 200, 3,
+                         pilot_levels=[1, 2])
         # a scheme that drives both rates is drawn once
-        assert keys == [(scheme, level, EXP_RATES)
-                        for scheme in dict.fromkeys((weak, var)) for level in (1, 2)]
-        for scheme, stats in ((weak, weak_stats), (var, var_stats)):
-            assert stats == calibrate.pilot_stats(LevelSampler(CC, USQ, scheme), [1, 2], 200,
-                                                  3, EXP_RATES)
+        rate_keys = [key for key in keys if key[2] == EXP_RATES]
+        assert rate_keys == [(scheme, level, EXP_RATES)
+                             for scheme in dict.fromkeys((weak, var)) for level in (1, 2)]
+        assert fitted == [calibrate.pilot_stats(LevelSampler(CC, USQ, scheme), [1, 2], 200, 3,
+                                                EXP_RATES) for scheme in (weak, var)]
 
 
 class TestCalibratedPlans:
@@ -525,7 +534,7 @@ class TestCalibratedPlans:
 
     def variance_fit(self, pilot_levels=range(1, 5)):
         """The variance-rate pilot's stats and fit, from LadderSampler."""
-        _, var_stats = rate_pilots(LadderSampler(), pilot_levels, self.M, 1)
+        var_stats = calibrate.pilot_stats(LadderSampler(), pilot_levels, self.M, 1, EXP_RATES)
         return var_stats, calibrate.fit_variance_rate(var_stats)
 
     def expected_sizes(self, plan, pilot_levels=range(1, 5), c2=None):
@@ -772,18 +781,19 @@ class PilotFreeSampler:
         raise AssertionError("no pilot may be drawn")
 
 
-def pilot_memo(sampler, m, seed, v0, v_last, varf):
-    """The pilots ``calibrated_plans`` reads with all four rates fixed, by
-    memo key, each with the given variance."""
-    def stats(variance, level):
-        return calibrate.LevelStats(level, m, 0.0, variance, variance, 0.0)
+def pilot_memo(sampler, seed, v0, v_last, varf):
+    """The pilots ``calibrated_plans`` reads at pilot_m 2 with all four rates
+    fixed, as the one block record of each, with the given variance: the M2
+    of two samples is their variance."""
+    def record(variance):
+        return np.array([2.0, 2.0, 0.0, variance, 0.0, 0.0])
 
     memo = {}
     for tag in ("crude-gs", "level0-nv-averaged"):
-        memo[(replace(sampler, coupling=tag), 0, m, seed, EXP_V0)] = stats(v0, 0)
-    memo[(replace(sampler, coupling="crude-nv"), 5, m, seed, EXP_VARF)] = stats(varf, 5)
+        memo[(replace(sampler, coupling=tag), RngStream(seed, EXP_V0, 0), 2)] = record(v0)
+    memo[(replace(sampler, coupling="crude-nv"), RngStream(seed, EXP_VARF, 5), 2)] = record(varf)
     for last in range(1, MAX_LEVEL + 1):
-        memo[(sampler, last, m, seed, EXP_VLAST + last)] = stats(v_last, last)
+        memo[(sampler, RngStream(seed, EXP_VLAST + last, last), 2)] = record(v_last)
     return memo
 
 
@@ -814,7 +824,7 @@ class TestPlannerInputs:
                                       v0, v_last, varf, horizon):
         kind, coupling = kind_coupling
         sampler = PilotFreeSampler(coupling, Horizon(horizon))
-        memo = pilot_memo(sampler, 100, 1, v0, v_last, varf)
+        memo = pilot_memo(sampler, 1, v0, v_last, varf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -825,7 +835,7 @@ class TestPlannerInputs:
             except calibrate.SamplingFailure as exc:
                 direct = type(exc)
             try:
-                _, (plan,) = calibrated_plans(sampler, kind, [epsilon], 100, 1, alpha=alpha,
+                _, (plan,) = calibrated_plans(sampler, kind, [epsilon], 2, 1, alpha=alpha,
                                               c1=c1, beta=beta, c2=c2, pilots=memo)
             except calibrate.SamplingFailure as exc:
                 plan = type(exc)
