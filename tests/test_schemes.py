@@ -749,12 +749,16 @@ GOLDEN_SAMPLES = {
 # blocks share one kernel call
 GOLDEN_MULTISTEP = {
     ("clark-cameron", "crude-nv", 3): "db3aa70c5ebed41b",
+    ("clark-cameron", "gs-nv", 4): "a07f27eb47923b42",
     ("clark-cameron", "gs-nv", 5): "006c26631eeb5519",
     ("clark-cameron", "level0-nv-averaged", 3): "0d089b4afb5f563b",
+    ("clark-cameron", "nv", 4): "da4d4d1b5d1d27ba",
     ("clark-cameron", "nv", 5): "c4fd98c41885e761",
     ("heston", "crude-nv", 3): "731e4159f8e7f870",
+    ("heston", "gs-nv", 4): "f3f52549a275ce69",
     ("heston", "gs-nv", 5): "da1827afc145b260",
     ("heston", "level0-nv-averaged", 3): "952c02caff03ec07",
+    ("heston", "nv", 4): "b2c9b5993407a90b",
     ("heston", "nv", 5): "52042520b635089e",
 }
 
