@@ -206,7 +206,8 @@ def _validate(cfg: ExperimentConfig, command: str):
             raise ConfigError(f"{f.name.replace('_', '-')} must be {check[1]}")
     if command == "calibrate" and len(cfg.coupling) > 1:
         raise ConfigError("calibrate takes one --coupling")
-    if command in ("run", "sweep") and len(set(cfg.coupling)) < len(cfg.coupling):
+    repeated = len(set(cfg.coupling)) < len(cfg.coupling)
+    if command in ("run", "sweep", "variance-decay") and repeated:
         raise ConfigError(f"{command} takes each --coupling once")
     if command in ("run", "sweep") and not cfg.eps:
         raise ConfigError(f"{command} needs at least one --eps")

@@ -82,15 +82,18 @@ def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) 
     ``stream`` and ``m`` are one block's stream and sample count, or equal-
     length sequences of them.  Each block's normals are drawn in C order from
     its own stream into its rows of one Fortran-order array (see the module
-    docstring), then its signs in one ``integers`` call: an int8 call buffers
-    random bits, so splitting it could change the stream.  ``signs=False``
+    docstring), a chunk of rows of at most 2^15 normals (256 KiB) at a time:
+    each chunk continues the stream where the last one stopped, so the chunk
+    size bounds the C-order temporary and changes no value.  Then come its
+    signs in one ``integers`` call: an int8 call buffers random bits, so
+    splitting it could change the stream.  ``signs=False``
     (eta of shape (m, 0)) leaves the increments bit for bit as they are.
     """
     streams, counts = (stream, m) if isinstance(m, (list, tuple)) else ((stream,), (m,))
     steps = grid.steps
     dw = np.empty((sum(counts), d, steps), order="F")
     eta = np.empty((sum(counts), steps if signs else 0), dtype=np.int8, order="F")
-    rows = max(1, 2**17 // (d * steps))  # C-order normals drawn at most 1 MiB at a time
+    rows = max(1, 2**15 // (d * steps))
     start = 0
     for block, count in zip(streams, counts):
         gen, end = block.generator(), start + count

@@ -51,9 +51,12 @@ from .paths import LevelGrid, RngStream, sample_level_path
 # samples per RNG block; fixed so results never depend on the worker count
 BLOCK_SAMPLES = 4096
 # consecutive blocks sampled in one kernel call: at most this many blocks and
-# this many float64 increments (8 MiB)
+# this many float64 increments (2 MiB).  The budget bounds all that a batch
+# allocates, its increments and the paths and step temporaries that grow with
+# its samples, near a core's L2 cache size; a block alone past it is a batch
+# of one (README, "Reproducibility and parallelism")
 BATCH_BLOCKS = 4
-BATCH_INCREMENTS = 2**20
+BATCH_INCREMENTS = 2**18
 # path steps (``path_steps``) of one block-dispatch call below which its tasks
 # run in the calling process: from about 2^20 path steps, at levels 1, 3 and 5
 # alike, one Heston nv call paid for starting a pool of 2 workers on 2 cores

@@ -91,18 +91,12 @@ def no_draws(monkeypatch):
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "variance-decay"])
     def test_repeated_coupling_exits_two(self, command, tmp_path, no_draws, capsys):
+        # a repeat's rows would read like the first coupling's in the CSV
         assert main([command, "--coupling", "gs", "--coupling", "gs", "--eps", "2^-4",
                      "--out", str(tmp_path)]) == 2
         assert f"{command} takes each --coupling once" in capsys.readouterr().err
-
-    def test_variance_decay_keeps_a_repeated_coupling(self, tmp_path):
-        # each repeat draws its own stream, EXP_DECAY + its index
-        assert main(["variance-decay", "--coupling", "nv", "--coupling", "nv", "--levels", "1..2",
-                     "--pilot-m", "100", "--out", str(tmp_path)]) == 0
-        rows = csv_body(tmp_path / "variance-decay.csv")[1:]
-        assert len(rows) == 6 and rows[0] != rows[2]
 
     def test_run_needs_eps(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2
@@ -699,11 +693,11 @@ GOLDEN_COMMANDS = {
                                    "--pilot-m", "4000", "--seed", "5"], "90b63a7db6a84350"),
     "calibrate-nv": ("calibrate", ["--coupling", "nv", "--horizon", "0.5", "--levels", "1..4",
                                    "--pilot-m", "4000", "--seed", "5"], "ef05d0a82194b1d8"),
-    # a repeated coupling draws its own stream and gets its own rows
+    # each coupling draws its own stream, EXP_DECAY + its index
     "variance-decay": ("variance-decay", ["--coupling", "gs-nv", "--coupling", "nv",
-                                          "--coupling", "gs-nv", "--horizon", "2",
-                                          "--levels", "1..3", "--pilot-m", "4000",
-                                          "--seed", "5"], "743b5e6b29b319d0"),
+                                          "--horizon", "2", "--levels", "1..3",
+                                          "--pilot-m", "4000", "--seed", "5"],
+                       "5351fd87fb896ec5"),
 }
 
 # the `pilot` stdout lines of the calibrated commands, by case name: (arguments, lines)

@@ -450,6 +450,15 @@ class TestMemory:
                               ("crude-gs",))
         assert traced_peak(lambda: run_multilevel(plan, CC, USQ, seed=1)) < self.LIMIT
 
+    @pytest.mark.parametrize("level, blocks", [(6, 3), (5, 4)])
+    def test_nv_draw_holds_one_small_batch(self, level, blocks):
+        # a batch's increments stay within BATCH_INCREMENTS (2 MiB) unless one
+        # block alone is larger, as at level 6 (4 MiB); with the paths and step
+        # temporaries of an nv sample the draw peaks at about 4.9 and 2.8 MiB
+        sampler, m = LevelSampler(CC, USQ, "nv"), blocks * schemes.BLOCK_SAMPLES
+        peak = traced_peak(lambda: sample_many(sampler, level, m, seed=1))
+        assert peak < 6 * 2**20
+
 
 class TestCrude:
     def test_constant_payoff_zero_variance(self, zero_noise):
@@ -761,8 +770,11 @@ class TestPilotBudget:
         calibration, _ = calibrated_plans(LadderSampler(), "mlmc", DEAR_EPS, 100_000, seed=1,
                                           workers=2)
         assert calibration.samples == 17 * BLOCK
-        # 5 pilot levels at two blocks, then their blocks 2..16 in batches of 4
-        assert tasks == [2] * 5 + [4] * 5
+        # 5 pilot levels at two blocks, then their blocks 2..16 (15 blocks) in
+        # batches of at most BATCH_BLOCKS and BATCH_INCREMENTS increments (d = 2)
+        batch = [min(schemes.BATCH_BLOCKS, schemes.BATCH_INCREMENTS // (BLOCK * 2 * 2**level))
+                 for level in (1, 2, 3, 4, 0)]
+        assert tasks == [2] * 5 + [-(-15 // size) for size in batch]
 
 
 @dataclass(frozen=True)

@@ -644,13 +644,21 @@ def batches(monkeypatch):
     return seen
 
 
+def deepest_level(blocks: int, d: int = 2) -> int:
+    """The deepest level at which one batch holds ``blocks`` whole blocks of
+    d-dimensional increments within ``schemes.BATCH_INCREMENTS``."""
+    return (schemes.BATCH_INCREMENTS // (blocks * BLOCK_SAMPLES * d)).bit_length() - 1
+
+
 class TestBatches:
     """Consecutive blocks sampled in one kernel call give the values, and so
     the records, of the blocks sampled one by one."""
 
-    # (level, samples, blocks per batch) at d = 2, each with a short last block
-    CASES = [(5, 3 * BLOCK_SAMPLES + 100, [4]), (6, BLOCK_SAMPLES + 100, [2]),
-             (7, BLOCK_SAMPLES + 100, [1, 1])]
+    # (level, samples, blocks per batch) at d = 2, each with a short last
+    # block: four blocks in one batch, two in one batch, and two batches of one
+    CASES = [(deepest_level(4), 3 * BLOCK_SAMPLES + 100, [4]),
+             (deepest_level(2), BLOCK_SAMPLES + 100, [2]),
+             (deepest_level(2) + 1, BLOCK_SAMPLES + 100, [1, 1])]
 
     @pytest.mark.parametrize("level,m,sizes", CASES)
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
@@ -683,17 +691,18 @@ class TestBatches:
         assert got[1].tobytes() == np.array(pair_mse).tobytes()
 
     def test_batches_stay_in_budget(self, batches):
-        # six blocks per level; from level 8 one block alone is past the budget
+        # six blocks per level; at the last level one block alone is past the
+        # budget
         m = 5 * BLOCK_SAMPLES + 1
-        for level in range(0, 9):
+        for level in range(0, deepest_level(1) + 2):
             batches.clear()
             sample_many(LevelSampler(CC, COS, "crude-gs"), level, m, seed=3)
             counts = [count for block, _ in batches for count in block]
             assert counts == [count for count, _ in block_streams(m, 3, 0, level)]
             for block, nbytes in batches:
                 assert len(block) <= schemes.BATCH_BLOCKS
-                assert nbytes <= 8 * 2**20 or len(block) == 1
-        coupling_errors(CC, [6], 3 * BLOCK_SAMPLES, seed=3)
+                assert nbytes <= 8 * schemes.BATCH_INCREMENTS or len(block) == 1
+        coupling_errors(CC, [deepest_level(2)], 3 * BLOCK_SAMPLES, seed=3)
         assert [len(block) for block, _ in batches[-2:]] == [2, 1]
 
     @pytest.mark.parametrize("blocks", [2, 3, 5, 8])
@@ -746,7 +755,8 @@ GOLDEN_SAMPLES = {
 
 # the same draw at more steps, where a path's composition order changes from
 # step to step: (model, coupling, level) -> sha256 prefix as above; the two
-# blocks share one kernel call
+# blocks share one kernel call up to deepest_level(2) and are a batch each
+# above it
 GOLDEN_MULTISTEP = {
     ("clark-cameron", "crude-nv", 3): "db3aa70c5ebed41b",
     ("clark-cameron", "gs-nv", 4): "a07f27eb47923b42",
@@ -791,7 +801,8 @@ class TestGoldenSamples:
         seed, experiment, m = GOLDEN_DRAW
         sampler = LevelSampler(model, payoff, coupling)
         sample = sample_many(sampler, level, m, seed, experiment)
-        assert [len(counts) for counts, _ in batches] == [2]
+        assert [len(counts) for counts, _ in batches] == ([2] if level <= deepest_level(2)
+                                                           else [1, 1])
         values = block_values(sampler, level, m, seed, experiment)
         assert digest(values.tobytes()) == GOLDEN_MULTISTEP[model_name, coupling, level]
         assert sample.records.tobytes() == block_records(values).tobytes()
