@@ -93,7 +93,7 @@ def no_draws(monkeypatch):
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "sweep", "variance-decay"])
     def test_repeated_coupling_exits_two(self, command, tmp_path, no_draws, capsys):
-        # a repeat's rows would read like the first coupling's in the CSV
+        # a repeat's CSV rows could not be told apart from the first's
         assert main([command, "--coupling", "gs", "--coupling", "gs", "--eps", "2^-4",
                      "--out", str(tmp_path)]) == 2
         assert f"{command} takes each --coupling once" in capsys.readouterr().err
