@@ -4,11 +4,13 @@ The bias model is E[Z^l] ~ c1 (1 - 2^alpha) / 2^(alpha l) and the variance
 model is V(Z^l) ~ c2 / 2^(beta l).  Orders are fitted by unweighted least
 squares on log2 scale and snapped to the nearest half-integer (every rate
 this machinery is used to detect is a half-integer); the raw slope is kept
-for diagnostics.
+for diagnostics.  ``log2_line`` alone decides which levels a fit reads and
+whether a line can be drawn; where it cannot, a fit raises ``TooFewLevels``.
 
 Level statistics are read from the fold ``schemes.central_moments`` of a
 level's per-block records, so they depend only on the stream and the sample
-size, not on the worker count or the batching.
+size, not on the worker count or the batching.  The blocks are those of
+``schemes.draw_blocks``, which this module reads but never computes.
 """
 
 from __future__ import annotations
@@ -18,20 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import RngStream
-from .schemes import BLOCK_SAMPLES, LevelSampler, central_moments, sample_many
+from .schemes import LevelSampler, central_moments, draw_blocks, sample_many
 
 
 class SamplingFailure(Exception):
     """Base of every failure of the sampling or the fits drawn from it (exit 3)."""
 
 
-class ZeroMean(SamplingFailure, ValueError):
-    """No level statistic is finite and nonzero; log-scale regression is impossible."""
-
-
-class IllConditioned(SamplingFailure, ValueError):
-    """Fewer than two usable points were supplied to a rate fit."""
+class TooFewLevels(SamplingFailure, ValueError):
+    """A rate fit found fewer than two distinct levels whose statistic has a
+    finite log2 (``log2_line``): no line can be drawn through them."""
 
 
 class NoUsableSamples(SamplingFailure, ValueError):
@@ -96,20 +94,20 @@ def pilot_stats(sampler: LevelSampler, levels, m: int, seed: int,
     ``memo`` maps (sampler, block stream, block samples) to the record
     (``block_records`` row) drawn under that key: a pure function of the
     key, whatever the draw it came from.  A read of m samples looks up the
-    keys of its blocks; since whole blocks are prefixes of any larger draw
-    and a short last block is found only by a read of the same size, those
-    missing are the last ones.  A level draws them, and only them, in at
-    most one ``sample_many`` call and adds them to the memo.  Its
-    statistics are those of one draw of m samples, and no block is drawn
-    twice.
+    keys of its blocks, read from ``draw_blocks`` as ``sample_many`` reads
+    them; since whole blocks are prefixes of any larger draw and a short
+    last block is found only by a read of the same size, those missing are
+    the last ones.  A level draws them, and only them, in at most one
+    ``sample_many`` call and adds them to the memo.  Its statistics are
+    those of one draw of m samples, and no block is drawn twice.
     """
     if m < 2:
         raise ValueError("pilot size must be at least 2")
     memo = {} if memo is None else memo
     out = []
     for level in levels:
-        keys = [(sampler, RngStream(seed, experiment, level, i),
-                 min(BLOCK_SAMPLES, m - i * BLOCK_SAMPLES)) for i in range(-(-m // BLOCK_SAMPLES))]
+        keys = [(sampler, stream, samples)
+                for samples, stream in draw_blocks(m, seed, experiment, level)]
         first = next((i for i, key in enumerate(keys) if key not in memo), len(keys))
         if first < len(keys):
             tail = sample_many(sampler, level, m, seed, experiment, workers, first)
@@ -140,38 +138,40 @@ def log2_line(xs, values):
     return float(slope), float(intercept), logs
 
 
-def _usable(stats, values):
+def _fit_line(stats, values):
+    """log2_line of ``values`` against the levels of ``stats``, with the
+    residuals of the levels it kept; refuses where it draws no line."""
     levels = np.array([s.level for s in stats], dtype=float)
-    vals = np.asarray(values, dtype=float)
-    keep = np.isfinite(vals) & (vals != 0.0)
-    if not keep.any():
-        raise ZeroMean("no level statistic is finite and nonzero")
-    if keep.sum() < 2:
-        raise IllConditioned("need at least two usable levels")
-    return levels[keep], vals[keep]
+    slope, intercept, logs = log2_line(levels, values)
+    if math.isnan(slope):
+        raise TooFewLevels("need two distinct levels with a finite, nonzero statistic")
+    keep = np.isfinite(logs)
+    return slope, intercept, keep, logs[keep] - (slope * levels[keep] + intercept)
 
 
 def fit_weak_rate(stats: list[LevelStats]) -> RateFit:
-    """Fit (alpha, c1) from level means.
+    """Fit (alpha, c1) from level means, over the levels ``log2_line`` keeps.
 
     The intercept of the log2|mean| line equals log2(|c1| (2^alpha - 1));
-    the sign of c1 is opposite to the sign of the means, because the level
-    mean carries the factor (1 - 2^alpha) < 0.
+    the sign of c1 is opposite to the sign of the first kept mean, because
+    the level mean carries the factor (1 - 2^alpha) < 0.  Refuses with
+    ``TooFewLevels`` where no line can be drawn.
     """
-    levels, means = _usable(stats, [s.mean for s in stats])
-    slope, intercept, logs = log2_line(levels, np.abs(means))
+    means = np.array([s.mean for s in stats], dtype=float)
+    slope, intercept, keep, residuals = _fit_line(stats, np.abs(means))
     alpha = snap_half(-slope)
     magnitude = 2.0**intercept / (2.0**alpha - 1.0)
-    sign = 1.0 if means[0] > 0 else -1.0
-    return RateFit(alpha, -sign * magnitude, slope, intercept, logs - (slope * levels + intercept))
+    sign = 1.0 if means[keep][0] > 0 else -1.0
+    return RateFit(alpha, -sign * magnitude, slope, intercept, residuals)
 
 
 def fit_variance_rate(stats: list[LevelStats]) -> RateFit:
-    """Fit (beta, c2) from level variances; c2 = 2^intercept > 0."""
-    levels, variances = _usable(stats, [s.variance for s in stats])
-    slope, intercept, logs = log2_line(levels, variances)
+    """Fit (beta, c2) from level variances, over the levels ``log2_line``
+    keeps; c2 = 2^intercept > 0.  Refuses with ``TooFewLevels`` where no
+    line can be drawn."""
+    slope, intercept, _, residuals = _fit_line(stats, [s.variance for s in stats])
     beta = snap_half(-slope)
-    return RateFit(beta, 2.0**intercept, slope, intercept, logs - (slope * levels + intercept))
+    return RateFit(beta, 2.0**intercept, slope, intercept, residuals)
 
 
 def variance_table(direct: list[LevelStats], last_level: int, beta: float,

@@ -347,7 +347,7 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
                              (cal.fit_variance_rate, var, "no variance rate from the variances")):
         try:
             fits.append(fit(stats))
-        except (cal.ZeroMean, cal.IllConditioned) as exc:
+        except cal.TooFewLevels as exc:
             warnings.append(f"{what}: {exc}")
             fits.append(cal.RateFit(*[float("nan")] * 4))
     weak_fit, var_fit = fits

@@ -337,29 +337,36 @@ class LevelSampler:
         return sample_level(self.model, self.payoff, self.coupling, level, m, stream)
 
 
-def _map_blocks(fn, job, d: int, level: int, m: int, seed: int, experiment: int, workers: int,
-                sample_steps: float, first_block: int = 0):
-    """fn((job, level, counts, streams)) over batches of the fixed blocks of m
-    samples, from block ``first_block`` on; ``sample_steps`` is the path
-    steps of one sample.
+def draw_blocks(m: int, seed: int, experiment: int, level: int) -> list[tuple[int, RngStream]]:
+    """(samples, stream) of each fixed block of a draw of m samples of
+    ``level``, in block order: BLOCK_SAMPLES samples a block, the last one
+    possibly shorter, each on its own stream (seed, experiment, level,
+    block index).  The one partition that every draw and the pilot memo's
+    keys read."""
+    return [(min(BLOCK_SAMPLES, m - i * BLOCK_SAMPLES), RngStream(seed, experiment, level, i))
+            for i in range(-(-m // BLOCK_SAMPLES))]
 
-    Block boundaries and stream coordinates depend only on (seed,
-    experiment, level, block index), and results come back in batch order,
-    so they are identical for any worker count.  A batch holds consecutive
-    blocks within BATCH_BLOCKS and BATCH_INCREMENTS (d coordinates), and
-    with several workers a level of two blocks or more makes two tasks or
-    more.  Those tasks go to a process pool only where the call draws
-    POOL_PATH_STEPS path steps or more; below that the same tasks run here,
-    in order.  The pool never has more processes than the machine has cores.
+
+def _map_blocks(fn, job, d: int, level: int, blocks, workers: int, sample_steps: float):
+    """fn((job, level, counts, streams)) over batches of ``blocks``, a run of
+    consecutive ``draw_blocks`` entries; ``sample_steps`` is the path steps
+    of one sample.
+
+    Results come back in batch order, and every block's samples depend only
+    on its stream, so they are identical for any worker count.  A batch
+    holds consecutive blocks within BATCH_BLOCKS and BATCH_INCREMENTS (d
+    coordinates).  Only a draw of POOL_PATH_STEPS path steps or more reads
+    ``workers``: there, several workers split a draw of two blocks or more
+    into two tasks or more and run them in a process pool that never has
+    more processes than the machine has cores.  Every other draw is batched
+    and run here as at one worker.
     """
-    blocks = [(min(BLOCK_SAMPLES, m - i * BLOCK_SAMPLES), RngStream(seed, experiment, level, i))
-              for i in range(first_block, -(-m // BLOCK_SAMPLES))]
-    workers = min(workers, os.cpu_count() or 1)
+    steps = sample_steps * sum(count for count, _ in blocks)
+    workers = min(workers, os.cpu_count() or 1) if steps >= POOL_PATH_STEPS else 1
     size = max(1, min(BATCH_BLOCKS, BATCH_INCREMENTS // (BLOCK_SAMPLES * d * 2**level),
                       -(-len(blocks) // workers)))
     tasks = [(job, level, *zip(*blocks[i:i + size])) for i in range(0, len(blocks), size)]
-    steps = sample_steps * sum(count for count, _ in blocks)
-    if workers <= 1 or len(tasks) == 1 or steps < POOL_PATH_STEPS:
+    if workers <= 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
     return list(_pool(workers).map(fn, tasks))
 
@@ -397,12 +404,13 @@ def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
     keep each block's record (``block_records``) in block order: identical
     for any worker count, and never more than one batch of values held.
 
-    With ``first_block`` = k, only blocks k and later are drawn: appended
-    to the first k whole blocks of any larger draw, they give the records
-    of the m samples bit for bit.
+    With ``first_block`` = k, only the blocks of ``draw_blocks`` from index
+    k on are drawn: appended to the first k whole blocks of any larger draw,
+    they give the records of the m samples bit for bit.
     """
-    batches = _map_blocks(_sample_block, sampler, sampler.model.d, level, m, seed, experiment,
-                          workers, path_steps(sampler.coupling, level), first_block)
+    batches = _map_blocks(_sample_block, sampler, sampler.model.d, level,
+                          draw_blocks(m, seed, experiment, level)[first_block:], workers,
+                          path_steps(sampler.coupling, level))
     return LevelMoments(np.concatenate(batches or [np.zeros((0, 6))]), level, sampler.coupling)
 
 
@@ -437,8 +445,10 @@ def coupling_errors(model: SdeModel, levels, m: int, seed: int,
         if level < 1:
             raise ValueError("coupling errors need level >= 1")
         # the nv pair and the gs path on the fine grid, one nv path on the coarse
-        batches = _map_blocks(_coupling_block, model, model.d, level, m, seed, experiment,
-                              workers, 3 * 2.0**level + 2.0 ** (level - 1))
+        steps = (path_steps("level0-nv-averaged", level) + path_steps("crude-gs", level)
+                 + path_steps("crude-nv", level - 1))
+        batches = _map_blocks(_coupling_block, model, model.d, level,
+                              draw_blocks(m, seed, experiment, level), workers, steps)
         for errors, records in zip((self_mse, pair_mse), zip(*batches)):
             n, mean, *_ = central_moments(np.concatenate(records))
             errors.append(mean if n == m else math.nan)

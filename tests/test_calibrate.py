@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from mlmc_sde import calibrate, schemes
 from mlmc_sde.calibrate import (
-    IllConditioned,
     LevelStats,
     NoUsableSamples,
-    ZeroMean,
+    TooFewLevels,
     central_moments,
     fit_variance_rate,
     fit_weak_rate,
@@ -327,11 +326,11 @@ class TestWeakFit:
         assert fit.constant == pytest.approx(c1, rel=1e-10)
 
     def test_zero_means_rejected(self):
-        with pytest.raises(ZeroMean):
+        with pytest.raises(TooFewLevels):
             fit_weak_rate(stats_for([1, 2, 3], means=[0.0, 0.0, 0.0]))
 
     def test_single_usable_point_rejected(self):
-        with pytest.raises(IllConditioned):
+        with pytest.raises(TooFewLevels):
             fit_weak_rate(stats_for([1, 2], means=[0.5, 0.0]))
 
     def test_reference_rates_for_smooth_payoff(self):
@@ -356,8 +355,25 @@ class TestVarianceFit:
     def test_refusal_names_both_causes(self, value):
         # every statistic infinite is refused like every statistic zero, and
         # the message covers both
-        with pytest.raises(ZeroMean, match="^no level statistic is finite and nonzero$"):
+        with pytest.raises(TooFewLevels,
+                           match="^need two distinct levels with a finite, nonzero statistic$"):
             fit_variance_rate(stats_for([1, 2, 3], variances=[value] * 3))
+
+
+class TestLineRule:
+    @pytest.mark.parametrize("fit", [fit_weak_rate, fit_variance_rate])
+    def test_one_level_twice_is_refused(self, fit):
+        # two finite, nonzero statistics at one level draw no line
+        with pytest.raises(TooFewLevels):
+            fit(stats_for([2, 2], means=[0.5, 0.25], variances=[0.5, 0.25]))
+
+    def test_sign_and_residuals_from_the_kept_levels(self):
+        # a zero mean at level 1 is left out: the sign is that of level 2's
+        # mean, and one residual is read per kept level
+        means = [0.0] + [-(1 - 2.0) / 2.0**l for l in range(2, 5)]
+        fit = fit_weak_rate(stats_for([1, 2, 3, 4], means=means))
+        assert (fit.order, fit.constant) == (1.0, pytest.approx(-1.0, rel=1e-12))
+        assert fit.residuals.shape == (3,)
 
 
 class TestSnap:

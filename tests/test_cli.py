@@ -397,8 +397,8 @@ class TestCommands:
         assert main(["calibrate", "--payoff", "u-squared", "--mu", "2e77", "--levels", "1..4",
                      "--pilot-m", "100", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "no variance rate from the variances: no level statistic is finite and " \
-            "nonzero" in out
+        assert "no variance rate from the variances: need two distinct levels with a " \
+            "finite, nonzero statistic" in out
 
     def test_calibrate_fits_refuse_on_their_own(self, tmp_path):
         # four finite, nonzero means but infinite variances: the weak fit stands
@@ -415,7 +415,7 @@ class TestCommands:
                              "fit-variance,nan,nan,"]
         notes = [line for line in text.splitlines() if line.startswith("# warning:")]
         assert notes == ["# warning: no variance rate from the variances: "
-                            "no level statistic is finite and nonzero"]
+                            "need two distinct levels with a finite, nonzero statistic"]
 
     def test_calibrate_degenerate_reports_nan(self, tmp_path, zero_noise):
         assert main(["calibrate", "--pilot-m", "64",

@@ -730,7 +730,7 @@ class TestPilotBudget:
             np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, pilot_m))
 
     def test_plan_failing_below_the_cap_uses_the_cap(self):
-        with pytest.raises(calibrate.ZeroMean):
+        with pytest.raises(calibrate.TooFewLevels):
             calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 2 * BLOCK, seed=1)
         calibration, _ = calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 3 * BLOCK, seed=1)
         assert calibration.samples == 3 * BLOCK

@@ -730,6 +730,22 @@ class TestBatches:
         serial = sample_many(sampler, 1, m, seed=8, workers=1)
         assert pooled.records.tobytes() == serial.records.tobytes()
 
+    def test_workers_leave_a_draw_below_the_pool_alone(self, monkeypatch):
+        # two nv blocks at level 1 are 81 920 path steps, below
+        # POOL_PATH_STEPS: they run here, batched as at one worker
+        sizes, block = {}, schemes._sample_block
+
+        def counted(task):
+            sizes.setdefault(workers, []).append(len(task[2]))
+            return block(task)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schemes, "_sample_block", counted)
+        sampler = LevelSampler(CC, USQ, "nv")
+        for workers in (1, 2):
+            sample_many(sampler, 1, 2 * BLOCK_SAMPLES, seed=8, workers=workers)
+        assert sizes == {1: [2], 2: [2]}
+
 
 # (seed, experiment, samples): two blocks, the second one short
 GOLDEN_DRAW = (29, 7, 4096 + 64)
