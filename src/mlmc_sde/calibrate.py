@@ -5,7 +5,9 @@ model is V(Z^l) ~ c2 / 2^(beta l).  Orders are fitted by unweighted least
 squares on log2 scale and snapped to the nearest half-integer (every rate
 this machinery is used to detect is a half-integer); the raw slope is kept
 for diagnostics.  ``log2_line`` alone decides which levels a fit reads and
-whether a line can be drawn; where it cannot, a fit raises ``TooFewLevels``.
+whether a line can be drawn; where it cannot, a fit raises
+``SamplingFailure``, the one exception of every refusal of the sampling, the
+fits and the plans.
 
 Level statistics are read from the fold ``schemes.central_moments`` of a
 level's per-block records, so they depend only on the stream and the sample
@@ -24,16 +26,8 @@ from .schemes import LevelSampler, central_moments, draw_blocks, sample_many
 
 
 class SamplingFailure(Exception):
-    """Base of every failure of the sampling or the fits drawn from it (exit 3)."""
-
-
-class TooFewLevels(SamplingFailure, ValueError):
-    """A rate fit found fewer than two distinct levels whose statistic has a
-    finite log2 (``log2_line``): no line can be drawn through them."""
-
-
-class NoUsableSamples(SamplingFailure, ValueError):
-    """Every sample of a level aborted or came out non-finite."""
+    """Every failure of the sampling, the fits drawn from it or the plans made
+    from them (exit 3); its message names the rule that refused."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ def stats_from_records(level: int, records: np.ndarray) -> LevelStats:
     aborted samples are those that are not finite."""
     n, mean, m2, _, m4 = central_moments(records)
     if n == 0:
-        raise NoUsableSamples(f"level {level}: no usable samples")
+        raise SamplingFailure(f"level {level}: no usable samples")
     # a single sample carries a mean but no variance information
     variance = m2 / (n - 1.0) if n >= 2 else 0.0
     # M2^2 underflows to 0 below M2 of about 1e-162, where M2 itself is not 0
@@ -144,7 +138,7 @@ def _fit_line(stats, values):
     levels = np.array([s.level for s in stats], dtype=float)
     slope, intercept, logs = log2_line(levels, values)
     if math.isnan(slope):
-        raise TooFewLevels("need two distinct levels with a finite, nonzero statistic")
+        raise SamplingFailure("need two distinct levels with a finite, nonzero statistic")
     keep = np.isfinite(logs)
     return slope, intercept, keep, logs[keep] - (slope * levels[keep] + intercept)
 
@@ -154,8 +148,8 @@ def fit_weak_rate(stats: list[LevelStats]) -> RateFit:
 
     The intercept of the log2|mean| line equals log2(|c1| (2^alpha - 1));
     the sign of c1 is opposite to the sign of the first kept mean, because
-    the level mean carries the factor (1 - 2^alpha) < 0.  Refuses with
-    ``TooFewLevels`` where no line can be drawn.
+    the level mean carries the factor (1 - 2^alpha) < 0.  Refuses with a
+    ``SamplingFailure`` where no line can be drawn.
     """
     means = np.array([s.mean for s in stats], dtype=float)
     slope, intercept, keep, residuals = _fit_line(stats, np.abs(means))
@@ -167,8 +161,8 @@ def fit_weak_rate(stats: list[LevelStats]) -> RateFit:
 
 def fit_variance_rate(stats: list[LevelStats]) -> RateFit:
     """Fit (beta, c2) from level variances, over the levels ``log2_line``
-    keeps; c2 = 2^intercept > 0.  Refuses with ``TooFewLevels`` where no
-    line can be drawn."""
+    keeps; c2 = 2^intercept > 0.  Refuses with a ``SamplingFailure`` where
+    no line can be drawn."""
     slope, intercept, _, residuals = _fit_line(stats, [s.variance for s in stats])
     beta = snap_half(-slope)
     return RateFit(beta, 2.0**intercept, slope, intercept, residuals)

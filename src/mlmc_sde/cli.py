@@ -347,7 +347,7 @@ def cmd_calibrate(cfg: ExperimentConfig, model, payoff: Payoff) -> int:
                              (cal.fit_variance_rate, var, "no variance rate from the variances")):
         try:
             fits.append(fit(stats))
-        except cal.TooFewLevels as exc:
+        except cal.SamplingFailure as exc:
             warnings.append(f"{what}: {exc}")
             fits.append(cal.RateFit(*[float("nan")] * 4))
     weak_fit, var_fit = fits

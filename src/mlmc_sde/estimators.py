@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calibrate as cal
-from .calibrate import LevelStats, stats_from_records
+from .calibrate import LevelStats, SamplingFailure, stats_from_records
 from .models import Payoff, SdeModel
 from .paths import MAX_LEVEL
 from .schemes import BLOCK_SAMPLES, LevelSampler, path_steps, sample_many
@@ -39,30 +39,6 @@ RATE_COUPLINGS = {"gs": ("gs", "gs"), "nv": ("nv", "nv"), "gs-nv": ("nv", "gs")}
 
 # largest fraction of aborted samples a level of a run may have
 ABORT_TOLERANCE = 0.01
-
-
-class ZeroWeakConstant(cal.SamplingFailure, ValueError):
-    """The weak-error constant is zero; the last level cannot be sized."""
-
-
-class MissingLastLevelVariance(cal.SamplingFailure, ValueError):
-    """The gs-nv plan needs a pilot variance for its final level."""
-
-
-class NonpositiveVariance(cal.SamplingFailure, ValueError):
-    """A variance that must be positive was zero or negative."""
-
-
-class LevelTooDeep(cal.SamplingFailure, ValueError):
-    """The planned last level lies beyond paths.MAX_LEVEL."""
-
-
-class SamplingError(cal.SamplingFailure, RuntimeError):
-    """Too many samples aborted at some level of a run."""
-
-
-class PlanTooLarge(cal.SamplingFailure, ValueError):
-    """A planned sample size is not below 2^63 (or is not a number)."""
 
 
 @dataclass(frozen=True)
@@ -105,16 +81,17 @@ class EstimatorResult:
 
 
 def mlmc_last_level(epsilon: float, c1: float, alpha: float) -> int:
-    """ceil(log2(sqrt(2) |c1| / eps) / alpha), floored at 1; LevelTooDeep past MAX_LEVEL."""
+    """ceil(log2(sqrt(2) |c1| / eps) / alpha), floored at 1.  A level past
+    MAX_LEVEL, or a c1 of 0, which sizes no last level, is a ``SamplingFailure``."""
     if epsilon <= 0.0 or alpha <= 0.0:
         raise ValueError("need epsilon > 0 and alpha > 0")
     if c1 == 0.0:
-        raise ZeroWeakConstant("c1 = 0: supply a floor or a fixed last level")
+        raise SamplingFailure("c1 = 0: a zero weak constant cannot size the last level")
     ratio = math.sqrt(2.0) * abs(c1) / epsilon
     # -inf where the ratio underflows to 0 or the quotient overflows: the floor level
     raw = math.log2(ratio) / alpha - 1e-9 if ratio > 0.0 else -math.inf
     if raw > MAX_LEVEL:
-        raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
+        raise SamplingFailure(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
     return 1 if raw < 1.0 else math.ceil(raw)
 
 
@@ -139,10 +116,10 @@ def mlmc_sample_sizes(epsilon: float, variances, costs) -> np.ndarray:
 
 
 def _round_sizes(raw: np.ndarray) -> np.ndarray:
-    """Whole sample sizes, at least 1; PlanTooLarge unless every raw size is
-    below 2^63, the first size int64 cannot hold (which also rejects NaN)."""
+    """Whole sample sizes, at least 1; a ``SamplingFailure`` unless every raw
+    size is below 2^63, the first size int64 cannot hold (which also rejects NaN)."""
     if not np.all(raw < 2.0**63):
-        raise PlanTooLarge(f"a planned sample size of {np.max(raw):.3g} is not below 2^63")
+        raise SamplingFailure(f"a planned sample size of {np.max(raw):.3g} is not below 2^63")
     return np.maximum(1, np.ceil(raw - 1e-9).astype(int))
 
 
@@ -189,7 +166,7 @@ def mlmc_plan(coupling: str, epsilon: float, alpha: float, c1: float,
     variances = cal.variance_table(direct, last, beta, c2, v0)
     if coupling == "gs-nv":
         if v_last is None:
-            raise MissingLastLevelVariance("gs-nv needs a pilot variance at the last level")
+            raise SamplingFailure("gs-nv needs a pilot variance at the last level")
         variances[last] = v_last
     return _plan("mlmc", coupling, epsilon, variances, np.ones(last + 1), nv_level0)
 
@@ -216,7 +193,8 @@ def ml2r_weights(last_level: int, alpha: float):
 
 
 def ml2r_last_level(epsilon: float, alpha: float, horizon: float) -> int:
-    """floor of the explicit depth formula, floored at 1; LevelTooDeep past MAX_LEVEL."""
+    """floor of the explicit depth formula, floored at 1; a ``SamplingFailure``
+    past MAX_LEVEL."""
     if epsilon <= 0.0 or alpha <= 0.0:
         raise ValueError("need epsilon > 0 and alpha > 0")
     half_log_t = 0.5 + math.log2(horizon)
@@ -226,16 +204,16 @@ def ml2r_last_level(epsilon: float, alpha: float, horizon: float) -> int:
     inner = max(0.0, inner)
     raw = math.sqrt(inner) + math.log2(horizon) - 0.5 + 1e-9
     if raw >= MAX_LEVEL + 1:
-        raise LevelTooDeep(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
+        raise SamplingFailure(f"eps {epsilon:g} needs level {raw:.1f}, beyond {MAX_LEVEL}")
     return max(1, math.floor(raw))
 
 
 def ml2r_theta(beta: float, c2: float, varf: float, horizon: float) -> float:
     """theta = T^(-beta/2) sqrt(c2 / varf), balancing level 0 against the couplings."""
     if varf <= 0.0:
-        raise NonpositiveVariance("varf must be positive")
+        raise SamplingFailure("varf must be positive")
     if c2 <= 0.0:
-        raise NonpositiveVariance("c2 must be positive")
+        raise SamplingFailure("c2 must be positive")
     try:
         scale = horizon ** (-0.5 * beta)
     except OverflowError:  # ml2r_plan refuses a theta that is not finite
@@ -255,13 +233,13 @@ def ml2r_plan(coupling: str, epsilon: float, alpha: float, beta: float,
     s_l = theta |W_l| (2^(-beta l/2) + 2^(-beta (l-1)/2)) for l >= 1, W the
     suffix weights: the allocation M_l proportional to s_l / sqrt(C_l) with
     the explicit total of the weighted estimator.  A theta or a suffix
-    weight that is not finite fails the plan with ``PlanTooLarge``.
+    weight that is not finite fails the plan with a ``SamplingFailure``.
     """
     last = ml2r_last_level(epsilon, alpha, horizon)
     theta = ml2r_theta(beta, c2, varf, horizon)
     _, suffix = ml2r_weights(last, alpha)
     if not (math.isfinite(theta) and np.isfinite(suffix).all()):
-        raise PlanTooLarge(f"a planned sample size is not finite: theta = {theta:.3g}, max "
+        raise SamplingFailure(f"a planned sample size is not finite: theta = {theta:.3g}, max "
                            f"|suffix weight| at alpha = {alpha:.3g}: {np.max(np.abs(suffix)):.3g}")
     levels = np.arange(1, last + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,7 +268,7 @@ def run_multilevel(plan: MultilevelPlan, model: SdeModel, payoff: Payoff,
         m = int(plan.sizes[level])
         sample = sample_many(sampler, level, m, seed, experiment, workers)
         if sample.aborted > ABORT_TOLERANCE * m:
-            raise SamplingError(f"level {level}: {sample.aborted}/{m} samples aborted")
+            raise SamplingFailure(f"level {level}: {sample.aborted}/{m} samples aborted")
         level_stats = stats_from_records(level, sample.records)
         stats.append(level_stats)
         cost += sample.cost_units
@@ -396,7 +374,7 @@ def calibrated_plans(sampler: LevelSampler, kind: str, epsilons, pilot_m: int, s
             blocks = math.ceil(budget * m / calibration.steps / BLOCK_SAMPLES)
             m = min(pilot_m, blocks * BLOCK_SAMPLES)
             calibration, plans = plan_every_epsilon(m)
-    except cal.SamplingFailure:
+    except SamplingFailure:
         if m == pilot_m:
             raise
         calibration, plans = plan_every_epsilon(pilot_m)

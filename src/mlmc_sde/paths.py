@@ -1,7 +1,8 @@
 """Coupled randomness for one multilevel sample.
 
-A level-l sample draws fine-grid Brownian increments and a Rademacher sign
-sequence.  Increment arrays have shape (m, d, steps) for a batch of m
+A level-l sample draws Brownian increments on its fine grid, 2^l steps of
+T / 2^l with T the model's horizon, and a Rademacher sign sequence.  A
+level is a plain int, and T is read from the model alone.  Increment arrays have shape (m, d, steps) for a batch of m
 samples; sign arrays have shape (m, steps).  Both are stored step-major
 (Fortran order: memory (steps, d, m) and (steps, m)), so the (m, d)
 increments and (m,) signs of one step, and each coordinate's row of them,
@@ -22,29 +23,6 @@ _MASK64 = (1 << 64) - 1
 # deepest level any command samples: at d = 2 one block of 4096 samples holds
 # 256 MiB of increments at level 12, and each further level doubles that
 MAX_LEVEL = 12
-
-
-@dataclass(frozen=True)
-class LevelGrid:
-    """Uniform grid with 2^level steps of size horizon / 2^level."""
-
-    level: int
-    horizon: float = 1.0
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-
-    @property
-    def steps(self) -> int:
-        return 2**self.level
-
-    @property
-    def step(self) -> float:
-        # division by a power of two is exact, so step * steps == horizon
-        return self.horizon / self.steps
 
 
 @dataclass(frozen=True)
@@ -76,8 +54,10 @@ class LevelPath:
     eta: np.ndarray
 
 
-def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) -> LevelPath:
-    """Draw fresh N(0, h_l) increments and +-1 signs for a batch of blocks.
+def sample_level_path(stream, model, level: int, m=1, signs: bool = True) -> LevelPath:
+    """Draw fresh N(0, h_l) increments of ``model``'s d coordinates and +-1
+    signs for a batch of blocks, on level l's 2^l steps of h_l = T / 2^l, T
+    the model's horizon.
 
     ``stream`` and ``m`` are one block's stream and sample count, or equal-
     length sequences of them.  Each block's normals are drawn in C order from
@@ -90,7 +70,7 @@ def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) 
     (eta of shape (m, 0)) leaves the increments bit for bit as they are.
     """
     streams, counts = (stream, m) if isinstance(m, (list, tuple)) else ((stream,), (m,))
-    steps = grid.steps
+    d, steps = model.d, 2**level
     dw = np.empty((sum(counts), d, steps), order="F")
     eta = np.empty((sum(counts), steps if signs else 0), dtype=np.int8, order="F")
     rows = max(1, 2**15 // (d * steps))
@@ -102,5 +82,5 @@ def sample_level_path(stream, grid: LevelGrid, d: int, m=1, signs: bool = True) 
         if signs:
             eta[start:end] = 2 * gen.integers(0, 2, (count, steps), dtype=np.int8) - 1
         start = end
-    dw *= math.sqrt(grid.step)
+    dw *= math.sqrt(model.horizon / steps)
     return LevelPath(dw, eta)

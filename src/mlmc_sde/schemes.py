@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Payoff, SdeModel
-from .paths import LevelGrid, RngStream, sample_level_path
+from .paths import RngStream, sample_level_path
 
 # samples per RNG block; fixed so results never depend on the worker count
 BLOCK_SAMPLES = 4096
@@ -154,10 +154,11 @@ def gs_step(model: SdeModel, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndar
     return out.T
 
 
-def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
+def simulate_path(kind: str, model: SdeModel, level: int, dw: np.ndarray,
                   eta: np.ndarray | None = None, swap: bool = False,
                   twin: bool = True) -> np.ndarray:
-    """Terminal states after all grid steps; "gs" ignores eta and twin.
+    """Terminal states after the 2^level steps of T / 2^level, T the model's
+    horizon; "gs" ignores eta and twin.
 
     "gs" runs one path per sample of dw (m, d, steps) and returns (m, n).
     "nv" runs each sample's path on eta, which ascends at a step whose sign
@@ -178,7 +179,7 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
     coarse increment of step k is dw[..., 2k] + dw[..., 2k + 1] and its sign
     is eta[:, 2k].  The tests build these arrays in full as a reference.
     """
-    steps = grid.steps
+    steps = 2**level
     fold = dw.shape[-1] // steps  # 2 where the steps are read pairwise
     if dw.shape[-1] not in (steps, 2 * steps) or dw.shape[-2] != model.d or (swap and steps % 2):
         raise ValueError(f"increments shaped {dw.shape} do not match d={model.d}, "
@@ -188,7 +189,7 @@ def simulate_path(kind: str, model: SdeModel, grid: LevelGrid, dw: np.ndarray,
                          f"{None if eta is None else eta.shape}, increments {dw.shape}")
     if kind not in ("nv", "gs"):
         raise ValueError(f"unknown scheme kind {kind!r}")
-    h = grid.step
+    h = model.horizon / steps
     pair = kind == "nv" and twin
     x = model.initial_state((2 if pair else 1) * dw.shape[0])
     for k in range(steps):
@@ -277,7 +278,7 @@ def central_moments(records: np.ndarray) -> tuple[float, ...]:
     return n, mean, m2, m3, m4
 
 
-def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) -> np.ndarray:
+def _mean_payoff(model: SdeModel, payoff: Payoff, paths, level: int, path) -> np.ndarray:
     """Left-to-right sum of the payoffs of ``paths`` over their count; each
     (scheme, swap) is simulated once, an nv path with its twin only where
     ``paths`` holds that twin."""
@@ -286,7 +287,7 @@ def _mean_payoff(model: SdeModel, payoff: Payoff, paths, grid: LevelGrid, path) 
     for scheme, swap, twin in paths:
         key = scheme, swap
         if key not in states:
-            x = simulate_path(scheme, model, grid, path.dw, path.eta, swap, key in twins)
+            x = simulate_path(scheme, model, level, path.dw, path.eta, swap, key in twins)
             states[key] = np.split(x, 2) if key in twins else (x,)
         x = states[key][twin]
         total = payoff(x) if total is None else total + payoff(x)
@@ -314,14 +315,12 @@ def sample_level(model: SdeModel, payoff: Payoff, coupling: str, level: int,
     fine, coarse = COUPLINGS[coupling]
     if coarse and level < 1:
         raise ValueError(f"coupling {coupling!r} needs level >= 1")
-    grid = LevelGrid(level, model.horizon)
     signs = any(scheme == "nv" for scheme, _, _ in fine + coarse)
-    path = sample_level_path(stream, grid, model.d, m, signs)
+    path = sample_level_path(stream, model, level, m, signs)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _mean_payoff(model, payoff, fine, grid, path)
+        values = _mean_payoff(model, payoff, fine, level, path)
         if coarse:
-            values = values - _mean_payoff(model, payoff, coarse,
-                                           LevelGrid(level - 1, model.horizon), path)
+            values = values - _mean_payoff(model, payoff, coarse, level - 1, path)
     return np.asarray(values, dtype=float)
 
 
@@ -417,15 +416,13 @@ def sample_many(sampler: LevelSampler, level: int, m: int, seed: int,
 def _coupling_block(task):
     """(self, pair) ``block_records`` of the squared terminal gaps of the batch."""
     model, level, counts, streams = task
-    grid = LevelGrid(level, model.horizon)
-    path = sample_level_path(streams, grid, model.d, counts)
+    path = sample_level_path(streams, model, level, counts)
     dw, eta = path.dw, path.eta
     # as in sample_level, an overflow leaves a gap that is not finite, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        x_fine, x_neg = np.split(simulate_path("nv", model, grid, dw, eta), 2)
-        x_coarse = simulate_path("nv", model, LevelGrid(level - 1, model.horizon), dw, eta,
-                                 twin=False)
-        x_gs = simulate_path("gs", model, grid, dw)
+        x_fine, x_neg = np.split(simulate_path("nv", model, level, dw, eta), 2)
+        x_coarse = simulate_path("nv", model, level - 1, dw, eta, twin=False)
+        x_gs = simulate_path("gs", model, level, dw)
         return (block_records(np.sum((x_fine - x_coarse) ** 2, axis=-1)),
                 block_records(np.sum((0.5 * (x_fine + x_neg) - x_gs) ** 2, axis=-1)))
 

@@ -13,9 +13,10 @@ def zero_noise(monkeypatch):
     ``schemes.sample_level_path``.  Pool workers do not see the patch, so
     tests that use it sample with one worker.
     """
-    def draw(stream, grid, d, m=1, signs=True):
-        steps, rows = (grid.steps if signs else 0), int(np.sum(m))  # m: a count or a batch's
-        return LevelPath(np.zeros((rows, d, grid.steps)), np.ones((rows, steps), dtype=np.int8))
+    def draw(stream, model, level, m=1, signs=True):
+        steps, rows = 2**level, int(np.sum(m))  # m: a count or a batch's
+        return LevelPath(np.zeros((rows, model.d, steps)),
+                         np.ones((rows, steps if signs else 0), dtype=np.int8))
 
     monkeypatch.setattr(schemes, "sample_level_path", draw)
 

@@ -21,7 +21,7 @@ from mlmc_sde.estimators import (
 )
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean, znv_second_moment
-from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
+from mlmc_sde.paths import RngStream, sample_level_path
 from mlmc_sde.schemes import LevelSampler, coupling_errors, sample_many, simulate_path
 from path_reference import antithetic_swap, coarsen
 
@@ -200,21 +200,19 @@ def test_criterion_10_invariant_suite(pooled):
     payoff = Payoff("cos-u")
     m = 100_000
     for model, seed in ((CC, 23), (HestonModel(), 24)):
-        grid = LevelGrid(2, 1.0)
-        path = sample_level_path(RngStream(seed, 1, 2, 0), grid, 2, m=m)
-        paired = 0.5 * (payoff(simulate_path("gs", model, grid, path.dw))
-                        + payoff(simulate_path("gs", model, grid, antithetic_swap(path.dw))))
-        other = sample_level_path(RngStream(seed, 2, 2, 0), grid, 2, m=m)
-        independent = payoff(simulate_path("gs", model, grid, other.dw))
+        path = sample_level_path(RngStream(seed, 1, 2, 0), model, 2, m=m)
+        paired = 0.5 * (payoff(simulate_path("gs", model, 2, path.dw))
+                        + payoff(simulate_path("gs", model, 2, antithetic_swap(path.dw))))
+        other = sample_level_path(RngStream(seed, 2, 2, 0), model, 2, m=m)
+        independent = payoff(simulate_path("gs", model, 2, other.dw))
         gap = paired.mean() - independent.mean()
         se = np.sqrt(paired.var(ddof=1) / m + independent.var(ddof=1) / m)
         checks.append(("antithetic unbiasedness", abs(gap) < 3 * se))
 
     # coarse path invariant under the pair swap, bit for bit
-    grid, cgrid = LevelGrid(3, 1.0), LevelGrid(2, 1.0)
-    path = sample_level_path(RngStream(31, 0, 3, 0), grid, 2, m=512)
-    direct = simulate_path("gs", CC, cgrid, coarsen(path.dw))
-    swapped = simulate_path("gs", CC, cgrid, coarsen(antithetic_swap(path.dw)))
+    path = sample_level_path(RngStream(31, 0, 3, 0), CC, 3, m=512)
+    direct = simulate_path("gs", CC, 2, coarsen(path.dw))
+    swapped = simulate_path("gs", CC, 2, coarsen(antithetic_swap(path.dw)))
     checks.append(("coarse-path swap invariance", np.array_equal(direct, swapped)))
 
     # identical results whatever the worker count; every level of this plan

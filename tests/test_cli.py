@@ -5,6 +5,7 @@ import io
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -32,6 +33,7 @@ from mlmc_sde.models import (
     MODELS,
     PAYOFF_LABELS,
     ClarkCameronModel,
+    HestonModel,
     NegativeSqrtArgument,
     Payoff,
 )
@@ -181,6 +183,15 @@ class TestExitCodes:
         assert main(["run", "--estimator", estimator, "--coupling", coupling,
                      "--eps", "1e-30", "--alpha", "1", "--c1", "1", "--beta", "2",
                      "--c2", "1", "--out", str(tmp_path)]) == 3
+
+    def test_zero_weak_constant_exits_three(self, tmp_path, no_draws, capsys):
+        # c1 = 0 sizes no mlmc last level, and the refusal names no option to
+        # mend it; under ml2r, which reads no c1, --c1 0 is a valid setting
+        assert main(["run", "--alpha", "1", "--c1", "0", "--beta", "2", "--c2", "0.15",
+                     "--eps", "0.1", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "sampling failure: c1 = 0: a zero weak constant cannot size the last level\n")
+        assert not (tmp_path / "run.csv").exists()
 
     def test_calibrate_takes_one_coupling(self, tmp_path, no_draws, capsys):
         assert main(["calibrate", "--coupling", "gs", "--coupling", "nv",
@@ -1080,6 +1091,53 @@ def exception_classes():
     return sorted(found, key=lambda cls: cls.__qualname__)
 
 
+def _raise(*args):
+    raise calibrate.SamplingFailure("injected")
+
+
+def _fit(levels, means):
+    calibrate.fit_weak_rate([calibrate.LevelStats(level, 1000, mean, 1.0, 1.0 + mean**2, 0.03)
+                             for level, mean in zip(levels, means)])
+
+
+def _abort():
+    # vol-of-vol at the Feller bound from above the mean drives the explicit
+    # scheme negative often
+    fragile = HestonModel(kappa=2.0, theta=0.02, sigma=0.28, v0=0.05)
+    plan = estimators.MultilevelPlan("mlmc", 1.0, 1, np.array([4000, 2000]),
+                                     np.ones(2), ("crude-gs", "gs"))
+    estimators.run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
+
+
+# every refusal of the sampling, the fits and the plans, as (a call that makes
+# it, the full message it carries); the ids name the rules
+REFUSALS = {
+    "SamplingFailure": (_raise, "injected"),
+    "NoUsableSamples": (lambda: calibrate.stats_from_records(
+        0, schemes.block_records(np.array([np.nan, np.nan]))), "level 0: no usable samples"),
+    "TooFewLevels": (lambda: _fit([1, 2], [0.5, 0.0]),
+                     "need two distinct levels with a finite, nonzero statistic"),
+    "ZeroWeakConstant": (lambda: estimators.mlmc_last_level(0.1, 0.0, 1.0),
+                         "c1 = 0: a zero weak constant cannot size the last level"),
+    "LevelTooDeep": (lambda: estimators.mlmc_last_level(math.sqrt(2.0) * 2.0**-13, 1.0, 1.0),
+                     r"eps \S+ needs level 13\.0, beyond 12"),
+    "LevelTooDeep-ml2r": (lambda: estimators.ml2r_last_level(1e-300, 0.5, 1.0),
+                          r"eps 1e-300 needs level \S+, beyond 12"),
+    "MissingLastLevelVariance": (
+        lambda: estimators.mlmc_plan("gs-nv", 0.01, 2.0, 0.1, 2.0, 0.3, v0=0.4),
+        "gs-nv needs a pilot variance at the last level"),
+    "NonpositiveVariance": (lambda: estimators.ml2r_theta(2.0, 0.3, 0.0, 1.0),
+                            "varf must be positive"),
+    "NonpositiveVariance-c2": (lambda: estimators.ml2r_plan("gs", 0.05, 1.0, 2.0, -0.1, 0.8, 1.0),
+                               "c2 must be positive"),
+    "PlanTooLarge": (lambda: estimators.mlmc_plan("gs", 2.0**-4, 1.0, 0.16, 2.0, 1e30, v0=0.5),
+                     r"a planned sample size of \S+ is not below 2\^63"),
+    "PlanTooLarge-ml2r": (lambda: estimators.ml2r_plan("gs", 2.0, 1e-17, 2.0, 1.0, 1.0, 1.0),
+                          r"a planned sample size is not finite: theta = .+"),
+    "SamplingError": (_abort, r"level 1: \d+/2000 samples aborted"),
+}
+
+
 class TestExceptionContract:
     def test_every_exception_has_an_exit_code(self):
         # NegativeSqrtArgument guards an internal invariant that no
@@ -1090,16 +1148,24 @@ class TestExceptionContract:
         unmapped = [cls.__qualname__ for cls in classes if not issubclass(cls, mapped)]
         assert not unmapped
 
-    @pytest.mark.parametrize("cls", [cls for cls in exception_classes()
-                                     if issubclass(cls, calibrate.SamplingFailure)],
-                             ids=lambda cls: cls.__qualname__)
-    def test_sampling_failures_exit_three(self, cls, tmp_path, monkeypatch, capsys):
+    def test_sampling_failure_has_no_subclass(self):
+        # exit 3 has one exception type; its message tells the refusals apart
+        assert [cls for cls in exception_classes()
+                if issubclass(cls, calibrate.SamplingFailure)] == [calibrate.SamplingFailure]
+
+    @pytest.mark.parametrize("refusal, message", list(REFUSALS.values()), ids=list(REFUSALS))
+    def test_sampling_failures_exit_three(self, refusal, message, tmp_path, monkeypatch,
+                                          capsys):
+        # each refusal is made where the package makes it, and reaches the
+        # command line with its own message
         def fail(*args):
-            raise cls("injected")
+            refusal()
 
         monkeypatch.setitem(cli.COMMANDS, "calibrate", fail)
         assert main(["calibrate", "--out", str(tmp_path)]) == 3
-        assert "sampling failure: injected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("sampling failure: ") and err.endswith("\n")
+        assert re.fullmatch(message, err[len("sampling failure: "):-1])
 
 
 def fresh_import(env_blas=None):

@@ -14,12 +14,7 @@ from mlmc_sde.estimators import (
     EXP_V0,
     EXP_VARF,
     EXP_VLAST,
-    MissingLastLevelVariance,
     MultilevelPlan,
-    NonpositiveVariance,
-    PlanTooLarge,
-    SamplingError,
-    ZeroWeakConstant,
     calibrated_plans,
     crude_mc,
     ml2r_last_level,
@@ -31,6 +26,7 @@ from mlmc_sde.estimators import (
     mlmc_sample_sizes,
     run_multilevel,
 )
+from mlmc_sde.calibrate import SamplingFailure
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
 from mlmc_sde.oracle import cc_exact_usq_mean
 from mlmc_sde.paths import MAX_LEVEL, RngStream
@@ -56,7 +52,8 @@ class TestLastLevel:
         assert mlmc_last_level(0.25, 1e-6, 2.0) == 1
 
     def test_zero_constant_rejected(self):
-        with pytest.raises(ZeroWeakConstant):
+        with pytest.raises(SamplingFailure,
+                           match="^c1 = 0: a zero weak constant cannot size the last level$"):
             mlmc_last_level(0.1, 0.0, 1.0)
 
     def test_preconditions(self):
@@ -65,9 +62,9 @@ class TestLastLevel:
 
     def test_level_cap(self):
         assert mlmc_last_level(math.sqrt(2.0) * 2.0**-12, 1.0, 1.0) == 12
-        with pytest.raises(estimators.LevelTooDeep):
+        with pytest.raises(SamplingFailure, match=r"^eps \S+ needs level 13\.0, beyond 12$"):
             mlmc_last_level(math.sqrt(2.0) * 2.0**-13, 1.0, 1.0)
-        with pytest.raises(estimators.LevelTooDeep):
+        with pytest.raises(SamplingFailure, match=r"^eps 1e-30 needs level \S+, beyond 12$"):
             ml2r_last_level(1e-30, 1.0, 1.0)
 
 
@@ -103,7 +100,7 @@ class TestSampleSizes:
                              [(0.5, 2.0**60), (math.nan, 1.0), (1e-200, 1.0)])
     def test_size_past_int64_is_refused(self, epsilon, variance):
         # a cast to int64 would wrap to INT64_MIN and clamp to 1 sample
-        with pytest.raises(PlanTooLarge):
+        with pytest.raises(SamplingFailure, match=r"is not below 2\^63$"):
             mlmc_sample_sizes(epsilon, [variance], [1.0])
 
 
@@ -137,7 +134,8 @@ class TestMlmcPlan:
         assert (np.diff(plan.sizes) <= 0).all()
 
     def test_gs_nv_requires_last_level_variance(self):
-        with pytest.raises(MissingLastLevelVariance):
+        with pytest.raises(SamplingFailure,
+                           match="^gs-nv needs a pilot variance at the last level$"):
             mlmc_plan("gs-nv", 0.01, 2.0, 0.1, 2.0, 0.3, v0=0.4)
 
     def test_gs_nv_level_tags(self):
@@ -156,7 +154,7 @@ class TestMlmcPlan:
 
     def test_plan_past_int64_is_refused(self):
         # level 0 alone would be sized at 6.9e17 and levels 1-2 at 1 sample
-        with pytest.raises(PlanTooLarge):
+        with pytest.raises(SamplingFailure, match=r"is not below 2\^63$"):
             mlmc_plan("gs", 2.0**-4, 1.0, 0.16, 2.0, 1e30, v0=0.5)
 
     def test_pilot_levels_take_their_own_variance(self):
@@ -232,7 +230,7 @@ class TestMl2r:
         # 1 - 2^-alpha rounds to 0: the weights cannot be formed, and the plan is refused
         w, suffix = ml2r_weights(2, 1e-17)
         assert not np.isfinite(w).any() and not np.isfinite(suffix[1:]).any()
-        with pytest.raises(PlanTooLarge):
+        with pytest.raises(SamplingFailure, match="^a planned sample size is not finite: "):
             ml2r_plan("gs", 2.0, 1e-17, 2.0, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("args, culprit", [
@@ -242,7 +240,7 @@ class TestMl2r:
         (("gs", 2.0**-4, 1.0, 100.0, 1.0, 1.0, 1e-10), "theta = inf, "),
     ], ids=["weights", "theta"])
     def test_non_finite_theta_or_weight_is_named(self, args, culprit):
-        with pytest.raises(PlanTooLarge) as exc:
+        with pytest.raises(SamplingFailure) as exc:
             ml2r_plan(*args)
         message = str(exc.value)
         assert message.startswith("a planned sample size is not finite: theta = ")
@@ -263,7 +261,7 @@ class TestMl2r:
     def test_theta(self):
         assert ml2r_theta(2.0, 0.3, 0.3, 1.0) == pytest.approx(1.0)
         assert ml2r_theta(2.0, 0.3, 1.2, 1.0) == pytest.approx(0.5)
-        with pytest.raises(NonpositiveVariance):
+        with pytest.raises(SamplingFailure, match="^varf must be positive$"):
             ml2r_theta(2.0, 0.3, 0.0, 1.0)
 
     @pytest.mark.parametrize("coupling,per_step", [("nv", 5.0), ("gs", 2.5)])
@@ -301,13 +299,13 @@ class TestMl2r:
 
     def test_plan_past_int64_is_refused(self):
         # every level would be sized at 1 sample
-        with pytest.raises(PlanTooLarge):
+        with pytest.raises(SamplingFailure, match=r"is not below 2\^63$"):
             ml2r_plan("gs", 2.0**-4, 1.0, 2.0, 1e300, 0.8, 1.0)
 
     def test_rejects_bad_variances(self):
-        with pytest.raises(NonpositiveVariance):
+        with pytest.raises(SamplingFailure, match="^c2 must be positive$"):
             ml2r_plan("gs", 0.05, 1.0, 2.0, -0.1, 0.8, 1.0)
-        with pytest.raises(NonpositiveVariance):
+        with pytest.raises(SamplingFailure, match="^varf must be positive$"):
             ml2r_plan("gs", 0.05, 1.0, 2.0, 0.1, 0.0, 1.0)
 
 
@@ -403,7 +401,7 @@ class TestRunner:
         plan = MultilevelPlan("mlmc", 1.0, 1, np.array([4000, 2000]),
                               np.ones(2), ("crude-gs", "gs"))
         # the count is over the level's planned size
-        with pytest.raises(SamplingError, match=r"^level 1: \d+/2000 samples aborted$"):
+        with pytest.raises(SamplingFailure, match=r"^level 1: \d+/2000 samples aborted$"):
             run_multilevel(plan, fragile, Payoff("heston-call", 0.05, 1.0), seed=11)
 
     def test_aborted_samples_are_counted_from_the_records(self):
@@ -730,7 +728,8 @@ class TestPilotBudget:
             np.testing.assert_array_equal(plan.sizes, ladder_sizes(plan.epsilon, last, pilot_m))
 
     def test_plan_failing_below_the_cap_uses_the_cap(self):
-        with pytest.raises(calibrate.TooFewLevels):
+        with pytest.raises(SamplingFailure,
+                           match="^need two distinct levels with a finite, nonzero statistic$"):
             calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 2 * BLOCK, seed=1)
         calibration, _ = calibrated_plans(ZeroHeadSampler(), "mlmc", CHEAP_EPS, 3 * BLOCK, seed=1)
         assert calibration.samples == 3 * BLOCK

@@ -11,7 +11,7 @@ from mlmc_sde import schemes
 from mlmc_sde.calibrate import stats_from_records
 from mlmc_sde.estimators import crude_mc
 from mlmc_sde.models import ClarkCameronModel, HestonModel, Payoff
-from mlmc_sde.paths import LevelGrid, RngStream, sample_level_path
+from mlmc_sde.paths import RngStream, sample_level_path
 from mlmc_sde.schemes import (
     BLOCK_SAMPLES,
     COUPLINGS,
@@ -53,12 +53,12 @@ def where_step(model, x, h, dw, ascending):
     return np.stack(model.drift_flow(y, 0.5 * h), axis=-1)
 
 
-def where_path(model, grid, dw, ascending):
-    """Terminal states of single paths stepped by where_step; ascending is
-    a bool (m, steps) array."""
-    x = model.initial_state(dw.shape[0])
-    for k in range(grid.steps):
-        x = where_step(model, x, grid.step, dw[:, :, k], ascending[:, k])
+def where_path(model, level, dw, ascending):
+    """Terminal states of single paths stepped by where_step over the 2^level
+    steps of the model's horizon; ascending is a bool (m, steps) array."""
+    x, steps = model.initial_state(dw.shape[0]), 2**level
+    for k in range(steps):
+        x = where_step(model, x, model.horizon / steps, dw[:, :, k], ascending[:, k])
     return x
 
 
@@ -140,8 +140,7 @@ class TestSteps:
         # path stepped by where_step on eta > 0 and its twin on the other
         # order: a zero sign makes the path descend and the twin ascend, and
         # NaN payloads, infinities and signed zeros pass through
-        grid = LevelGrid(3)
-        path = sample_level_path(RngStream(59, 0, 3, 0), grid, model.d, m=64)
+        path = sample_level_path(RngStream(59, 0, 3, 0), model, 3, m=64)
         dw, eta = path.dw.copy(order="F"), path.eta.astype(dtype, order="F")
         eta[::7, 1::3] = 0
         dw[0, 0, 3] = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
@@ -150,11 +149,11 @@ class TestSteps:
         ascending = eta > 0
         assert ascending.any() and not ascending.all() and (eta == 0).any()
         with np.errstate(all="ignore"):
-            pair = simulate_path("nv", model, grid, dw, eta)
-            expected = np.concatenate([where_path(model, grid, dw, ascending),
-                                       where_path(model, grid, dw, ~ascending)])
-            descending = simulate_path("nv", model, grid, dw, np.where(eta == 0, -1, eta))
-            ascends = simulate_path("nv", model, grid, dw, np.where(eta == 0, 1, eta))
+            pair = simulate_path("nv", model, 3, dw, eta)
+            expected = np.concatenate([where_path(model, 3, dw, ascending),
+                                       where_path(model, 3, dw, ~ascending)])
+            descending = simulate_path("nv", model, 3, dw, np.where(eta == 0, -1, eta))
+            ascends = simulate_path("nv", model, 3, dw, np.where(eta == 0, 1, eta))
         np.testing.assert_array_equal(pair.view(np.uint64), expected.view(np.uint64))
         assert pair.tobytes() == descending.tobytes()
         # the two orders differ, so the choice is exercised
@@ -190,45 +189,41 @@ class TestSteps:
         assert out[0, 0] == pytest.approx((HESTON.rate - 0.5) * h, rel=1e-12)
 
     def test_single_step_delegation(self):
-        grid = LevelGrid(0, 1.0)
         dw = np.array([[[0.4], [-0.2]]])
         eta = np.array([[-1]], dtype=np.int8)
         np.testing.assert_array_equal(
-            simulate_path("nv", CC, grid, dw, eta),
+            simulate_path("nv", CC, 0, dw, eta),
             nv_step(CC, CC.initial_state(2), 1.0, dw[:, :, 0], exchange_mask(eta[:, 0] <= 0)),
         )
         np.testing.assert_array_equal(
-            simulate_path("gs", CC, grid, dw),
+            simulate_path("gs", CC, 0, dw),
             gs_step(CC, CC.initial_state(1), 1.0, dw[:, :, 0]),
         )
 
     def test_zero_noise_paths_follow_drift(self):
         for level in (0, 2, 5):
-            grid = LevelGrid(level, 1.0)
-            dw = np.zeros((1, 2, grid.steps))
-            eta = np.ones((1, grid.steps), dtype=np.int8)
+            dw = np.zeros((1, 2, 2**level))
+            eta = np.ones((1, 2**level), dtype=np.int8)
             for kind, paths in (("nv", 2), ("gs", 1)):
-                out = simulate_path(kind, CC, grid, dw, eta)
+                out = simulate_path(kind, CC, level, dw, eta)
                 np.testing.assert_allclose(out, [[0.0, 1.0]] * paths, atol=1e-14)
 
     def test_s_coordinate_ignores_signs(self):
-        grid = LevelGrid(3, 1.0)
-        path = sample_level_path(RngStream(3, 0, 3, 0), grid, 2, m=64)
-        plus = simulate_path("nv", CC, grid, path.dw, path.eta)
-        minus = simulate_path("nv", CC, grid, path.dw, -path.eta)
+        path = sample_level_path(RngStream(3, 0, 3, 0), CC, 3, m=64)
+        plus = simulate_path("nv", CC, 3, path.dw, path.eta)
+        minus = simulate_path("nv", CC, 3, path.dw, -path.eta)
         np.testing.assert_array_equal(plus[:, 1], minus[:, 1])
         assert not np.array_equal(plus[:64, 0], minus[:64, 0])
         # the twin is the path on the negated signs
         assert plus[64:].tobytes() == minus[:64].tobytes()
 
     def test_shape_validation(self):
-        grid = LevelGrid(2, 1.0)
         with pytest.raises(ValueError):
-            simulate_path("gs", CC, grid, np.zeros((1, 2, 3)))
+            simulate_path("gs", CC, 2, np.zeros((1, 2, 3)))
         with pytest.raises(ValueError):
-            simulate_path("nv", CC, grid, np.zeros((1, 2, 4)))
+            simulate_path("nv", CC, 2, np.zeros((1, 2, 4)))
         with pytest.raises(ValueError):
-            simulate_path("euler", CC, grid, np.zeros((1, 2, 4)))
+            simulate_path("euler", CC, 2, np.zeros((1, 2, 4)))
 
     @pytest.mark.parametrize("shape", [(1, 4), (3, 4), (5, 3), (4,)])
     def test_signs_match_the_increments(self, shape):
@@ -236,7 +231,7 @@ class TestSteps:
         dw = np.zeros((5, 2, 4))
         with pytest.raises(ValueError, match=re.escape(f"signs shaped {shape}, increments "
                                                        f"{dw.shape}")):
-            simulate_path("nv", CC, LevelGrid(2), dw, np.ones(shape, dtype=np.int8))
+            simulate_path("nv", CC, 2, dw, np.ones(shape, dtype=np.int8))
 
     @pytest.mark.parametrize("kind", ["nv", "gs"])
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
@@ -244,35 +239,34 @@ class TestSteps:
         # a path reading swapped or pairwise increments per step is the path
         # on the array paths.py builds, bit for bit, and an nv path's twin is
         # the path on the negated signs
-        grid, cgrid = LevelGrid(3), LevelGrid(2)
-        path = sample_level_path(RngStream(19, 0, 3, 0), grid, model.d, m=64)
+        path = sample_level_path(RngStream(19, 0, 3, 0), model, 3, m=64)
         dw, eta = path.dw, path.eta
         coarse_dw, coarse_eta = coarsen(dw), rademacher_coarse(eta)
         pairs = [
-            ((grid, dw, eta, False), (grid, dw, eta)),
-            ((grid, dw, eta, True), (grid, antithetic_swap(dw), eta)),
-            ((grid, dw, -eta, True), (grid, antithetic_swap(dw), -eta)),
-            ((cgrid, dw, eta, False), (cgrid, coarse_dw, coarse_eta)),
-            ((cgrid, dw, -eta, False), (cgrid, coarse_dw, -coarse_eta)),
+            ((3, dw, eta, False), (3, dw, eta)),
+            ((3, dw, eta, True), (3, antithetic_swap(dw), eta)),
+            ((3, dw, -eta, True), (3, antithetic_swap(dw), -eta)),
+            ((2, dw, eta, False), (2, coarse_dw, coarse_eta)),
+            ((2, dw, -eta, False), (2, coarse_dw, -coarse_eta)),
         ]
         for read, built in pairs:
             got = simulate_path(kind, model, *read)
             assert got.tobytes() == simulate_path(kind, model, *built).tobytes()
             if kind == "nv":
-                g, dws, signs = built
+                level, dws, signs = built
                 twin = np.split(got, 2)[1]
-                negated = np.split(simulate_path(kind, model, g, dws, -signs), 2)[0]
+                negated = np.split(simulate_path(kind, model, level, dws, -signs), 2)[0]
                 assert twin.tobytes() == negated.tobytes()
 
     def test_flag_validation(self):
         with pytest.raises(ValueError):  # no pair to swap on one step
-            simulate_path("gs", CC, LevelGrid(0), np.zeros((1, 2, 1)), swap=True)
+            simulate_path("gs", CC, 0, np.zeros((1, 2, 1)), swap=True)
         with pytest.raises(ValueError):  # a path reads its grid's steps or twice that
-            simulate_path("gs", CC, LevelGrid(1), np.zeros((1, 2, 3)))
+            simulate_path("gs", CC, 1, np.zeros((1, 2, 3)))
         with pytest.raises(ValueError):
-            simulate_path("gs", CC, LevelGrid(1), np.zeros((1, 2, 6)))
+            simulate_path("gs", CC, 1, np.zeros((1, 2, 6)))
         with pytest.raises(ValueError):  # signs as long as the increments read pairwise
-            simulate_path("nv", CC, LevelGrid(1), np.zeros((1, 2, 4)),
+            simulate_path("nv", CC, 1, np.zeros((1, 2, 4)),
                           np.ones((1, 2), dtype=np.int8))
 
 
@@ -284,11 +278,10 @@ class TestOneOrderPaths:
     def test_equals_the_pair_rows(self, model, level):
         # bit for bit on the grid's own increments, swapped ones and ones read
         # pairwise, with zero signs, NaN payloads, infinities and signed zeros
-        m, grid = 64, LevelGrid(level)
-        reads = []
+        m, reads = 64, []
         for finer in (0, 1):
-            path = sample_level_path(RngStream(61, 0, level + finer, 0),
-                                     LevelGrid(level + finer), model.d, m=m)
+            path = sample_level_path(RngStream(61, 0, level + finer, 0), model, level + finer,
+                                     m=m)
             dw, eta = path.dw.copy(order="F"), path.eta.copy(order="F")
             eta[::5, ::3] = 0
             dw[0, 0, -1] = np.array(0x7FF8_0000_0000_0123, dtype=np.uint64).view(np.float64)
@@ -300,13 +293,13 @@ class TestOneOrderPaths:
         assert len(reads) == (3 if level else 2)
         for dw, eta, swap in reads:
             with np.errstate(all="ignore"):
-                pair = simulate_path("nv", model, grid, dw, eta, swap)
-                alone = simulate_path("nv", model, grid, dw, eta, swap, twin=False)
+                pair = simulate_path("nv", model, level, dw, eta, swap)
+                alone = simulate_path("nv", model, level, dw, eta, swap, twin=False)
             assert alone.shape == (m, model.n) and alone.T.flags.c_contiguous
             assert alone.tobytes() == pair[:m].tobytes()
-            if not swap and dw.shape[-1] == grid.steps:
+            if not swap and dw.shape[-1] == 2**level:
                 with np.errstate(all="ignore"):
-                    reference = where_path(model, grid, dw, eta > 0)
+                    reference = where_path(model, level, dw, eta > 0)
                 assert alone.tobytes() == reference.tobytes()
 
     def test_kernel_rows(self, monkeypatch):
@@ -345,7 +338,7 @@ class TestOneOrderPaths:
 class TestLayout:
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_states_are_coordinate_major(self, model):
-        path = sample_level_path(RngStream(6), LevelGrid(1), model.d, m=32)
+        path = sample_level_path(RngStream(6), model, 1, m=32)
         x, pair = model.initial_state(32), model.initial_state(64)
         nv = nv_step(model, pair, 0.5, path.dw[:, :, 0], exchange_mask(path.eta[:, 0] <= 0))
         gs = gs_step(model, x, 0.5, path.dw[:, :, 0])
@@ -360,12 +353,11 @@ class TestLayout:
     @pytest.mark.parametrize("model", [CC, HESTON], ids=["clark-cameron", "heston"])
     def test_c_order_inputs_give_the_same_path(self, model, kind, level):
         # a direct caller passing C-order arrays gets the sampling path's result
-        grid = LevelGrid(level)
-        path = sample_level_path(RngStream(11, 0, level, 0), grid, model.d, m=64)
+        path = sample_level_path(RngStream(11, 0, level, 0), model, level, m=64)
         dw, eta = np.ascontiguousarray(path.dw), np.ascontiguousarray(path.eta)
         assert not dw.flags.f_contiguous and not eta.flags.f_contiguous
-        expected = simulate_path(kind, model, grid, path.dw, path.eta)
-        assert simulate_path(kind, model, grid, dw, eta).tobytes() == expected.tobytes()
+        expected = simulate_path(kind, model, level, path.dw, path.eta)
+        assert simulate_path(kind, model, level, dw, eta).tobytes() == expected.tobytes()
 
 
 class TestLevelSampleAlgebra:
@@ -374,10 +366,9 @@ class TestLevelSampleAlgebra:
         # only the drift-weighted dW1 total: Z = mu T (dw1_1 + dw1_2) / 4
         rng = np.random.default_rng(17)
         dw = rng.normal(size=(50, 2, 2)) * np.sqrt(0.5)
-        grid, cgrid = LevelGrid(1, 1.0), LevelGrid(0, 1.0)
-        fine = simulate_path("gs", CC, grid, dw)[:, 0]
-        anti = simulate_path("gs", CC, grid, antithetic_swap(dw))[:, 0]
-        coarse = simulate_path("gs", CC, cgrid, coarsen(dw))[:, 0]
+        fine = simulate_path("gs", CC, 1, dw)[:, 0]
+        anti = simulate_path("gs", CC, 1, antithetic_swap(dw))[:, 0]
+        coarse = simulate_path("gs", CC, 0, coarsen(dw))[:, 0]
         z = 0.5 * (fine + anti) - coarse
         np.testing.assert_allclose(z, 0.25 * (dw[:, 0, 0] + dw[:, 0, 1]), atol=1e-12)
 
@@ -386,10 +377,9 @@ class TestLevelSampleAlgebra:
         a, b = 0.7, -0.4
         dw = np.array([[[a], [b]]])
         ones = np.ones((1, 1), dtype=np.int8)
-        grid = LevelGrid(0, 1.0)
-        u_plus, u_minus = simulate_path("nv", CC, grid, dw, ones)[:, 0]
+        u_plus, u_minus = simulate_path("nv", CC, 0, dw, ones)[:, 0]
         # the twin is the path on the negated sign
-        assert u_minus == simulate_path("nv", CC, grid, dw, -ones)[0, 0]
+        assert u_minus == simulate_path("nv", CC, 0, dw, -ones)[0, 0]
         assert u_plus == pytest.approx(0.5 * a)
         assert u_minus == pytest.approx(0.5 * a + a * b)
         assert 0.5 * (u_plus + u_minus) == pytest.approx(0.5 * a + 0.5 * a * b)
@@ -425,13 +415,13 @@ class TestLevelSampleAlgebra:
         grid_levels = []
         simulate = schemes.simulate_path
 
-        def counted(kind, model, grid, *args, **kwargs):
+        def counted(kind, model, grid_level, *args, **kwargs):
             # an nv simulation with twin runs each path with its twin
-            call = inspect.signature(simulate).bind(kind, model, grid, *args, **kwargs)
+            call = inspect.signature(simulate).bind(kind, model, grid_level, *args, **kwargs)
             call.apply_defaults()
             pair = kind == "nv" and call.arguments["twin"]
-            grid_levels.extend([grid.level] * (2 if pair else 1))
-            return simulate(kind, model, grid, *args, **kwargs)
+            grid_levels.extend([grid_level] * (2 if pair else 1))
+            return simulate(kind, model, grid_level, *args, **kwargs)
 
         monkeypatch.setattr(schemes, "simulate_path", counted)
         values = sample_level(CC, COS, coupling, level, 5, RngStream(2))
@@ -455,33 +445,30 @@ class TestCouplingStatistics:
         # f(fine) within 3 combined standard errors, for both models
         m = 100_000
         for model, seed in ((CC, 23), (HESTON, 24)):
-            grid = LevelGrid(2, 1.0)
-            path = sample_level_path(RngStream(seed, 1, 2, 0), grid, 2, m=m)
-            fine = COS(simulate_path("gs", model, grid, path.dw))
-            anti = COS(simulate_path("gs", model, grid, antithetic_swap(path.dw)))
+            path = sample_level_path(RngStream(seed, 1, 2, 0), model, 2, m=m)
+            fine = COS(simulate_path("gs", model, 2, path.dw))
+            anti = COS(simulate_path("gs", model, 2, antithetic_swap(path.dw)))
             paired = 0.5 * (fine + anti)
-            other = sample_level_path(RngStream(seed, 2, 2, 0), grid, 2, m=m)
-            independent = COS(simulate_path("gs", model, grid, other.dw))
+            other = sample_level_path(RngStream(seed, 2, 2, 0), model, 2, m=m)
+            independent = COS(simulate_path("gs", model, 2, other.dw))
             gap = paired.mean() - independent.mean()
             se = np.sqrt(paired.var(ddof=1) / m + independent.var(ddof=1) / m)
             assert abs(gap) < 3 * se
 
     def test_coarse_term_invariant_under_swap(self):
         # the swap changes no pair sum, so the coarse path is bit-identical
-        grid, cgrid = LevelGrid(3, 1.0), LevelGrid(2, 1.0)
-        path = sample_level_path(RngStream(31, 0, 3, 0), grid, 2, m=256)
+        path = sample_level_path(RngStream(31, 0, 3, 0), CC, 3, m=256)
         for model in (CC, HESTON):
-            direct = simulate_path("gs", model, cgrid, coarsen(path.dw))
-            swapped = simulate_path("gs", model, cgrid, coarsen(antithetic_swap(path.dw)))
+            direct = simulate_path("gs", model, 2, coarsen(path.dw))
+            swapped = simulate_path("gs", model, 2, coarsen(antithetic_swap(path.dw)))
             np.testing.assert_array_equal(direct, swapped)
 
     def test_fine_and_swapped_exchangeable(self):
         # same-draw comparison: the swap changes the path but not the law
-        grid = LevelGrid(3, 1.0)
-        path = sample_level_path(RngStream(37, 0, 3, 0), grid, 2, m=100_000)
+        path = sample_level_path(RngStream(37, 0, 3, 0), CC, 3, m=100_000)
         eta = path.eta
-        fine = COS(simulate_path("nv", CC, grid, path.dw, eta))
-        anti = COS(simulate_path("nv", CC, grid, antithetic_swap(path.dw), eta))
+        fine = COS(simulate_path("nv", CC, 3, path.dw, eta))
+        anti = COS(simulate_path("nv", CC, 3, antithetic_swap(path.dw), eta))
         diff = fine - anti
         assert abs(diff.mean()) < 3 * diff.std(ddof=1) / np.sqrt(diff.size)
         sq_diff = fine**2 - anti**2
@@ -635,8 +622,8 @@ def batches(monkeypatch):
     seen = []
     draw = schemes.sample_level_path
 
-    def recorded(stream, grid, d, m=1, signs=True):
-        path = draw(stream, grid, d, m, signs)
+    def recorded(stream, model, level, m=1, signs=True):
+        path = draw(stream, model, level, m, signs)
         seen.append((m, path.dw.nbytes))
         return path
 
